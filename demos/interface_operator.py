@@ -14,7 +14,7 @@ from robinlab import build_grid, build_subdomain_system
 from robinlab.operator_analysis import (build_iteration_operator, dtn_schur,
                                         equivalence_bounds,
                                         iteration_spectral_radius,
-                                        offcenter_columns, recommend_params,
+                                        offcenter_columns, params_from_bounds,
                                         symmetrized_T)
 
 
@@ -31,7 +31,7 @@ for n in (4, 8, 16):
         right = build_subdomain_system(grid, zero, "right", n_cols=ncr)
         S1, S2 = dtn_schur(left), dtn_schur(right)
         bounds = equivalence_bounds(S1, S2)
-        params = recommend_params(S1, S2)
+        params = params_from_bounds(S1, S2, bounds)
         R = build_iteration_operator(S1, S2, params)
         tilde = symmetrized_T(S1, S2, params)
         similar = (params.theta * np.eye(len(tilde))

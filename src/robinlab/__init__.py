@@ -19,10 +19,11 @@ from .grid_fem import (GridSpec, SubdomainSystem, Tridiagonal,
 from .operator_analysis import (DtNOperator, EquivalenceBounds,
                                 build_iteration_operator, dtn_schur,
                                 equivalence_bounds, iteration_spectral_radius,
-                                recommend_params, symmetrized_T)
+                                params_from_bounds, recommend_params,
+                                symmetrized_T)
 from .sparse_linalg import (ConvergenceError, SingularMatrixError, SparseMatrix,
-                            cg_solve, dense_lu_solve, jacobi_symmetric_eigen,
-                            power_spectral_radius, spmv)
+                            cg_solve, dense_lu_solve, power_spectral_radius,
+                            spmv)
 from .spectral import (BoundMargins, ModeCoefficients, bound_margins,
                        cj_eigenvalue, corollary_rate, fd_eigenvalue,
                        mode_coefficients, omega, omega_max, reduction_spectrum,

@@ -25,7 +25,6 @@ import scipy.sparse.linalg
 
 from . import grid_fem
 from .grid_fem import GridSpec, SubdomainSystem, Tridiagonal
-from .sparse_linalg import cg_solve
 
 
 @dataclass
@@ -39,12 +38,13 @@ class DDParams:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ValueError("Robin weights gamma1, gamma2 must be positive")
+        # chained comparisons with inf also reject nan
+        if not (0.0 < self.gamma1 < np.inf and 0.0 < self.gamma2 < np.inf):
+            raise ValueError("Robin weights gamma1, gamma2 must be positive and finite")
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("damping theta must lie in [0, 1)")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        if not 0.0 < self.stop_tol < np.inf:
+            raise ValueError("stop_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -71,18 +71,8 @@ def _factorize(A):
     return scipy.sparse.linalg.splu(A.to_scipy_csc())
 
 
-def _make_solver(system: SubdomainSystem, gamma: float, solver: str):
-    A = system.robin_matrix(gamma)
-    if solver == "lu":
-        lu = _factorize(A)
-        return lambda rhs: lu.solve(rhs)
-    if solver == "cg":
-        return lambda rhs: cg_solve(A, rhs, tol=1e-14)
-    raise ValueError(f"unknown solver {solver!r}")
-
-
 def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
-                      params: DDParams, g1_init=None, solver="lu") -> DDReport:
+                      params: DDParams, g1_init=None) -> DDReport:
     """Damped two-sided Robin iteration from transmission datum g1.
 
     One sweep: solve the left strip with weight gamma1 and datum g1, form
@@ -95,8 +85,8 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     m = grid.n_interface
     mass = left.interface_mass
     gsum = params.gamma1 + params.gamma2
-    solve1 = _make_solver(left, params.gamma1, solver)
-    solve2 = _make_solver(right, params.gamma2, solver)
+    solve1 = _factorize(left.robin_matrix(params.gamma1)).solve
+    solve2 = _factorize(right.robin_matrix(params.gamma2)).solve
 
     g1 = np.zeros(m) if g1_init is None else np.asarray(g1_init, dtype=float).copy()
     if g1.shape != (m,):

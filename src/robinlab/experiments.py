@@ -77,18 +77,20 @@ class ExperimentConfig:
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be a nonempty list of positive integers")
-        if self.gamma1 <= 0 or self.gamma2_coefficient <= 0:
-            raise ValueError("gamma1 and gamma2_coefficient must be positive")
+        if not (0.0 < self.gamma1 < math.inf and 0.0 < self.gamma2_coefficient < math.inf):
+            raise ValueError("gamma1 and gamma2_coefficient must be positive and finite")
         if self.gamma2_rule not in ("constant", "scale_inv_h"):
             raise ValueError(f"unknown gamma2_rule {self.gamma2_rule!r}")
+        if not all(self.gamma2(n) < math.inf for n in self.grids()):
+            raise ValueError("gamma2 = gamma2_coefficient / h is not finite on the finest mesh")
         if self.theta_list is None:
             self.theta_list = {"table2": SEVENTHS, "table3": DN_THETAS}.get(
                 self.table, (3.0 / 7.0,))
         self.theta_list = tuple(float(t) for t in self.theta_list)
         if any(not 0.0 <= t < 1.0 for t in self.theta_list):
             raise ValueError("theta values must lie in [0, 1)")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        if not 0.0 < self.stop_tol < math.inf:
+            raise ValueError("stop_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.output_format not in ("csv", "markdown"):
@@ -332,7 +334,7 @@ def run_operator(config: ExperimentConfig) -> TableResult:
             S1 = operator_analysis.dtn_schur(left)
             S2 = operator_analysis.dtn_schur(right)
             bounds = operator_analysis.equivalence_bounds(S1, S2)
-            params = operator_analysis.recommend_params(S1, S2)
+            params = operator_analysis.params_from_bounds(S1, S2, bounds)
             R = operator_analysis.build_iteration_operator(S1, S2, params)
             Tsym = operator_analysis.symmetrized_T(S1, S2, params)
             similar = params.theta * np.eye(R.shape[0]) - (1.0 - params.theta) * Tsym

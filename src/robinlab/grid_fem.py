@@ -381,13 +381,6 @@ def build_subdomain_system(grid: GridSpec, f, side=LEFT, rule="degree6",
     )
 
 
-def global_load(grid: GridSpec, f, rule="degree6"):
-    """Load vector (f, phi_i) over the whole square, interior numbering."""
-    tri_x, tri_y, ids = global_triangles(grid)
-    m = grid.n_interface
-    return _quadrature_load(grid, tri_x, tri_y, ids, m * m, f, rule)
-
-
 def global_poisson_system(grid: GridSpec, f, rule="degree6"):
     """Single-domain stiffness and load on the whole square; the stiffness
     is the five-point matrix on the (2n-1) x (2n-1) interior lattice."""

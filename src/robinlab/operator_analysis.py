@@ -20,7 +20,7 @@ equivalence constant of the two maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -29,22 +29,45 @@ import scipy.sparse.linalg
 
 from .dd_solvers import DDParams
 from .grid_fem import GridSpec, SubdomainSystem
-from .sparse_linalg import (ConvergenceError, jacobi_symmetric_eigen,
-                            power_spectral_radius, symmetric_matrix_function)
+from .sparse_linalg import ConvergenceError, power_spectral_radius
 
 
 @dataclass
 class DtNOperator:
-    """Dense interface response map with its spectral extremes.
+    """Dense symmetric interface response map with its eigenpairs.
 
     coords records whether the matrix lives in interface-mass-orthonormal
-    coordinates ("mass") or raw nodal ones ("euclidean").
+    coordinates ("mass") or raw nodal ones ("euclidean").  The eigenpairs
+    (eigvals ascending, orthonormal eigvecs as columns) are computed once,
+    on construction, and every function of the map is applied through them.
     """
 
     matrix: np.ndarray
-    min_eig: float
-    max_eig: float
     coords: str = "mass"
+    eigvals: np.ndarray = field(init=False, repr=False)
+    eigvecs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        A = self.matrix = np.asarray(self.matrix, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("trace map must be a square matrix")
+        # eigh reads one triangle only and would hide an asymmetric input
+        if np.abs(A - A.T).max() > 1e-12 * max(1.0, np.abs(A).max()):
+            raise ValueError("trace map is not symmetric to 1e-12")
+        self.eigvals, self.eigvecs = scipy.linalg.eigh(A)
+
+    @property
+    def min_eig(self) -> float:
+        return float(self.eigvals[0])
+
+    @property
+    def max_eig(self) -> float:
+        return float(self.eigvals[-1])
+
+    def function(self, func) -> np.ndarray:
+        """f(S) = V f(w) V^T for a function f applied to the eigenvalues."""
+        V = self.eigvecs
+        return (V * func(self.eigvals)) @ V.T
 
 
 @dataclass
@@ -84,11 +107,10 @@ def dtn_schur(system: SubdomainSystem, coords="mass") -> DtNOperator:
         L = scipy.linalg.cholesky(system.interface_mass.to_dense(), lower=True)
         S = scipy.linalg.solve_triangular(L, S, lower=True)
         S = scipy.linalg.solve_triangular(L, S.T, lower=True).T
-    S = 0.5 * (S + S.T)
-    w, _ = jacobi_symmetric_eigen(S)
-    if w[0] <= 0:
-        raise ValueError(f"interface response map is not positive definite (min eigenvalue {w[0]:.3e})")
-    return DtNOperator(matrix=S, min_eig=float(w[0]), max_eig=float(w[-1]), coords=coords)
+    op = DtNOperator(matrix=0.5 * (S + S.T), coords=coords)
+    if op.min_eig <= 0:
+        raise ValueError(f"interface response map is not positive definite (min eigenvalue {op.min_eig:.3e})")
+    return op
 
 
 def offcenter_columns(grid: GridSpec, fraction=1.0 / 3.0):
@@ -100,11 +122,10 @@ def offcenter_columns(grid: GridSpec, fraction=1.0 / 3.0):
 
 
 def equivalence_bounds(S1: DtNOperator, S2: DtNOperator) -> EquivalenceBounds:
-    """Spectral equivalence constants via S1^(-1/2) S2 S1^(-1/2)."""
+    """Spectral equivalence constants: the extreme eigenvalues of the
+    generalized problem S2 x = lambda S1 x."""
     _check_pair(S1, S2)
-    P = symmetric_matrix_function(S1.matrix, lambda x: 1.0 / np.sqrt(x))
-    G = P @ S2.matrix @ P
-    w, _ = jacobi_symmetric_eigen(0.5 * (G + G.T))
+    w = scipy.linalg.eigh(S2.matrix, S1.matrix, eigvals_only=True)
     return EquivalenceBounds(s=float(w[0]), t=float(w[-1]))
 
 
@@ -120,8 +141,8 @@ def build_iteration_operator(S1: DtNOperator, S2: DtNOperator, params: DDParams)
     transformed transmission datum."""
     _check_pair(S1, S2)
     g1, g2 = params.gamma1, params.gamma2
-    T = (symmetric_matrix_function(S2.matrix, lambda x: (x - g1) / (g2 + x))
-         @ symmetric_matrix_function(S1.matrix, lambda x: (g2 - x) / (g1 + x)))
+    T = (S2.function(lambda x: (x - g1) / (g2 + x))
+         @ S1.function(lambda x: (g2 - x) / (g1 + x)))
     dim = T.shape[0]
     return params.theta * np.eye(dim) - (1.0 - params.theta) * T
 
@@ -147,10 +168,8 @@ def symmetrized_T(S1: DtNOperator, S2: DtNOperator, params: DDParams) -> np.ndar
         raise ValueError(
             f"weight bracket violated: gamma2 = {g2:.6g} is below three times "
             f"the largest trace eigenvalue, 3 max(lam1, lam2) = {3.0 * hi:.6g}")
-    P = symmetric_matrix_function(S1.matrix, lambda x: 1.0 / np.sqrt(g1 + x))
-    Q = symmetric_matrix_function(S1.matrix, lambda x: np.sqrt(np.maximum(g2 - x, 0.0)))
-    mid = symmetric_matrix_function(S2.matrix, lambda x: (x - g1) / (g2 + x))
-    out = P @ Q @ mid @ Q @ P
+    F = S1.function(lambda x: np.sqrt(np.maximum(g2 - x, 0.0) / (g1 + x)))
+    out = F @ S2.function(lambda x: (x - g1) / (g2 + x)) @ F
     return 0.5 * (out + out.T)
 
 
@@ -158,7 +177,12 @@ def recommend_params(S1: DtNOperator, S2: DtNOperator, stop_tol=1e-11,
                      max_iter=2000) -> DDParams:
     """Weights and damping from the spectral extremes: g1 at the smallest
     eigenvalue, g2 at three times the largest, theta = (2t-1)/(2t+1)."""
-    bounds = equivalence_bounds(S1, S2)
+    return params_from_bounds(S1, S2, equivalence_bounds(S1, S2), stop_tol, max_iter)
+
+
+def params_from_bounds(S1: DtNOperator, S2: DtNOperator, bounds: EquivalenceBounds,
+                       stop_tol=1e-11, max_iter=2000) -> DDParams:
+    """recommend_params for a pair whose equivalence bounds are already known."""
     theta = (2.0 * bounds.t - 1.0) / (2.0 * bounds.t + 1.0)
     return DDParams(
         gamma1=min(S1.min_eig, S2.min_eig),
@@ -180,5 +204,5 @@ def iteration_spectral_radius(R: np.ndarray, similar_symmetric=None) -> float:
     except ConvergenceError:
         if similar_symmetric is None:
             raise
-        w, _ = jacobi_symmetric_eigen(similar_symmetric)
+        w = scipy.linalg.eigh(similar_symmetric, eigvals_only=True)
         return float(np.abs(w).max())

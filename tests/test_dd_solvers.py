@@ -43,6 +43,15 @@ def test_params_validation():
         DDParams(gamma1=1.0, gamma2=1.0, theta=0.4, stop_tol=0.0)
     with pytest.raises(ValueError):
         DDParams(gamma1=1.0, gamma2=1.0, theta=0.4, max_iter=0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            DDParams(gamma1=bad, gamma2=1.0, theta=0.4)
+        with pytest.raises(ValueError, match="finite"):
+            DDParams(gamma1=1.0, gamma2=bad, theta=0.4)
+        with pytest.raises(ValueError, match="finite"):
+            DDParams(gamma1=1.0, gamma2=1.0, theta=0.4, stop_tol=bad)
+        with pytest.raises(ValueError):
+            DDParams(gamma1=1.0, gamma2=1.0, theta=bad)
 
 
 def test_zero_data_converges_immediately():

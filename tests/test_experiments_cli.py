@@ -117,6 +117,11 @@ def test_config_grids_dedup_and_deep():
         (dict(table="table1", stop_tol=0.0), "stop_tol"),
         (dict(table="table1", max_iter=0), "max_iter"),
         (dict(table="table1", output_format="tsv"), "csv or markdown"),
+        (dict(table="table1", gamma1=float("inf")), "finite"),
+        (dict(table="table1", gamma1=float("nan")), "finite"),
+        (dict(table="table1", gamma2_coefficient=float("inf")), "finite"),
+        (dict(table="table1", stop_tol=float("nan")), "finite"),
+        (dict(table="table1", stop_tol=float("inf")), "finite"),
     ],
 )
 def test_config_rejects_bad_input(kwargs, match):
@@ -318,6 +323,18 @@ def test_cli_bad_theta(capsys):
     rc = cli_main(["spectrum", "--n", "4", "--theta", "1.5"])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--gamma1", "inf"), ("--gamma1", "nan"), ("--gamma2-coeff", "inf"), ("--tol", "nan"),
+    ("--gamma2-coeff", "1e308"),
+])
+def test_cli_rejects_non_finite(capsys, option, value):
+    rc = cli_main(["table1", "--n", "2", option, value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("robinlab:") and "finite" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_reports_nonconvergence(capsys):

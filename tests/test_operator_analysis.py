@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from jacobi_oracle import jacobi_symmetric_eigen
 from robinlab import (DDParams, DtNOperator, build_grid,
                       build_iteration_operator, build_subdomain_system,
                       dtn_schur, equivalence_bounds, iteration_spectral_radius,
-                      jacobi_symmetric_eigen, measured_reduction_rate, omega,
+                      measured_reduction_rate, omega, params_from_bounds,
                       recommend_params, reduction_spectrum, robin_robin_solve,
                       symmetrized_T)
 from robinlab.operator_analysis import offcenter_columns
@@ -71,12 +72,38 @@ def test_symmetric_split_sides_identical():
 def test_schur_eigenvalues_are_mode_ratios():
     # in mass-orthonormal coordinates the trace map diagonalizes with
     # eigenvalues b_j / a_j
-    for n in (2, 4):
+    for n in (2, 4, 16, 64):
         _, S1, _ = symmetric_pair(n)
         _, _, a, b = mode_arrays(n)
         want = np.sort(b / a)
-        got, _ = jacobi_symmetric_eigen(S1.matrix)
-        assert np.abs(got - want).max() < 1e-10
+        assert np.abs(S1.eigvals - want).max() < 1e-10
+
+
+def test_schur_eigenvalues_match_jacobi_oracle():
+    for make_pair in (symmetric_pair, third_split_pair):
+        for n in (1, 2, 5, 12, 24):
+            _, S1, S2 = make_pair(n)
+            for S in (S1, S2):
+                want, _ = jacobi_symmetric_eigen(S.matrix)
+                assert np.all(np.abs(S.eigvals - want) <= 1e-12 * np.abs(want))
+
+
+def test_dtn_operator_eigenpairs_on_construction():
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 6))
+    A = B @ B.T + 6.0 * np.eye(6)
+    S = DtNOperator(matrix=A)
+    assert np.abs(A @ S.eigvecs - S.eigvecs * S.eigvals).max() < 1e-12 * np.abs(A).max()
+    assert (S.min_eig, S.max_eig) == (S.eigvals[0], S.eigvals[-1])
+    root = S.function(np.sqrt)
+    assert np.abs(root @ root - A).max() < 1e-10 * np.abs(A).max()
+
+
+def test_dtn_operator_rejects_asymmetry():
+    with pytest.raises(ValueError, match="symmetric"):
+        DtNOperator(matrix=np.array([[1.0, 2.0], [2.1, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        DtNOperator(matrix=np.ones((2, 3)))
 
 
 def test_schur_spectrum_bracket():
@@ -110,8 +137,7 @@ def test_equivalence_bounds_identity_and_scaling():
     bounds = equivalence_bounds(S1, S2)
     assert bounds.s == pytest.approx(1.0, abs=1e-11)
     assert bounds.t == pytest.approx(1.0, abs=1e-11)
-    doubled = DtNOperator(matrix=2.0 * S1.matrix, min_eig=2.0 * S1.min_eig,
-                          max_eig=2.0 * S1.max_eig)
+    doubled = DtNOperator(matrix=2.0 * S1.matrix)
     bounds = equivalence_bounds(S1, doubled)
     assert bounds.s == pytest.approx(2.0, abs=1e-10)
     assert bounds.t == pytest.approx(2.0, abs=1e-10)
@@ -128,10 +154,8 @@ def test_third_split_bounds_and_inverse_pencil():
     assert bounds.s <= 1.0 + 1e-6
     assert bounds.t >= 1.0 - 1e-6
     assert bounds.s < bounds.t
-    inv1 = DtNOperator(matrix=np.linalg.inv(S1.matrix),
-                       min_eig=1.0 / S1.max_eig, max_eig=1.0 / S1.min_eig)
-    inv2 = DtNOperator(matrix=np.linalg.inv(S2.matrix),
-                       min_eig=1.0 / S2.max_eig, max_eig=1.0 / S2.min_eig)
+    inv1 = DtNOperator(matrix=np.linalg.inv(S1.matrix))
+    inv2 = DtNOperator(matrix=np.linalg.inv(S2.matrix))
     inv_bounds = equivalence_bounds(inv1, inv2)
     assert inv_bounds.s == pytest.approx(1.0 / bounds.t, abs=1e-10)
     assert inv_bounds.t == pytest.approx(1.0 / bounds.s, abs=1e-10)
@@ -139,7 +163,7 @@ def test_third_split_bounds_and_inverse_pencil():
 
 def test_iteration_operator_diagonal_case():
     lams = np.array([2.0, 5.0])
-    S = DtNOperator(matrix=np.diag(lams), min_eig=2.0, max_eig=5.0)
+    S = DtNOperator(matrix=np.diag(lams))
     params = DDParams(gamma1=1.0, gamma2=30.0, theta=0.25)
     R = build_iteration_operator(S, S, params)
     want = params.theta - (1.0 - params.theta) * omega(lams, 1.0, 30.0)
@@ -177,7 +201,7 @@ def test_symmetrized_T_is_similar_to_T():
 
 def test_symmetrized_T_diagonal_commuting_case():
     lams = np.array([2.0, 5.0])
-    S = DtNOperator(matrix=np.diag(lams), min_eig=2.0, max_eig=5.0)
+    S = DtNOperator(matrix=np.diag(lams))
     params = DDParams(gamma1=2.0, gamma2=15.0, theta=0.3)
     R = build_iteration_operator(S, S, params)
     T = (params.theta * np.eye(2) - R) / (1.0 - params.theta)
@@ -230,6 +254,7 @@ def test_shifted_resolvent_inequality():
 def test_recommendation_matched_sides():
     _, S1, S2 = symmetric_pair(4)
     params = recommend_params(S1, S2)
+    assert params == params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
     assert params.theta == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert params.gamma1 == pytest.approx(S1.min_eig, abs=1e-12)
     assert params.gamma2 == pytest.approx(3.0 * S1.max_eig, abs=1e-12)
@@ -237,8 +262,7 @@ def test_recommendation_matched_sides():
 
 def test_recommendation_scaled_pair():
     _, S1, _ = symmetric_pair(3)
-    doubled = DtNOperator(matrix=2.0 * S1.matrix, min_eig=2.0 * S1.min_eig,
-                          max_eig=2.0 * S1.max_eig)
+    doubled = DtNOperator(matrix=2.0 * S1.matrix)
     params = recommend_params(S1, doubled)
     assert params.theta == pytest.approx(3.0 / 5.0, abs=1e-10)
 

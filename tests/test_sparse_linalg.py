@@ -3,12 +3,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from jacobi_oracle import jacobi_symmetric_eigen
 from robinlab import (ConvergenceError, SingularMatrixError, SparseMatrix,
                       build_grid, build_subdomain_system, cg_solve,
-                      dense_lu_solve, jacobi_symmetric_eigen,
-                      power_spectral_radius, spmv)
+                      dense_lu_solve, power_spectral_radius, spmv)
 from robinlab.experiments import manufactured_solution
-from robinlab.sparse_linalg import symmetric_matrix_function
 
 
 def robin_system(n, gamma, side="left"):
@@ -181,14 +180,6 @@ def test_jacobi_rejects_asymmetry():
     A = np.array([[1.0, 2.0], [2.1, 1.0]])
     with pytest.raises(ValueError):
         jacobi_symmetric_eigen(A)
-
-
-def test_matrix_function_square_root():
-    rng = np.random.default_rng(3)
-    B = rng.standard_normal((6, 6))
-    A = B @ B.T + 6.0 * np.eye(6)
-    root = symmetric_matrix_function(A, np.sqrt)
-    assert np.abs(root @ root - A).max() < 1e-10 * np.abs(A).max()
 
 
 def test_power_radius_sign_pair():
