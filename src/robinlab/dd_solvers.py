@@ -12,6 +12,12 @@ from the reference description, where the Neumann-side right-hand side
 carries only the right-strip load; the include_left_interface_load switch
 (off by default) adds the left-strip interface load so the limit solves
 the assembled global system.
+
+Every strip solve runs through grid_fem.StripSolver: a sine transform in
+y splits the strip into independent tridiagonal systems in x, factored
+once per run by banded LAPACK.  SuperLU (splu/spsolve) on the assembled
+matrices is kept only as the test oracle.  Both sweeps stop early, as not
+converged, when the sup-norm change of their state turns non-finite.
 """
 
 from __future__ import annotations
@@ -20,8 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import grid_fem
 from .grid_fem import GridSpec, SubdomainSystem, Tridiagonal
@@ -67,10 +71,6 @@ class DDReport:
     interface_mass: Tridiagonal
 
 
-def _factorize(A):
-    return scipy.sparse.linalg.splu(A.to_scipy_csc())
-
-
 def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
                       params: DDParams, g1_init=None) -> DDReport:
     """Damped two-sided Robin iteration from transmission datum g1.
@@ -79,14 +79,15 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     g2 = -g1 + (gamma1 + gamma2) u|_G nodally, solve the right strip with
     weight gamma2 and datum g2, then damp
     g1 <- theta g1 + (1 - theta)(-g2 + (gamma1 + gamma2) w|_G).
-    Stops when the sup-norm change of g1 drops below params.stop_tol.
+    Stops when the sup-norm change of g1 drops below params.stop_tol, or
+    unconverged once it is not finite.
     """
     grid = left.grid
     m = grid.n_interface
     mass = left.interface_mass
     gsum = params.gamma1 + params.gamma2
-    solve1 = _factorize(left.robin_matrix(params.gamma1)).solve
-    solve2 = _factorize(right.robin_matrix(params.gamma2)).solve
+    solve1 = left.solver(params.gamma1).solve
+    solve2 = right.solver(params.gamma2).solve
 
     g1 = np.zeros(m) if g1_init is None else np.asarray(g1_init, dtype=float).copy()
     if g1.shape != (m,):
@@ -107,6 +108,8 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
         delta = np.abs(g1_new - g1).max()
         history.append(g1_new.copy())
         g1 = g1_new
+        if not np.isfinite(delta):
+            break
         if delta < params.stop_tol:
             converged = True
             break
@@ -132,19 +135,19 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     One sweep: a Dirichlet solve on the left strip with trace w, then a
     Neumann-coupled solve on the right strip whose interface rows carry
     minus the left residual flux, then w <- theta w + (1 - theta) w~|_G.
-    Only theta and the stopping controls of params are used.
+    Only theta and the stopping controls of params are used; the stopping
+    rule is that of robin_robin_solve.
     """
     grid = left.grid
     m = grid.n_interface
     base_l = left.n_cols * m - m
     base_r = right.n_cols * m - m
     A1 = left.stiffness.to_scipy_csc().tocsr()
-    A_II = A1[:base_l, :base_l]
     A_IG = A1[:base_l, base_l:]
     A_GI = A1[base_l:, :base_l]
     A_GG = A1[base_l:, base_l:]
-    lu_dirichlet = scipy.sparse.linalg.splu(A_II.tocsc())
-    lu_neumann = _factorize(right.stiffness)
+    solve_dirichlet = left.dirichlet_solver().solve
+    solve_neumann = right.solver(0.0).solve
     F1_I = left.load[:base_l]
     F1_G = left.load[base_l:]
 
@@ -156,18 +159,20 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     wt = np.zeros(right.n_cols * m)
     converged = False
     for _ in range(params.max_iter):
-        u_I = lu_dirichlet.solve(F1_I - A_IG @ w_state)
+        u_I = solve_dirichlet(F1_I - A_IG @ w_state)
         flux = A_GI @ u_I + A_GG @ w_state
         rhs = right.load.copy()
         rhs[base_r:] -= flux
         if include_left_interface_load:
             rhs[base_r:] += F1_G
-        wt = lu_neumann.solve(rhs)
+        wt = solve_neumann(rhs)
         w_new = params.theta * w_state + (1.0 - params.theta) * wt[base_r:]
         delta = np.abs(w_new - w_state).max()
         history.append(w_new.copy())
         u = np.concatenate([u_I, w_new])
         w_state = w_new
+        if not np.isfinite(delta):
+            break
         if delta < params.stop_tol:
             converged = True
             break

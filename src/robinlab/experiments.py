@@ -279,11 +279,10 @@ def run_spectrum(config: ExperimentConfig) -> TableResult:
     rows = []
     radii = {}
     for n in config.grids():
-        lam, tlam, a, b = spectral.mode_arrays(n)
+        _, _, a, b = spectral.mode_arrays(n)
         for theta in config.theta_list:
             params = config.params(n, theta)
-            g1, g2 = params.gamma1, params.gamma2
-            c = ((g1 * a - b) / (g1 * a + b)) * ((g2 * a - b) / (g2 * a + b))
+            c = spectral.cj_values(a, b, params.gamma1, params.gamma2)
             damped = theta + (1.0 - theta) * c
             for j in range(1, 2 * n):
                 rows.append([n, j, a[j - 1], b[j - 1], c[j - 1], damped[j - 1]])

@@ -114,13 +114,17 @@ def mode_arrays(n):
     return lam, tlam, a, b
 
 
+def cj_values(a, b, gamma1, gamma2):
+    """Two-sided damping factors c_j of modes with coefficients (a_j, b_j);
+    a and b may be scalars or arrays."""
+    return ((gamma1 * a - b) / (gamma1 * a + b)) * ((gamma2 * a - b) / (gamma2 * a + b))
+
+
 def cj_eigenvalue(coeff: ModeCoefficients, gamma1, gamma2):
     """Two-sided damping factor of one mode; fills and returns coeff.c."""
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("Robin weights must be positive")
-    a, b = coeff.a, coeff.b
-    c = ((gamma1 * a - b) / (gamma1 * a + b)) * ((gamma2 * a - b) / (gamma2 * a + b))
-    coeff.c = float(c)
+    coeff.c = float(cj_values(coeff.a, coeff.b, gamma1, gamma2))
     return coeff.c
 
 
@@ -130,9 +134,8 @@ def reduction_spectrum(n, params):
 
     params needs attributes gamma1, gamma2, theta.
     """
-    lam, tlam, a, b = mode_arrays(n)
-    g1, g2 = params.gamma1, params.gamma2
-    c = ((g1 * a - b) / (g1 * a + b)) * ((g2 * a - b) / (g2 * a + b))
+    _, _, a, b = mode_arrays(n)
+    c = cj_values(a, b, params.gamma1, params.gamma2)
     vals = params.theta + (1.0 - params.theta) * c
     return vals, float(np.abs(vals).max())
 

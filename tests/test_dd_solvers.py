@@ -76,6 +76,16 @@ def test_iteration_counts_match_reference_band():
     assert 13 <= report.iterations <= 15
 
 
+def test_sweep_count_at_fine_mesh():
+    # at n = 144 the roundoff floor of the sup-norm change sits just under
+    # stop_tol, because the trace is fed back times gamma1 + gamma2 ~ 64/h;
+    # a trace a few roundoff units noisier stalls the run for dozens of sweeps
+    _, left, right = strip_pair(144)
+    report = robin_robin_solve(left, right, canonical_params(144))
+    assert report.converged
+    assert report.iterations <= 16
+
+
 def test_history_length_and_rate_presence():
     _, left, right = strip_pair(3)
     report = robin_robin_solve(left, right, canonical_params(3))
@@ -99,6 +109,18 @@ def test_bad_initial_trace_rejected():
     _, left, right = strip_pair(2)
     with pytest.raises(ValueError):
         robin_robin_solve(left, right, canonical_params(2), g1_init=np.ones(5))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf in the FFT
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_trace_stops_after_one_sweep(bad):
+    grid, left, right = strip_pair(2)
+    g1 = np.zeros(grid.n_interface)
+    g1[0] = bad
+    report = robin_robin_solve(left, right, canonical_params(2), g1_init=g1)
+    assert report.iterations == 1
+    assert not report.converged
+    assert report.reduction_rate is None
 
 
 def test_converged_trace_is_fixed_point():
@@ -280,6 +302,18 @@ def test_dirichlet_neumann_bad_initial_trace():
     with pytest.raises(ValueError):
         dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45),
                                 w_init=np.ones(7))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf in the FFT
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dirichlet_neumann_non_finite_trace_stops(bad):
+    grid, left, right = strip_pair(2)
+    w0 = np.zeros(grid.n_interface)
+    w0[0] = bad
+    report = dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45), w_init=w0)
+    assert report.iterations == 1
+    assert not report.converged
+    assert report.reduction_rate is None
 
 
 def test_assemble_global_solution_layout():

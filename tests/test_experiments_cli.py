@@ -1,11 +1,15 @@
 """Table drivers, config plumbing, and the command line front end."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
 
+import robinlab
 from robinlab import (
     DDParams,
     assemble_interface_mass,
@@ -335,6 +339,16 @@ def test_cli_rejects_non_finite(capsys, option, value):
     assert rc == 2
     assert captured.err.startswith("robinlab:") and "finite" in captured.err
     assert captured.out == ""
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # strip solves use numpy.fft, which numpy loads anyway; importing
+    # scipy.fft would add about 0.1 s to the start of every CLI call
+    src = str(Path(robinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, robinlab.cli; sys.exit('scipy.fft' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_reports_nonconvergence(capsys):
