@@ -15,8 +15,9 @@ the assembled global system.
 
 Every strip solve runs through grid_fem.StripSolver: a sine transform in
 y splits the strip into independent tridiagonal systems in x, factored
-once per run by banded LAPACK.  SuperLU (splu/spsolve) on the assembled
-matrices is kept only as the test oracle.  Both sweeps stop early, as not
+once per run by banded LAPACK, and one step of iterative refinement keeps
+the result as accurate as a sparse direct solve.  SuperLU (splu/spsolve)
+on the assembled matrices is kept only as the test oracle.  Both sweeps stop early, as not
 converged, when the sup-norm change of their state turns non-finite.
 """
 

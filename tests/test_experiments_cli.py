@@ -342,8 +342,9 @@ def test_cli_rejects_non_finite(capsys, option, value):
 
 
 def test_cli_import_leaves_scipy_fft_unloaded():
-    # strip solves use numpy.fft, which numpy loads anyway; importing
-    # scipy.fft would add about 0.1 s to the start of every CLI call
+    # importing scipy.fft would add about 0.1 s to the start of every CLI
+    # call; a sine transform by FFT has to come from numpy.fft, which numpy
+    # loads anyway
     src = str(Path(robinlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

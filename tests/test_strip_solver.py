@@ -52,6 +52,22 @@ def test_strip_solver_matches_spsolve(n):
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("n", [48, 64])
+def test_strip_solver_accuracy_on_smooth_load(n):
+    # roundoff that repeats in every row of the constant-coefficient mode
+    # systems adds up in the smooth low modes, which the refinement step
+    # removes; without it these errors reach 4e-14 (n = 48) and 1.2e-13
+    # (n = 64) of the solution, while SuperLU stays near 1e-15
+    grid = build_grid(n)
+    system = build_subdomain_system(grid, F_LOAD)
+    for solver, A in oracle_cases(system)[:3]:
+        lu = scipy.sparse.linalg.splu(A.tocsc())
+        ref = lu.solve(system.load)
+        ref += lu.solve(system.load - A @ ref)
+        x = solver.solve(system.load)
+        assert np.abs(x - ref).max() <= 2e-14 * np.abs(ref).max()
+
+
 def test_dirichlet_neumann_with_empty_interior():
     # n = 1: one interface unknown and no left interior column
     grid = build_grid(1)
