@@ -11,19 +11,16 @@ from .dd_solvers import (DDParams, DDReport, assemble_global_solution,
                          dirichlet_neumann_solve, error_norms,
                          measured_reduction_rate, robin_robin_solve)
 from .experiments import ExperimentConfig, TableResult, manufactured_solution, run
-from .grid_fem import (GridSpec, SubdomainSystem, Tridiagonal,
-                       apply_restriction, assemble_a0, assemble_interface_mass,
-                       assemble_interface_stiffness, assemble_load,
-                       assemble_subdomain_stiffness, build_grid,
-                       build_subdomain_system, restriction_adjoint)
+from .grid_fem import (GridSpec, SubdomainSystem, Tridiagonal, assemble_a0,
+                       assemble_interface_mass, assemble_interface_stiffness,
+                       assemble_load, assemble_subdomain_stiffness, build_grid,
+                       build_subdomain_system)
 from .operator_analysis import (DtNOperator, EquivalenceBounds,
                                 build_iteration_operator, dtn_schur,
                                 equivalence_bounds, iteration_spectral_radius,
                                 params_from_bounds, recommend_params,
                                 symmetrized_T)
-from .sparse_linalg import (ConvergenceError, SingularMatrixError, SparseMatrix,
-                            cg_solve, dense_lu_solve, power_spectral_radius,
-                            spmv)
+from .sparse_linalg import ConvergenceError, power_spectral_radius
 from .spectral import (BoundMargins, ModeCoefficients, bound_margins,
                        cj_eigenvalue, corollary_rate, fd_eigenvalue,
                        mode_coefficients, omega, omega_max, reduction_spectrum,

@@ -84,15 +84,20 @@ def cli_main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"robinlab: {exc}", file=sys.stderr)
         return 2
-    if args.dump_matrices:
-        _dump_matrices(config, args.dump_matrices)
-    result = experiments.run(config)
-    text = experiments.render(result, config.output_format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # output paths are checked before the table is computed
+    try:
+        if args.dump_matrices:
+            _dump_matrices(config, args.dump_matrices)
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"robinlab: {exc}", file=sys.stderr)
+        return 2
+    try:
+        result = experiments.run(config)
+        out.write(experiments.render(result, config.output_format))
+    finally:
+        if out is not sys.stdout:
+            out.close()
     if not result.notes.get("all_converged", True):
         print("robinlab: some runs did not converge (marked with *)", file=sys.stderr)
         return 3

@@ -143,7 +143,7 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     m = grid.n_interface
     base_l = left.n_cols * m - m
     base_r = right.n_cols * m - m
-    A1 = left.stiffness.to_scipy_csc().tocsr()
+    A1 = left.stiffness
     A_IG = A1[:base_l, base_l:]
     A_GI = A1[base_l:, :base_l]
     A_GG = A1[base_l:, base_l:]
@@ -249,6 +249,6 @@ def error_norms(grid: GridSpec, u_h, exact):
     e = u_I - u_h
     tri_x, tri_y, ids = grid_fem.global_triangles(grid)
     mass, stiff = grid_fem.assemble_p1_forms(grid, tri_x, tri_y, ids, m * m)
-    l2 = float(np.sqrt(max(0.0, e @ mass.matvec(e))))
-    h1 = float(np.sqrt(max(0.0, e @ stiff.matvec(e))))
+    l2 = float(np.sqrt(max(0.0, e @ (mass @ e))))
+    h1 = float(np.sqrt(max(0.0, e @ (stiff @ e))))
     return l2, h1

@@ -69,7 +69,6 @@ class ExperimentConfig:
     max_iter: int = 2000
     output_format: str = "csv"
     deep: bool = False
-    quadrature: str = "degree6"
 
     def __post_init__(self):
         if self.table not in TABLES:
@@ -163,8 +162,8 @@ def render(result: TableResult, output_format: str) -> str:
 def _solve_pair(config, n, theta):
     grid = build_grid(n)
     _, f = manufactured_solution()
-    left = build_subdomain_system(grid, f, "left", rule=config.quadrature)
-    right = build_subdomain_system(grid, f, "right", rule=config.quadrature)
+    left = build_subdomain_system(grid, f, "left")
+    right = build_subdomain_system(grid, f, "right")
     report = robin_robin_solve(left, right, config.params(n, theta))
     return grid, report
 
@@ -219,10 +218,8 @@ def run_table2(config: ExperimentConfig) -> TableResult:
     all_converged = True
     for n in config.grids():
         grid = build_grid(n)
-        left = build_subdomain_system(grid, zero_load, "left",
-                                      rule=config.quadrature)
-        right = build_subdomain_system(grid, zero_load, "right",
-                                       rule=config.quadrature)
+        left = build_subdomain_system(grid, zero_load, "left")
+        right = build_subdomain_system(grid, zero_load, "right")
         cells = [f"1/{2 * n}"]
         for theta in thetas:
             params = config.params(n, theta)
@@ -254,8 +251,8 @@ def run_table3(config: ExperimentConfig) -> TableResult:
     all_converged = True
     for n in config.grids():
         grid = build_grid(n)
-        left = build_subdomain_system(grid, f, "left", rule=config.quadrature)
-        right = build_subdomain_system(grid, f, "right", rule=config.quadrature)
+        left = build_subdomain_system(grid, f, "left")
+        right = build_subdomain_system(grid, f, "right")
         cells = [f"1/{2 * n}"]
         for theta in config.theta_list:
             report = dirichlet_neumann_solve(left, right, config.params(n, theta))

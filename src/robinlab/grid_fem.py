@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
+from scipy.sparse import csr_matrix
 
-from .sparse_linalg import SparseMatrix
 from .spectral import sine_basis_matrix
 
 LEFT = "left"
@@ -127,7 +127,7 @@ def _strip_five_point(grid: GridSpec, n_cols: int):
     return size, np.concatenate(ii), np.concatenate(jj), np.concatenate(vv)
 
 
-def assemble_a0(grid: GridSpec, n_cols=None) -> SparseMatrix:
+def assemble_a0(grid: GridSpec, n_cols=None) -> csr_matrix:
     """Strip matrix A0: the five-point form with the interface column still
     clamped (diagonal 4 everywhere).  Used as the auxiliary operator in the
     closed-form trace analysis."""
@@ -135,10 +135,10 @@ def assemble_a0(grid: GridSpec, n_cols=None) -> SparseMatrix:
     if n_cols < 1:
         raise ValueError("strip must have at least one column")
     size, i, j, v = _strip_five_point(grid, n_cols)
-    return SparseMatrix.from_coo(size, size, i, j, v)
+    return csr_matrix((v, (i, j)), shape=(size, size))
 
 
-def assemble_subdomain_stiffness(grid: GridSpec, side=LEFT, n_cols=None) -> SparseMatrix:
+def assemble_subdomain_stiffness(grid: GridSpec, side=LEFT, n_cols=None) -> csr_matrix:
     """Subdomain stiffness with the natural (free) condition on the interface
     column: A0 minus the interface correction on the trace block.
 
@@ -156,43 +156,23 @@ def assemble_subdomain_stiffness(grid: GridSpec, side=LEFT, n_cols=None) -> Spar
     j = np.concatenate([j, tr, tr[1:], tr[:-1]])
     v = np.concatenate([v, np.full(m, -a_gamma.diag),
                         np.full(m - 1, -a_gamma.off), np.full(m - 1, -a_gamma.off)])
-    return SparseMatrix.from_coo(size, size, i, j, v)
+    return csr_matrix((v, (i, j)), shape=(size, size))
 
 
-def add_interface_tridiagonal(A: SparseMatrix, tri: Tridiagonal, coeff: float) -> SparseMatrix:
+def add_interface_tridiagonal(A: csr_matrix, tri: Tridiagonal, coeff: float) -> csr_matrix:
     """A + coeff * R^T tri R, where R restricts to the trailing trace block."""
     m = tri.size
-    base = A.rows - m
-    if base < 0:
+    size = A.shape[0]
+    if size < m:
         raise ValueError("matrix smaller than the trace block")
-    tr = np.arange(base, A.rows)
-    i = np.concatenate([A._expanded_rows, tr, tr[:-1], tr[1:]])
-    j = np.concatenate([A.col_indices, tr, tr[1:], tr[:-1]])
-    v = np.concatenate([A.values, np.full(m, coeff * tri.diag),
+    tr = np.arange(size - m, size)
+    # summed triplets rather than A + B, which would drop entries that cancel
+    coo = A.tocoo()
+    i = np.concatenate([coo.row, tr, tr[:-1], tr[1:]])
+    j = np.concatenate([coo.col, tr, tr[1:], tr[:-1]])
+    v = np.concatenate([coo.data, np.full(m, coeff * tri.diag),
                         np.full(m - 1, coeff * tri.off), np.full(m - 1, coeff * tri.off)])
-    return SparseMatrix.from_coo(A.rows, A.cols, i, j, v)
-
-
-def apply_restriction(grid: GridSpec, v, size=None):
-    """Trace of a strip vector on the interface column (the trailing block)."""
-    v = np.asarray(v, dtype=float)
-    m = grid.n_interface
-    size = grid.n_subdomain_unknowns if size is None else int(size)
-    if v.shape != (size,):
-        raise ValueError("strip vector has wrong length")
-    return v[-m:].copy()
-
-
-def restriction_adjoint(grid: GridSpec, g, size=None):
-    """Adjoint of the trace restriction: pad with zeros off the interface."""
-    g = np.asarray(g, dtype=float)
-    m = grid.n_interface
-    if g.shape != (m,):
-        raise ValueError("trace vector has wrong length")
-    size = grid.n_subdomain_unknowns if size is None else int(size)
-    out = np.zeros(size)
-    out[-m:] = g
-    return out
+    return csr_matrix((v, (i, j)), shape=A.shape)
 
 
 # Quadrature rules on the reference triangle, in barycentric coordinates.
@@ -325,7 +305,8 @@ def assemble_load(grid: GridSpec, f, side=LEFT, rule="degree6", n_cols=None):
 def assemble_p1_forms(grid: GridSpec, tri_x, tri_y, ids, n_unknowns):
     """Consistent mass and stiffness matrices for a P1 triangle list.
 
-    Element loop in vectorized form; returns (mass, stiffness) as CSR.
+    Element loop in vectorized form; returns (mass, stiffness) as CSR, the
+    duplicate element contributions summed.
     """
     x = grid.coord(tri_x)
     y = grid.coord(tri_y)
@@ -343,8 +324,9 @@ def assemble_p1_forms(grid: GridSpec, tri_x, tri_y, ids, n_unknowns):
             vk.append((bvec[mask, p] * bvec[mask, q] + cvec[mask, p] * cvec[mask, q]) / (4.0 * area))
     ii = np.concatenate(ii)
     jj = np.concatenate(jj)
-    mass = SparseMatrix.from_coo(n_unknowns, n_unknowns, ii, jj, np.concatenate(vm))
-    stiffness = SparseMatrix.from_coo(n_unknowns, n_unknowns, ii, jj, np.concatenate(vk))
+    shape = (n_unknowns, n_unknowns)
+    mass = csr_matrix((np.concatenate(vm), (ii, jj)), shape=shape)
+    stiffness = csr_matrix((np.concatenate(vk), (ii, jj)), shape=shape)
     return mass, stiffness
 
 
@@ -428,12 +410,12 @@ class SubdomainSystem:
     grid: GridSpec
     side: str
     n_cols: int
-    stiffness: SparseMatrix
+    stiffness: csr_matrix
     interface_mass: Tridiagonal
     interface_stiffness: Tridiagonal
     load: np.ndarray
 
-    def robin_matrix(self, gamma: float) -> SparseMatrix:
+    def robin_matrix(self, gamma: float) -> csr_matrix:
         """Stiffness plus gamma times the interface mass on the trace block."""
         if gamma <= 0:
             raise ValueError("gamma must be positive")
@@ -483,13 +465,14 @@ def write_matrix_market(path, A, comment=""):
     """Write a matrix in MatrixMarket coordinate format (1-based indices)."""
     if isinstance(A, Tridiagonal):
         A = _tridiagonal_to_sparse(A)
-    if isinstance(A, SparseMatrix):
+    if isinstance(A, csr_matrix):
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         with open(path, "w") as fh:
             fh.write("%%MatrixMarket matrix coordinate real general\n")
             if comment:
                 fh.write(f"% {comment}\n")
-            fh.write(f"{A.rows} {A.cols} {len(A.values)}\n")
-            for r, c, v in zip(A._expanded_rows, A.col_indices, A.values):
+            fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
+            for r, c, v in zip(rows, A.indices, A.data):
                 fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
         return
     A = np.asarray(A, dtype=float)
@@ -502,10 +485,10 @@ def write_matrix_market(path, A, comment=""):
             fh.write(f"{v:.17g}\n")
 
 
-def _tridiagonal_to_sparse(tri: Tridiagonal) -> SparseMatrix:
+def _tridiagonal_to_sparse(tri: Tridiagonal) -> csr_matrix:
     idx = np.arange(tri.size)
     i = np.concatenate([idx, idx[:-1], idx[1:]])
     j = np.concatenate([idx, idx[1:], idx[:-1]])
     v = np.concatenate([np.full(tri.size, tri.diag),
                         np.full(tri.size - 1, tri.off), np.full(tri.size - 1, tri.off)])
-    return SparseMatrix.from_coo(tri.size, tri.size, i, j, v)
+    return csr_matrix((v, (i, j)), shape=(tri.size, tri.size))

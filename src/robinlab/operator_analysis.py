@@ -94,7 +94,7 @@ def dtn_schur(system: SubdomainSystem, coords="mass") -> DtNOperator:
     m = system.grid.n_interface
     size = system.n_cols * m
     base = size - m
-    A = system.stiffness.to_scipy_csc().tocsr()
+    A = system.stiffness
     A_GG = A[base:, base:].toarray()
     if base > 0:
         A_II = A[:base, :base].tocsc()

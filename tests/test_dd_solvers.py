@@ -221,7 +221,7 @@ def test_converged_solution_solves_global_system():
     report = robin_robin_solve(left, right, canonical_params(n))
     x = assemble_global_solution(grid, report.solution_u, report.solution_w)
     K, load = global_poisson_system(grid, F_LOAD)
-    assert np.abs(K.matvec(x) - load).max() < 1e-10
+    assert np.abs(K @ x - load).max() < 1e-10
 
 
 def test_error_norms_zero_for_interpolant():
@@ -285,7 +285,7 @@ def test_dirichlet_neumann_interface_load_flag():
     n = 2
     grid, left, right = strip_pair(n)
     K, load = global_poisson_system(grid, F_LOAD)
-    x_global = np.linalg.solve(K.to_dense(), load)
+    x_global = np.linalg.solve(K.toarray(), load)
     with_flag = dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45),
                                         include_left_interface_load=True)
     x = assemble_global_solution(grid, with_flag.solution_u, with_flag.solution_w)

@@ -12,7 +12,9 @@ import scipy.io
 import robinlab
 from robinlab import (
     DDParams,
+    assemble_a0,
     assemble_interface_mass,
+    assemble_subdomain_stiffness,
     build_grid,
     corollary_rate,
     reduction_spectrum,
@@ -416,9 +418,32 @@ def test_cli_matrix_dumps_load_back(tmp_path, capsys):
     names = sorted(os.listdir(dump_dir))
     assert names == ["a0_n2.mtx", "interface_mass_n2.mtx",
                      "interface_stiffness_n2.mtx", "stiffness_n2.mtx"]
-    mass = scipy.io.mmread(dump_dir / "interface_mass_n2.mtx").toarray()
-    expected = assemble_interface_mass(build_grid(2)).to_dense()
-    np.testing.assert_allclose(mass, expected, atol=1e-15)
+    grid = build_grid(2)
+    for name, expected in (
+        ("interface_mass_n2.mtx", assemble_interface_mass(grid).to_dense()),
+        ("a0_n2.mtx", assemble_a0(grid).toarray()),
+        ("stiffness_n2.mtx", assemble_subdomain_stiffness(grid).toarray()),
+    ):
+        back = scipy.io.mmread(dump_dir / name).toarray()
+        np.testing.assert_allclose(back, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("option, path", [
+    ("--out", "missing/table.csv"),
+    ("--dump-matrices", "plain_file/mm"),
+])
+def test_cli_bad_output_path_is_usage_error(tmp_path, monkeypatch, capsys, option, path):
+    (tmp_path / "plain_file").write_text("")
+
+    def must_not_run(config):
+        raise AssertionError("table computed despite an unusable output path")
+
+    monkeypatch.setattr("robinlab.experiments.run", must_not_run)
+    rc = cli_main(["table1", "--n", "2", option, str(tmp_path / path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("robinlab:")
+    assert captured.out == ""
 
 
 def test_cli_hyphenated_subcommand(capsys):

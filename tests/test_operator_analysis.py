@@ -1,6 +1,7 @@
 """Trace-operator (Schur complement) analysis of the double sweep."""
 import numpy as np
 import pytest
+import scipy.sparse
 
 from jacobi_oracle import jacobi_symmetric_eigen
 from robinlab import (DDParams, DtNOperator, build_grid,
@@ -10,7 +11,7 @@ from robinlab import (DDParams, DtNOperator, build_grid,
                       recommend_params, reduction_spectrum, robin_robin_solve,
                       symmetrized_T)
 from robinlab.operator_analysis import offcenter_columns
-from robinlab.sparse_linalg import ConvergenceError, SparseMatrix
+from robinlab.sparse_linalg import ConvergenceError
 from robinlab.spectral import mode_arrays
 
 
@@ -56,7 +57,7 @@ def test_euclidean_schur_matches_dense_block_elimination():
     grid = build_grid(n)
     system = build_subdomain_system(grid, zero_field, "left")
     m = grid.n_interface
-    A = system.stiffness.to_dense()
+    A = system.stiffness.toarray()
     base = system.n_cols * m - m
     S = (A[base:, base:]
          - A[base:, :base] @ np.linalg.solve(A[:base, :base], A[:base, base:]))
@@ -117,7 +118,7 @@ def test_schur_spectrum_bracket():
 def test_schur_rejects_indefinite_input():
     grid = build_grid(1)
     system = build_subdomain_system(grid, zero_field, "left")
-    bad = SparseMatrix.from_coo(1, 1, [0], [0], [-2.0])
+    bad = scipy.sparse.csr_matrix([[-2.0]])
     broken = type(system)(grid=grid, side="left", n_cols=1, stiffness=bad,
                           interface_mass=system.interface_mass,
                           interface_stiffness=system.interface_stiffness,

@@ -82,7 +82,7 @@ def test_tilde_lambda_matches_dense_trace_inverse():
     n = 8
     grid = build_grid(n)
     m = grid.n_interface
-    A0 = assemble_a0(grid).to_dense()
+    A0 = assemble_a0(grid).toarray()
     rhs = np.zeros((n * m, m))
     rhs[-m:, :] = np.eye(m)
     B0 = np.linalg.solve(A0, rhs)[-m:, :]
@@ -168,7 +168,7 @@ def test_one_sweep_matrix_diagonalized_by_sine_basis():
             gsum = params.gamma1 + params.gamma2
 
             def robin_to_robin(gamma):
-                A = system.robin_matrix(gamma).to_dense()
+                A = system.robin_matrix(gamma).toarray()
                 rhs = np.zeros((A.shape[0], m))
                 rhs[-m:, :] = Mg
                 traces = np.linalg.solve(A, rhs)[-m:, :]

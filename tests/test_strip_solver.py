@@ -27,10 +27,10 @@ def oracle_cases(system):
     """(fast solver, assembled matrix) for the Neumann stiffness, both Robin
     weights and the Dirichlet interior block."""
     m = system.grid.n_interface
-    stiffness = system.stiffness.to_scipy_csc()
+    stiffness = system.stiffness
     cases = [(system.solver(0.0), stiffness)]
     for gamma in (1.0, 64.0 / system.grid.h):
-        cases.append((system.solver(gamma), system.robin_matrix(gamma).to_scipy_csc()))
+        cases.append((system.solver(gamma), system.robin_matrix(gamma)))
     interior = (system.n_cols - 1) * m
     cases.append((system.dirichlet_solver(), stiffness[:interior, :interior]))
     return cases
@@ -78,7 +78,7 @@ def test_dirichlet_neumann_with_empty_interior():
                                      include_left_interface_load=True)
     assert report.converged
     K, load = global_poisson_system(grid, F_LOAD)
-    x_global = scipy.sparse.linalg.spsolve(K.to_scipy_csc(), load)
+    x_global = scipy.sparse.linalg.spsolve(K, load)
     x = assemble_global_solution(grid, report.solution_u, report.solution_w)
     assert np.abs(x - x_global).max() < 1e-10  # stop_tol 1e-11 on the trace
 
