@@ -53,6 +53,15 @@ def test_jacobi_rejects_asymmetry():
         jacobi_symmetric_eigen(A)
 
 
+def test_spmv_single_node_strip():
+    # n=1 has one unknown; the clamped five-point entry is 4, and the CSR
+    # product the sweeps use reproduces it
+    from robinlab import assemble_a0
+    A = assemble_a0(build_grid(1))
+    assert np.array_equal(A.toarray(), [[4.0]])
+    assert (A @ np.array([1.0]))[0] == 4.0
+
+
 def test_power_radius_sign_pair():
     D = np.diag([0.5, -0.9])
     assert power_spectral_radius(D, 2) == pytest.approx(0.9, abs=1e-9)
