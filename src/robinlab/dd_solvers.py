@@ -11,7 +11,10 @@ the same split, kept as a baseline.  Its update rule is taken literally
 from the reference description, where the Neumann-side right-hand side
 carries only the right-strip load; the include_left_interface_load switch
 (off by default) adds the left-strip interface load so the limit solves
-the assembled global system.
+the assembled global system.  Both strips' interface Schur complements are
+diagonal in the sine basis of the interface, so its sweep runs on one
+scalar per sine mode and needs strip solves only before the first sweep
+and to recover the strip solutions after the last.
 
 Every strip solve runs through grid_fem.StripSolver: a sine transform in
 y splits the strip into independent tridiagonal systems in x, factored
@@ -28,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import grid_fem
 from .grid_fem import GridSpec, SubdomainSystem, Tridiagonal
+from .spectral import sine_basis_matrix
 
 
 @dataclass
@@ -138,9 +141,17 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     minus the left residual flux, then w <- theta w + (1 - theta) w~|_G.
     Only theta and the stopping controls of params are used; the stopping
     rule is that of robin_robin_solve.
+
+    The sweep runs in the sine basis V of the interface, where both strips'
+    interface Schur complements S_i = V diag(sigma_i) V are diagonal.  With
+    c0 the left flux of the Dirichlet solve of the load (less the left
+    interface load when it is included) and t2 the trace of the Neumann
+    solve of the right load, the new trace is w~|_G = t2 - S_2^-1 (c0 + S_1 w),
+    so one sweep is a per-mode affine map of w^ = V w and runs no strip
+    solve.  The history holds the physical traces V w^; the strip solutions
+    of the last sweep are recovered by one Dirichlet and one Neumann solve.
     """
-    grid = left.grid
-    m = grid.n_interface
+    m = left.grid.n_interface
     base_l = left.n_cols * m - m
     base_r = right.n_cols * m - m
     A1 = left.stiffness
@@ -148,40 +159,45 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     A_GI = A1[base_l:, :base_l]
     A_GG = A1[base_l:, base_l:]
     solve_dirichlet = left.dirichlet_solver().solve
-    solve_neumann = right.solver(0.0).solve
+    neumann = right.solver(0.0)
     F1_I = left.load[:base_l]
     F1_G = left.load[base_l:]
 
     w_state = np.zeros(m) if w_init is None else np.asarray(w_init, dtype=float).copy()
     if w_state.shape != (m,):
         raise ValueError("w_init has wrong length")
-    history = [w_state.copy()]
-    u = np.zeros(left.n_cols * m)
-    wt = np.zeros(right.n_cols * m)
+    V = sine_basis_matrix(m)
+    c0 = A_GI @ solve_dirichlet(F1_I)
+    if include_left_interface_load:
+        c0 -= F1_G
+    t2 = neumann.solve(right.load)[base_r:]
+    sigma2 = neumann.interface_symbol
+    alpha = V @ t2 - (V @ c0) / sigma2
+    beta = left.solver(0.0).interface_symbol / sigma2
+    w_hat = V @ w_state
+    history = [w_state]
     converged = False
     for _ in range(params.max_iter):
-        u_I = solve_dirichlet(F1_I - A_IG @ w_state)
-        flux = A_GI @ u_I + A_GG @ w_state
-        rhs = right.load.copy()
-        rhs[base_r:] -= flux
-        if include_left_interface_load:
-            rhs[base_r:] += F1_G
-        wt = solve_neumann(rhs)
-        w_new = params.theta * w_state + (1.0 - params.theta) * wt[base_r:]
-        delta = np.abs(w_new - w_state).max()
-        history.append(w_new.copy())
-        u = np.concatenate([u_I, w_new])
-        w_state = w_new
+        w_hat_new = params.theta * w_hat + (1.0 - params.theta) * (alpha - beta * w_hat)
+        delta = np.abs(V @ (w_hat_new - w_hat)).max()
+        history.append(V @ w_hat_new)
+        w_hat = w_hat_new
         if not np.isfinite(delta):
             break
         if delta < params.stop_tol:
             converged = True
             break
+    # the last sweep's strip solves, from the state it started with
+    u_I = solve_dirichlet(F1_I - A_IG @ history[-2])
+    rhs = right.load.copy()
+    rhs[base_r:] -= A_GI @ u_I + A_GG @ history[-2]
+    if include_left_interface_load:
+        rhs[base_r:] += F1_G
     report = DDReport(
         iterations=len(history) - 1,
         interface_trace_history=np.asarray(history),
-        solution_u=u,
-        solution_w=wt,
+        solution_u=np.concatenate([u_I, history[-1]]),
+        solution_w=neumann.solve(rhs),
         reduction_rate=None,
         converged=converged,
         interface_mass=left.interface_mass,
@@ -203,8 +219,8 @@ def measured_reduction_rate(report: DDReport) -> float:
         raise ValueError("need at least 4 iterations to measure a rate")
     H = np.asarray(report.interface_trace_history, dtype=float)
     diffs = H[1:] - H[:-1]
-    norms = np.array([np.sqrt(max(0.0, report.interface_mass.quadratic_form(d)))
-                      for d in diffs])
+    squares = np.einsum("ij,ij->i", diffs, report.interface_mass.matvec(diffs))
+    norms = np.sqrt(np.maximum(squares, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = norms[1:] / norms[:-1]
     tail = ratios[len(ratios) // 2:]
@@ -239,16 +255,23 @@ def assemble_global_solution(grid: GridSpec, u, w) -> np.ndarray:
 
 def error_norms(grid: GridSpec, u_h, exact):
     """L2 and H1-seminorm distance between a global interior-node vector
-    and the nodal interpolant of a callable exact solution."""
+    and the nodal interpolant of a callable exact solution.
+
+    On the criss mesh the P1 stiffness is the five-point stencil and the P1
+    mass the stencil h^2/12 times 6 at the node and 1 at its E, W, N, S, NE
+    and SW neighbours, so both forms are applied by stencil to the error,
+    padded with its zero boundary values.
+    """
     m = grid.n_interface
     u_h = np.asarray(u_h, dtype=float)
     if u_h.shape != (m * m,):
         raise ValueError("global vector has wrong length")
     ix, iy = np.meshgrid(np.arange(1, m + 1), np.arange(1, m + 1), indexing="ij")
     u_I = np.asarray(exact(grid.coord(ix.ravel()), grid.coord(iy.ravel())), dtype=float)
-    e = u_I - u_h
-    tri_x, tri_y, ids = grid_fem.global_triangles(grid)
-    mass, stiff = grid_fem.assemble_p1_forms(grid, tri_x, tri_y, ids, m * m)
-    l2 = float(np.sqrt(max(0.0, e @ (mass @ e))))
-    h1 = float(np.sqrt(max(0.0, e @ (stiff @ e))))
+    E = np.pad((u_I - u_h).reshape(m, m), 1)  # axis 0 runs in x
+    e = E[1:-1, 1:-1]
+    edges = E[2:, 1:-1] + E[:-2, 1:-1] + E[1:-1, 2:] + E[1:-1, :-2]
+    mass_e = grid.h * grid.h / 12.0 * (6.0 * e + edges + E[2:, 2:] + E[:-2, :-2])
+    l2 = float(np.sqrt(max(0.0, np.vdot(e, mass_e))))
+    h1 = float(np.sqrt(max(0.0, np.vdot(e, 4.0 * e - edges))))
     return l2, h1

@@ -71,12 +71,13 @@ class Tridiagonal:
     off: float
 
     def matvec(self, v):
+        """The product with v, or with each row of a 2-D v."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.size,):
+        if v.ndim not in (1, 2) or v.shape[-1] != self.size:
             raise ValueError("vector length does not match matrix size")
         out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
+        out[..., :-1] += self.off * v[..., 1:]
+        out[..., 1:] += self.off * v[..., :-1]
         return out
 
     def quadratic_form(self, v):
@@ -250,27 +251,6 @@ def strip_triangles(grid: GridSpec, side=LEFT, n_cols=None):
     return tri_x, tri_y, ids
 
 
-def global_triangles(grid: GridSpec):
-    """All triangles of the whole-square mesh with interior node numbering
-    (ix - 1) * (2n - 1) + (iy - 1); -1 on the outer boundary."""
-    two_n = 2 * grid.n
-    m = two_n - 1
-    gx, gy = np.meshgrid(np.arange(two_n), np.arange(two_n), indexing="ij")
-    cx = gx.ravel()
-    cy = gy.ravel()
-    tri_x = np.concatenate([
-        np.stack([cx, cx + 1, cx + 1], axis=1),
-        np.stack([cx, cx + 1, cx], axis=1),
-    ])
-    tri_y = np.concatenate([
-        np.stack([cy, cy, cy + 1], axis=1),
-        np.stack([cy, cy + 1, cy + 1], axis=1),
-    ])
-    inside = (tri_x >= 1) & (tri_x <= m) & (tri_y >= 1) & (tri_y <= m)
-    ids = np.where(inside, (tri_x - 1) * m + (tri_y - 1), -1)
-    return tri_x, tri_y, ids
-
-
 def _quadrature_load(grid, tri_x, tri_y, ids, n_unknowns, f, rule):
     try:
         bary, weights = QUADRATURES[rule]
@@ -300,34 +280,6 @@ def assemble_load(grid: GridSpec, f, side=LEFT, rule="degree6", n_cols=None):
     n_cols = grid.n if n_cols is None else int(n_cols)
     tri_x, tri_y, ids = strip_triangles(grid, side, n_cols)
     return _quadrature_load(grid, tri_x, tri_y, ids, n_cols * grid.n_interface, f, rule)
-
-
-def assemble_p1_forms(grid: GridSpec, tri_x, tri_y, ids, n_unknowns):
-    """Consistent mass and stiffness matrices for a P1 triangle list.
-
-    Element loop in vectorized form; returns (mass, stiffness) as CSR, the
-    duplicate element contributions summed.
-    """
-    x = grid.coord(tri_x)
-    y = grid.coord(tri_y)
-    # edge vectors opposite each vertex give the P1 gradients
-    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * grid.h * grid.h
-    ii, jj, vm, vk = [], [], [], []
-    for p in range(3):
-        for q in range(3):
-            mask = (ids[:, p] >= 0) & (ids[:, q] >= 0)
-            ii.append(ids[mask, p])
-            jj.append(ids[mask, q])
-            vm.append(np.full(mask.sum(), area / 12.0 * (2.0 if p == q else 1.0)))
-            vk.append((bvec[mask, p] * bvec[mask, q] + cvec[mask, p] * cvec[mask, q]) / (4.0 * area))
-    ii = np.concatenate(ii)
-    jj = np.concatenate(jj)
-    shape = (n_unknowns, n_unknowns)
-    mass = csr_matrix((np.concatenate(vm), (ii, jj)), shape=shape)
-    stiffness = csr_matrix((np.concatenate(vk), (ii, jj)), shape=shape)
-    return mass, stiffness
 
 
 class StripSolver:
@@ -372,6 +324,17 @@ class StripSolver:
         if info != 0:
             raise ValueError("strip operator is not positive definite")
         self._d, self._e = d, e
+
+    @property
+    def interface_symbol(self) -> np.ndarray:
+        """Schur complement of each sine mode onto the last column.
+
+        The mode systems are decoupled, so the last dpttrf pivot of mode j
+        is the Schur complement sigma_j of its tridiagonal system onto the
+        last unknown.  In the sine basis V the strip's Schur complement
+        onto its last column is therefore V diag(sigma) V.
+        """
+        return self._d.reshape(self.m, self.n_cols)[:, -1].copy()
 
     def _apply(self, x):
         """The strip operator applied by its stencil to x of shape (k, m)."""
@@ -450,15 +413,6 @@ def build_subdomain_system(grid: GridSpec, f, side=LEFT, rule="degree6",
         interface_stiffness=assemble_interface_stiffness(grid),
         load=assemble_load(grid, f, side, rule, n_cols),
     )
-
-
-def global_poisson_system(grid: GridSpec, f, rule="degree6"):
-    """Single-domain stiffness and load on the whole square; the stiffness
-    is the five-point matrix on the (2n-1) x (2n-1) interior lattice."""
-    tri_x, tri_y, ids = global_triangles(grid)
-    m = grid.n_interface
-    _, stiffness = assemble_p1_forms(grid, tri_x, tri_y, ids, m * m)
-    return stiffness, _quadrature_load(grid, tri_x, tri_y, ids, m * m, f, rule)
 
 
 def write_matrix_market(path, A, comment=""):

@@ -9,8 +9,10 @@ from robinlab import (DDParams, DDReport, Tridiagonal,
                       measured_reduction_rate, reduction_spectrum,
                       robin_robin_solve)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import global_poisson_system
+from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import sine_basis_matrix
+from dn_oracle import dirichlet_neumann_oracle, per_row_reduction_rate
+from p1_oracle import assemble_p1_forms, global_poisson_system, global_triangles
 
 U_EXACT, F_LOAD = manufactured_solution()
 
@@ -243,6 +245,58 @@ def test_error_norms_converged_runs():
         l2, h1 = error_norms(grid, x, U_EXACT)
         assert l2 == pytest.approx(want_l2, rel=1e-6)
         assert h1 == pytest.approx(want_h1, rel=1e-6)
+
+
+def test_error_norms_match_assembled_forms():
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        grid = build_grid(n)
+        m = grid.n_interface
+        mass, stiff = assemble_p1_forms(grid, *global_triangles(grid), m * m)
+        e = rng.standard_normal(m * m)
+        l2, h1 = error_norms(grid, -e, zero_field)
+        assert l2 == pytest.approx(np.sqrt(e @ (mass @ e)), rel=1e-13)
+        assert h1 == pytest.approx(np.sqrt(e @ (stiff @ e)), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 36])
+def test_dirichlet_neumann_matches_physical_oracle(n):
+    grid = build_grid(n)
+    for split in ("half", "third"):
+        k_left, k_right = (n, n) if split == "half" else offcenter_columns(grid)
+        left = build_subdomain_system(grid, F_LOAD, "left", n_cols=k_left)
+        right = build_subdomain_system(grid, F_LOAD, "right", n_cols=k_right)
+        for theta in (0.0, 0.25, 0.45, 0.5, 0.75):
+            for flag in (False, True):
+                params = DDParams(1.0, 1.0, theta, max_iter=300)
+                got = dirichlet_neumann_solve(left, right, params,
+                                              include_left_interface_load=flag)
+                want = dirichlet_neumann_oracle(left, right, params,
+                                                include_left_interface_load=flag)
+                assert got.iterations == want.iterations
+                assert got.converged == want.converged
+                H, R = got.interface_trace_history, want.interface_trace_history
+                tol = np.full(len(R), 1e-12)
+                if split == "third" and theta == 0.0:
+                    # the iteration grows like the largest sigma_1/sigma_2,
+                    # whose roundoff (3.7e-14 relative at n = 36) each
+                    # sweep compounds
+                    tol += 1e-13 * np.arange(len(R))
+                scale = np.maximum.accumulate(np.abs(R).max(axis=1))
+                assert np.all(np.abs(H - R).max(axis=1) <= tol * scale)
+                if want.converged:
+                    for x, ref in ((got.solution_u, want.solution_u),
+                                   (got.solution_w, want.solution_w)):
+                        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+                if want.reduction_rate is None:
+                    assert got.reduction_rate is None
+                    continue
+                assert got.reduction_rate == pytest.approx(
+                    per_row_reduction_rate(got), rel=1e-12)
+                # a converged tail ends with steps near stop_tol, where the
+                # histories' roundoff is 1e-4 of a step
+                assert got.reduction_rate == pytest.approx(want.reduction_rate,
+                                                           rel=2e-3)
 
 
 def test_dirichlet_neumann_zero_data():

@@ -224,6 +224,15 @@ def test_relaxation_sweep_converged_subset():
     assert r.notes["all_converged"] is True
 
 
+def test_relaxation_sweep_table_deep_mesh(capsys):
+    # the mode-space sweep makes a 2000-sweep run at h = 1/288 affordable;
+    # the counts are those of every default mesh
+    rc = cli_main(["table3", "--n", "144"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out.splitlines()[1] == "1/288,2000*,39,23,17,13,2,12,37"
+
+
 def test_mode_table_single_mode():
     r = run_spectrum(ExperimentConfig(table="spectrum", n_list=(1,)))
     assert r.columns == ["n", "j", "a_j", "b_j", "c_j", "damped"]

@@ -10,9 +10,8 @@ from robinlab import (Tridiagonal, assemble_a0, assemble_interface_mass,
                       assemble_subdomain_stiffness, build_grid,
                       build_subdomain_system, fd_eigenvalue, sine_basis_vector)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import (QUADRATURES, assemble_p1_forms,
-                               global_poisson_system, global_triangles,
-                               strip_triangles, write_matrix_market)
+from robinlab.grid_fem import QUADRATURES, strip_triangles, write_matrix_market
+from p1_oracle import assemble_p1_forms, global_poisson_system, global_triangles
 
 
 def element_loop_stiffness(vertices, ids, n_unknowns):

@@ -4,10 +4,13 @@ import pytest
 import scipy.sparse.linalg
 
 from robinlab import (DDParams, assemble_global_solution, build_grid,
-                      build_subdomain_system, dirichlet_neumann_solve)
+                      build_subdomain_system, dirichlet_neumann_solve,
+                      dtn_schur)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import StripSolver, Tridiagonal, global_poisson_system
+from robinlab.grid_fem import StripSolver, Tridiagonal
 from robinlab.operator_analysis import offcenter_columns
+from robinlab.spectral import sine_basis_matrix
+from p1_oracle import global_poisson_system
 
 _, F_LOAD = manufactured_solution()
 MESHES = list(range(1, 17)) + [24, 32, 48, 64]
@@ -66,6 +69,39 @@ def test_strip_solver_accuracy_on_smooth_load(n):
         ref += lu.solve(system.load - A @ ref)
         x = solver.solve(system.load)
         assert np.abs(x - ref).max() <= 2e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)) + [24])
+def test_interface_symbol_diagonalizes_schur(n):
+    grid = build_grid(n)
+    V = sine_basis_matrix(grid.n_interface)
+    for side, k in strips(grid):
+        system = build_subdomain_system(grid, zero_field, side, n_cols=k)
+        sigma = system.solver(0.0).interface_symbol
+        D = V @ dtn_schur(system, coords="euclidean").matrix @ V
+        assert np.abs(np.diag(D) / sigma - 1.0).max() <= 1e-13
+        assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-13 * sigma.max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 24])
+def test_interface_symbol_robin_recursion(n):
+    # the last dpttrf pivot of mode j: r <- a_j - 1/r from r = a_j, k - 2
+    # times, then sigma_j = b_j - 1/r, or sigma_j = b_j for one column
+    grid = build_grid(n)
+    m = grid.n_interface
+    gamma = 64.0 / grid.h
+    a = Tridiagonal(m, 4.0, -1.0).eigenvalues()
+    for side, k in strips(grid):
+        system = build_subdomain_system(grid, zero_field, side, n_cols=k)
+        mass, stiff = system.interface_mass, system.interface_stiffness
+        b = Tridiagonal(m, 4.0 - stiff.diag + gamma * mass.diag,
+                        -1.0 - stiff.off + gamma * mass.off).eigenvalues()
+        r = a
+        for _ in range(k - 2):
+            r = a - 1.0 / r
+        want = b - 1.0 / r if k > 1 else b
+        got = system.solver(gamma).interface_symbol
+        assert np.abs(got / want - 1.0).max() <= 1e-13
 
 
 def test_dirichlet_neumann_with_empty_interior():
