@@ -11,11 +11,16 @@ interface is a mesh line, and interface unknowns are numbered last within
 each strip.  The right strip is numbered mirror-image (columns counted
 from x = 1 leftward), which makes the two subdomain matrices identical
 entry by entry.
+
+Strip loads are summed on the node lattice by shifted slice adds.  A
+SubdomainSystem assembles its stiffness only when something reads it and
+factors each of its strip solvers once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg.lapack
@@ -207,66 +212,10 @@ TRI_DEGREE6 = _dunavant_degree6()
 QUADRATURES = {"midpoint": TRI_MIDPOINT, "degree6": TRI_DEGREE6}
 
 
-def _strip_node_ids(grid: GridSpec, n_cols: int, side: str, ix, iy):
-    """Map global lattice coordinates (ix, iy) to strip unknown indices,
-    -1 for Dirichlet or out-of-strip nodes."""
-    m = grid.n_interface
-    two_n = 2 * grid.n
-    ix = np.asarray(ix)
-    iy = np.asarray(iy)
-    if side == LEFT:
-        col = ix - 1
-        inside = (ix >= 1) & (ix <= n_cols)
-    else:
-        col = (two_n - 1) - ix
-        inside = (ix >= two_n - n_cols) & (ix <= two_n - 1)
-    inside = inside & (iy >= 1) & (iy <= m)
-    return np.where(inside, col * m + (iy - 1), -1)
-
-
-def strip_triangles(grid: GridSpec, side=LEFT, n_cols=None):
-    """All triangles of one strip: lattice corner coordinates (T, 3) for x
-    and y, and strip unknown ids (T, 3) with -1 marking clamped nodes."""
-    _check_side(side)
-    n_cols = grid.n if n_cols is None else int(n_cols)
-    two_n = 2 * grid.n
-    if side == LEFT:
-        gx = np.arange(0, n_cols)
-    else:
-        gx = np.arange(two_n - n_cols, two_n)
-    gy = np.arange(0, two_n)
-    cx, cy = np.meshgrid(gx, gy, indexing="ij")
-    cx = cx.ravel()
-    cy = cy.ravel()
-    # one north-east diagonal per cell: lower and upper triangle
-    tri_x = np.concatenate([
-        np.stack([cx, cx + 1, cx + 1], axis=1),
-        np.stack([cx, cx + 1, cx], axis=1),
-    ])
-    tri_y = np.concatenate([
-        np.stack([cy, cy, cy + 1], axis=1),
-        np.stack([cy, cy + 1, cy + 1], axis=1),
-    ])
-    ids = _strip_node_ids(grid, n_cols, side, tri_x, tri_y)
-    return tri_x, tri_y, ids
-
-
-def _quadrature_load(grid, tri_x, tri_y, ids, n_unknowns, f, rule):
-    try:
-        bary, weights = QUADRATURES[rule]
-    except KeyError:
-        raise ValueError(f"unknown quadrature rule {rule!r}") from None
-    x = grid.coord(tri_x)
-    y = grid.coord(tri_y)
-    area = 0.5 * grid.h * grid.h
-    F = np.zeros(n_unknowns)
-    for b, w in zip(bary, weights):
-        fx = np.asarray(f(x @ b, y @ b), dtype=float)
-        for k in range(3):
-            mask = ids[:, k] >= 0
-            F += np.bincount(ids[mask, k], weights=(area * w * b[k]) * fx[mask],
-                             minlength=n_unknowns)
-    return F
+# vertex offsets from a cell's south-west corner, in vertex-slot order, for
+# the cell's lower and upper triangle
+_LOWER = ((0, 0), (1, 0), (1, 1))
+_UPPER = ((0, 0), (1, 1), (0, 1))
 
 
 def assemble_load(grid: GridSpec, f, side=LEFT, rule="degree6", n_cols=None):
@@ -275,11 +224,41 @@ def assemble_load(grid: GridSpec, f, side=LEFT, rule="degree6", n_cols=None):
     f must accept numpy arrays.  The default rule integrates degree six
     exactly, which covers polynomial data like the manufactured right-hand
     side without quadrature error.
+
+    The shares are summed on the strip's (n_cols+1) x (2n+1) node lattice:
+    per quadrature point and vertex slot, the lower then the upper
+    triangles' shares are added to a zeroed lattice, which is added to the
+    total.  That is the order of a scatter-add over the triangle list.
     """
     _check_side(side)
     n_cols = grid.n if n_cols is None else int(n_cols)
-    tri_x, tri_y, ids = strip_triangles(grid, side, n_cols)
-    return _quadrature_load(grid, tri_x, tri_y, ids, n_cols * grid.n_interface, f, rule)
+    try:
+        bary, weights = QUADRATURES[rule]
+    except KeyError:
+        raise ValueError(f"unknown quadrature rule {rule!r}") from None
+    two_n = 2 * grid.n
+    x0 = 0 if side == LEFT else two_n - n_cols
+    cx, cy = np.meshgrid(np.arange(x0, x0 + n_cols), np.arange(two_n), indexing="ij")
+    # corner coordinates (T, 3): every lower triangle, then every upper one
+    x = grid.coord(np.concatenate(
+        [cx.ravel()[:, None] + [dx for dx, _ in tri] for tri in (_LOWER, _UPPER)]))
+    y = grid.coord(np.concatenate(
+        [cy.ravel()[:, None] + [dy for _, dy in tri] for tri in (_LOWER, _UPPER)]))
+    area = 0.5 * grid.h * grid.h
+    F = np.zeros((n_cols + 1, two_n + 1))
+    G = np.empty_like(F)
+    for b, w in zip(bary, weights):
+        fx = np.asarray(f(x @ b, y @ b), dtype=float).reshape(2, n_cols, two_n)
+        for k in range(3):
+            c = area * w * b[k]
+            G[...] = 0.0
+            for f_tri, tri in zip(fx, (_LOWER, _UPPER)):
+                dx, dy = tri[k]
+                G[dx:dx + n_cols, dy:dy + two_n] += c * f_tri
+            F += G
+    # strip unknowns run column by column from the far edge to the interface
+    nodes = F[1:, 1:two_n] if side == LEFT else F[:-1, 1:two_n][::-1]
+    return nodes.ravel()
 
 
 class StripSolver:
@@ -367,16 +346,22 @@ class StripSolver:
 
 @dataclass
 class SubdomainSystem:
-    """Assembled pieces for one strip: stiffness with free interface
-    column, the interface mass and stiffness couplings, and the load."""
+    """One strip: the interface mass and stiffness couplings, the load,
+    and the stiffness with free interface column, assembled when first
+    read.  The strip solvers need only the couplings; each is factored on
+    first use and the same StripSolver is handed to every later caller."""
 
     grid: GridSpec
     side: str
     n_cols: int
-    stiffness: csr_matrix
     interface_mass: Tridiagonal
     interface_stiffness: Tridiagonal
     load: np.ndarray
+    _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def stiffness(self) -> csr_matrix:
+        return assemble_subdomain_stiffness(self.grid, self.side, self.n_cols)
 
     def robin_matrix(self, gamma: float) -> csr_matrix:
         """Stiffness plus gamma times the interface mass on the trace block."""
@@ -389,15 +374,20 @@ class SubdomainSystem:
         on the trace block; gamma = 0 gives the Neumann stiffness."""
         if not 0.0 <= gamma < np.inf:
             raise ValueError("gamma must be non-negative and finite")
-        stiff, mass = self.interface_stiffness, self.interface_mass
-        last = Tridiagonal(mass.size, 4.0 - stiff.diag + gamma * mass.diag,
-                           -1.0 - stiff.off + gamma * mass.off)
-        return StripSolver(self.n_cols, last)
+        if gamma not in self._solvers:
+            stiff, mass = self.interface_stiffness, self.interface_mass
+            last = Tridiagonal(mass.size, 4.0 - stiff.diag + gamma * mass.diag,
+                               -1.0 - stiff.off + gamma * mass.off)
+            self._solvers[gamma] = StripSolver(self.n_cols, last)
+        return self._solvers[gamma]
 
     def dirichlet_solver(self) -> StripSolver:
         """Fast solver of the interior block: the stiffness with the
         interface column removed (n_cols - 1 five-point columns)."""
-        return StripSolver(self.n_cols - 1, Tridiagonal(self.grid.n_interface, 4.0, -1.0))
+        if "dirichlet" not in self._solvers:
+            self._solvers["dirichlet"] = StripSolver(
+                self.n_cols - 1, Tridiagonal(self.grid.n_interface, 4.0, -1.0))
+        return self._solvers["dirichlet"]
 
 
 def build_subdomain_system(grid: GridSpec, f, side=LEFT, rule="degree6",
@@ -408,7 +398,6 @@ def build_subdomain_system(grid: GridSpec, f, side=LEFT, rule="degree6",
         grid=grid,
         side=side,
         n_cols=n_cols,
-        stiffness=assemble_subdomain_stiffness(grid, side, n_cols),
         interface_mass=assemble_interface_mass(grid),
         interface_stiffness=assemble_interface_stiffness(grid),
         load=assemble_load(grid, f, side, rule, n_cols),

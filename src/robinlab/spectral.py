@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -45,10 +46,14 @@ def sine_basis_vector(i, m):
     return np.sqrt(2.0 / (m + 1)) * np.sin(i * k * np.pi / (m + 1))
 
 
+@lru_cache(maxsize=8)
 def sine_basis_matrix(m):
-    """All sine modes as rows; symmetric and involutory (Phi @ Phi = I)."""
+    """All sine modes as rows; symmetric and involutory (Phi @ Phi = I).
+    Shared by every caller of the same m, so read-only."""
     k = np.arange(1, m + 1)
-    return np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * (np.pi / (m + 1)))
+    phi = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * (np.pi / (m + 1)))
+    phi.flags.writeable = False
+    return phi
 
 
 def tilde_lambda(j, n):

@@ -1,17 +1,81 @@
-"""Whole-square P1 assembly, kept for the tests as an oracle.
+"""Triangle-list P1 assembly, kept for the tests as an oracle.
 
 robinlab never assembles the whole square: the sweeps work on the two
-strips and error_norms applies the mass and stiffness forms by stencil.
-These element-loop helpers (vectorized over triangles) build the
-whole-square system and the P1 forms of any triangle list from the mesh
-geometry, so the tests can check the strip assembly, the converged sweeps
-and the stencils against them.
+strips, error_norms applies the mass and stiffness forms by stencil, and
+assemble_load sums strip loads on the node lattice.  These element-loop
+helpers (vectorized over triangles) list the triangles of a strip or of
+the whole square with their unknown ids, and build the P1 forms and the
+quadrature load of any triangle list by scatter-adds, so the tests can
+check the strip assembly, the converged sweeps and the stencils against
+them.
 """
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from robinlab.grid_fem import GridSpec, _quadrature_load
+from robinlab.grid_fem import LEFT, QUADRATURES, GridSpec, _check_side
+
+
+def _strip_node_ids(grid: GridSpec, n_cols: int, side: str, ix, iy):
+    """Map global lattice coordinates (ix, iy) to strip unknown indices,
+    -1 for Dirichlet or out-of-strip nodes."""
+    m = grid.n_interface
+    two_n = 2 * grid.n
+    ix = np.asarray(ix)
+    iy = np.asarray(iy)
+    if side == LEFT:
+        col = ix - 1
+        inside = (ix >= 1) & (ix <= n_cols)
+    else:
+        col = (two_n - 1) - ix
+        inside = (ix >= two_n - n_cols) & (ix <= two_n - 1)
+    inside = inside & (iy >= 1) & (iy <= m)
+    return np.where(inside, col * m + (iy - 1), -1)
+
+
+def strip_triangles(grid: GridSpec, side=LEFT, n_cols=None):
+    """All triangles of one strip: lattice corner coordinates (T, 3) for x
+    and y, and strip unknown ids (T, 3) with -1 marking clamped nodes."""
+    _check_side(side)
+    n_cols = grid.n if n_cols is None else int(n_cols)
+    two_n = 2 * grid.n
+    if side == LEFT:
+        gx = np.arange(0, n_cols)
+    else:
+        gx = np.arange(two_n - n_cols, two_n)
+    gy = np.arange(0, two_n)
+    cx, cy = np.meshgrid(gx, gy, indexing="ij")
+    cx = cx.ravel()
+    cy = cy.ravel()
+    # one north-east diagonal per cell: lower and upper triangle
+    tri_x = np.concatenate([
+        np.stack([cx, cx + 1, cx + 1], axis=1),
+        np.stack([cx, cx + 1, cx], axis=1),
+    ])
+    tri_y = np.concatenate([
+        np.stack([cy, cy, cy + 1], axis=1),
+        np.stack([cy, cy + 1, cy + 1], axis=1),
+    ])
+    ids = _strip_node_ids(grid, n_cols, side, tri_x, tri_y)
+    return tri_x, tri_y, ids
+
+
+def _quadrature_load(grid, tri_x, tri_y, ids, n_unknowns, f, rule):
+    try:
+        bary, weights = QUADRATURES[rule]
+    except KeyError:
+        raise ValueError(f"unknown quadrature rule {rule!r}") from None
+    x = grid.coord(tri_x)
+    y = grid.coord(tri_y)
+    area = 0.5 * grid.h * grid.h
+    F = np.zeros(n_unknowns)
+    for b, w in zip(bary, weights):
+        fx = np.asarray(f(x @ b, y @ b), dtype=float)
+        for k in range(3):
+            mask = ids[:, k] >= 0
+            F += np.bincount(ids[mask, k], weights=(area * w * b[k]) * fx[mask],
+                             minlength=n_unknowns)
+    return F
 
 
 def global_triangles(grid: GridSpec):

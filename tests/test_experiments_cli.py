@@ -233,6 +233,35 @@ def test_relaxation_sweep_table_deep_mesh(capsys):
     assert captured.out.splitlines()[1] == "1/288,2000*,39,23,17,13,2,12,37"
 
 
+def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
+    # the Robin sweeps read no assembled stiffness, and each strip solver
+    # is factored once per mesh and weight, not once per theta
+    calls = {"stiffness": 0, "solver": 0}
+    stiffness = robinlab.grid_fem.assemble_subdomain_stiffness
+    strip_solver = robinlab.grid_fem.StripSolver
+
+    def counted_stiffness(*args, **kwargs):
+        calls["stiffness"] += 1
+        return stiffness(*args, **kwargs)
+
+    def counted_solver(*args, **kwargs):
+        calls["solver"] += 1
+        return strip_solver(*args, **kwargs)
+
+    monkeypatch.setattr(robinlab.grid_fem, "assemble_subdomain_stiffness", counted_stiffness)
+    monkeypatch.setattr(robinlab.grid_fem, "StripSolver", counted_solver)
+    run_table1(ExperimentConfig(table="table1", n_list=(2, 6, 10)))
+    assert calls == {"stiffness": 0, "solver": 6}
+    calls.update(stiffness=0, solver=0)
+    run_table2(ExperimentConfig(table="table2", n_list=(2, 6)))
+    assert calls == {"stiffness": 0, "solver": 4}
+    calls.update(stiffness=0, solver=0)
+    # Dirichlet-Neumann reads the left stiffness for its interface flux:
+    # Dirichlet, left Neumann and right Neumann solvers, once per mesh
+    run_table3(ExperimentConfig(table="table3", n_list=(2, 6), max_iter=50))
+    assert calls == {"stiffness": 2, "solver": 6}
+
+
 def test_mode_table_single_mode():
     r = run_spectrum(ExperimentConfig(table="spectrum", n_list=(1,)))
     assert r.columns == ["n", "j", "a_j", "b_j", "c_j", "damped"]

@@ -10,8 +10,10 @@ from robinlab import (Tridiagonal, assemble_a0, assemble_interface_mass,
                       assemble_subdomain_stiffness, build_grid,
                       build_subdomain_system, fd_eigenvalue, sine_basis_vector)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import QUADRATURES, strip_triangles, write_matrix_market
-from p1_oracle import assemble_p1_forms, global_poisson_system, global_triangles
+from robinlab.grid_fem import QUADRATURES, write_matrix_market
+from robinlab.operator_analysis import offcenter_columns
+from p1_oracle import (_quadrature_load, assemble_p1_forms, global_poisson_system,
+                       global_triangles, strip_triangles)
 
 
 def element_loop_stiffness(vertices, ids, n_unknowns):
@@ -239,6 +241,27 @@ def test_load_manufactured_exact_integrals():
     got_right = assemble_load(grid, f, "right", rule="degree6")
     assert np.abs(got_left - want_left).max() < 1e-10
     assert np.abs(got_right - want_right).max() < 1e-10
+
+
+def test_load_bit_identical_to_triangle_scatter():
+    # the lattice sum adds the same terms in the same order as a bincount
+    # over the triangle list, so the two agree to the last bit
+    _, f_poly = manufactured_solution()
+
+    def f_smooth(x, y):
+        return np.exp(x) * np.sin(3.0 * y) + np.cos(x * y)
+
+    for n in list(range(1, 30)) + [36, 72, 108, 144]:
+        grid = build_grid(n)
+        for side in ("left", "right"):
+            for n_cols in sorted({n, *offcenter_columns(grid)}):
+                tri_x, tri_y, ids = strip_triangles(grid, side, n_cols)
+                for rule in ("degree6", "midpoint"):
+                    for f in (f_poly, f_smooth):
+                        want = _quadrature_load(grid, tri_x, tri_y, ids,
+                                                n_cols * grid.n_interface, f, rule)
+                        got = assemble_load(grid, f, side, rule, n_cols)
+                        assert np.array_equal(got, want), (n, side, n_cols, rule)
 
 
 def test_load_rejects_unknown_rule():

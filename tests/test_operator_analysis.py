@@ -119,10 +119,11 @@ def test_schur_rejects_indefinite_input():
     grid = build_grid(1)
     system = build_subdomain_system(grid, zero_field, "left")
     bad = scipy.sparse.csr_matrix([[-2.0]])
-    broken = type(system)(grid=grid, side="left", n_cols=1, stiffness=bad,
+    broken = type(system)(grid=grid, side="left", n_cols=1,
                           interface_mass=system.interface_mass,
                           interface_stiffness=system.interface_stiffness,
                           load=np.zeros(1))
+    broken.stiffness = bad
     with pytest.raises(ValueError, match="positive definite"):
         dtn_schur(broken)
 

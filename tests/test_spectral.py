@@ -46,6 +46,14 @@ def test_sine_basis_orthogonal_and_involutory():
     assert np.abs(phi @ phi - np.eye(3)).max() < 1e-14
 
 
+def test_sine_basis_built_once_and_read_only():
+    phi = sine_basis_matrix(5)
+    assert sine_basis_matrix(5) is phi
+    assert not phi.flags.writeable
+    with pytest.raises(ValueError):
+        phi[0, 0] = 0.0
+
+
 def test_sine_basis_diagonalizes_second_difference():
     m = 7
     A = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)

@@ -119,6 +119,18 @@ def test_dirichlet_neumann_with_empty_interior():
     assert np.abs(x - x_global).max() < 1e-10  # stop_tol 1e-11 on the trace
 
 
+def test_solvers_built_once_per_gamma():
+    system = build_subdomain_system(build_grid(3), zero_field)
+    assert system.solver(1.0) is system.solver(1.0)
+    assert system.solver(0.0) is system.solver(0.0)
+    assert system.solver(2.0) is not system.solver(1.0)
+    assert system.dirichlet_solver() is system.dirichlet_solver()
+    assert system.dirichlet_solver() is not system.solver(0.0)
+    # a new system of the same strip factors its own solvers
+    other = build_subdomain_system(build_grid(3), zero_field)
+    assert other.solver(1.0) is not system.solver(1.0)
+
+
 def test_strip_solver_input_checks():
     system = build_subdomain_system(build_grid(2), zero_field)
     with pytest.raises(ValueError):
