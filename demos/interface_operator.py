@@ -34,9 +34,7 @@ for n in (4, 8, 16):
         params = params_from_bounds(S1, S2, bounds)
         R = build_iteration_operator(S1, S2, params)
         tilde = symmetrized_T(S1, S2, params)
-        similar = (params.theta * np.eye(len(tilde))
-                   - (1.0 - params.theta) * tilde)
-        radius = iteration_spectral_radius(R, similar_symmetric=similar)
+        radius = iteration_spectral_radius(R)
         w = np.linalg.eigvalsh(tilde)
         print(f"  {label} split ({ncl}+{ncr} columns):"
               f"  s={bounds.s:.6f}  t={bounds.t:.10f}")

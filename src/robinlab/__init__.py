@@ -20,7 +20,6 @@ from .operator_analysis import (DtNOperator, EquivalenceBounds,
                                 equivalence_bounds, iteration_spectral_radius,
                                 params_from_bounds, recommend_params,
                                 symmetrized_T)
-from .sparse_linalg import ConvergenceError, power_spectral_radius
 from .spectral import (BoundMargins, ModeCoefficients, bound_margins,
                        cj_eigenvalue, corollary_rate, fd_eigenvalue,
                        mode_coefficients, omega, omega_max, reduction_spectrum,

@@ -71,7 +71,7 @@ def cli_main(argv=None) -> int:
     try:
         config = ExperimentConfig(
             table=args.command.replace("-", "_"),
-            n_list=args.n if args.n else experiments.DEFAULT_N_LIST,
+            n_list=experiments.DEFAULT_N_LIST if args.n is None else args.n,
             gamma1=args.gamma1,
             gamma2_rule=args.gamma2_rule,
             gamma2_coefficient=args.gamma2_coeff,

@@ -240,17 +240,7 @@ def assemble_global_solution(grid: GridSpec, u, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if u.shape != (n * m,) or w.shape != (n * m,):
         raise ValueError("strip vectors have wrong length")
-    out = np.empty((2 * n - 1) * m)
-    for gcol in range(2 * n - 1):
-        if gcol < n - 1:
-            block = u[gcol * m:(gcol + 1) * m]
-        elif gcol == n - 1:
-            block = w[(n - 1) * m:n * m]
-        else:
-            c = 2 * n - 2 - gcol
-            block = w[c * m:(c + 1) * m]
-        out[gcol * m:(gcol + 1) * m] = block
-    return out
+    return np.concatenate([u[:(n - 1) * m], w.reshape(n, m)[::-1].ravel()])
 
 
 def error_norms(grid: GridSpec, u_h, exact):

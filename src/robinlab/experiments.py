@@ -86,8 +86,8 @@ class ExperimentConfig:
             self.theta_list = {"table2": SEVENTHS, "table3": DN_THETAS}.get(
                 self.table, (3.0 / 7.0,))
         self.theta_list = tuple(float(t) for t in self.theta_list)
-        if any(not 0.0 <= t < 1.0 for t in self.theta_list):
-            raise ValueError("theta values must lie in [0, 1)")
+        if not self.theta_list or any(not 0.0 <= t < 1.0 for t in self.theta_list):
+            raise ValueError("theta_list must be a nonempty list of values in [0, 1)")
         if not 0.0 < self.stop_tol < math.inf:
             raise ValueError("stop_tol must be positive and finite")
         if self.max_iter < 1:
@@ -332,9 +332,7 @@ def run_operator(config: ExperimentConfig) -> TableResult:
             bounds = operator_analysis.equivalence_bounds(S1, S2)
             params = operator_analysis.params_from_bounds(S1, S2, bounds)
             R = operator_analysis.build_iteration_operator(S1, S2, params)
-            Tsym = operator_analysis.symmetrized_T(S1, S2, params)
-            similar = params.theta * np.eye(R.shape[0]) - (1.0 - params.theta) * Tsym
-            radius = operator_analysis.iteration_spectral_radius(R, similar)
+            radius = operator_analysis.iteration_spectral_radius(R)
             bound = params.theta
             good = radius <= bound + 1e-9
             ok &= good

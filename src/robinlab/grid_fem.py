@@ -407,7 +407,7 @@ def build_subdomain_system(grid: GridSpec, f, side=LEFT, rule="degree6",
 def write_matrix_market(path, A, comment=""):
     """Write a matrix in MatrixMarket coordinate format (1-based indices)."""
     if isinstance(A, Tridiagonal):
-        A = _tridiagonal_to_sparse(A)
+        A = add_interface_tridiagonal(csr_matrix((A.size, A.size)), A, 1.0)
     if isinstance(A, csr_matrix):
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         with open(path, "w") as fh:
@@ -426,12 +426,3 @@ def write_matrix_market(path, A, comment=""):
         fh.write(f"{A.shape[0]} {A.shape[1]}\n")
         for v in A.T.ravel():
             fh.write(f"{v:.17g}\n")
-
-
-def _tridiagonal_to_sparse(tri: Tridiagonal) -> csr_matrix:
-    idx = np.arange(tri.size)
-    i = np.concatenate([idx, idx[:-1], idx[1:]])
-    j = np.concatenate([idx, idx[1:], idx[:-1]])
-    v = np.concatenate([np.full(tri.size, tri.diag),
-                        np.full(tri.size - 1, tri.off), np.full(tri.size - 1, tri.off)])
-    return csr_matrix((v, (i, j)), shape=(tri.size, tri.size))

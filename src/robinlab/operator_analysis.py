@@ -15,7 +15,8 @@ and T is similar to a symmetric positive matrix whenever the weights
 bracket both spectra (g1 at or below the smallest eigenvalue, g2 at or
 above three times the largest).  That similarity transform bounds the
 spectral radius of R by (2t - 1)/(2t + 1) with t the upper spectral
-equivalence constant of the two maps.
+equivalence constant of the two maps.  The radius itself is read off one
+LAPACK eigensolve of R; power iteration survives only as a test oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import scipy.sparse.linalg
 
 from .dd_solvers import DDParams
 from .grid_fem import GridSpec, SubdomainSystem
-from .sparse_linalg import ConvergenceError, power_spectral_radius
 
 
 @dataclass
@@ -173,36 +173,24 @@ def symmetrized_T(S1: DtNOperator, S2: DtNOperator, params: DDParams) -> np.ndar
     return 0.5 * (out + out.T)
 
 
-def recommend_params(S1: DtNOperator, S2: DtNOperator, stop_tol=1e-11,
-                     max_iter=2000) -> DDParams:
+def recommend_params(S1: DtNOperator, S2: DtNOperator) -> DDParams:
     """Weights and damping from the spectral extremes: g1 at the smallest
     eigenvalue, g2 at three times the largest, theta = (2t-1)/(2t+1)."""
-    return params_from_bounds(S1, S2, equivalence_bounds(S1, S2), stop_tol, max_iter)
+    return params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
 
 
-def params_from_bounds(S1: DtNOperator, S2: DtNOperator, bounds: EquivalenceBounds,
-                       stop_tol=1e-11, max_iter=2000) -> DDParams:
+def params_from_bounds(S1: DtNOperator, S2: DtNOperator,
+                       bounds: EquivalenceBounds) -> DDParams:
     """recommend_params for a pair whose equivalence bounds are already known."""
     theta = (2.0 * bounds.t - 1.0) / (2.0 * bounds.t + 1.0)
     return DDParams(
         gamma1=min(S1.min_eig, S2.min_eig),
         gamma2=3.0 * max(S1.max_eig, S2.max_eig),
         theta=theta,
-        stop_tol=stop_tol,
-        max_iter=max_iter,
     )
 
 
-def iteration_spectral_radius(R: np.ndarray, similar_symmetric=None) -> float:
-    """Spectral radius of the sweep operator by power iteration, falling
-    back to a full symmetric eigensolve of a similar symmetric matrix
-    (when provided) if the iteration stagnates."""
-    R = np.asarray(R, dtype=float)
-    dim = R.shape[0]
-    try:
-        return power_spectral_radius(lambda x: R @ x, dim)
-    except ConvergenceError:
-        if similar_symmetric is None:
-            raise
-        w = scipy.linalg.eigh(similar_symmetric, eigvals_only=True)
-        return float(np.abs(w).max())
+def iteration_spectral_radius(R: np.ndarray) -> float:
+    """Spectral radius of the sweep operator: the largest eigenvalue
+    modulus from one general (LAPACK geev) eigensolve."""
+    return float(np.abs(scipy.linalg.eigvals(R)).max())

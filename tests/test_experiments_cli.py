@@ -128,6 +128,7 @@ def test_config_grids_dedup_and_deep():
         (dict(table="table1", gamma2_coefficient=float("inf")), "finite"),
         (dict(table="table1", stop_tol=float("nan")), "finite"),
         (dict(table="table1", stop_tol=float("inf")), "finite"),
+        (dict(table="table1", theta_list=()), "nonempty"),
     ],
 )
 def test_config_rejects_bad_input(kwargs, match):
@@ -361,6 +362,15 @@ def test_cli_config_error(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("robinlab:")
+
+
+@pytest.mark.parametrize("option", ["--n", "--theta"])
+def test_cli_empty_list_is_usage_error(capsys, option):
+    rc = cli_main(["table1", option, ","])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("robinlab:")
+    assert captured.out == ""
 
 
 def test_cli_bad_theta(capsys):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from jacobi_oracle import jacobi_symmetric_eigen
+from jacobi_oracle import jacobi_symmetric_eigen, power_spectral_radius
 from robinlab import (DDParams, DtNOperator, build_grid,
                       build_iteration_operator, build_subdomain_system,
                       dtn_schur, equivalence_bounds, iteration_spectral_radius,
@@ -11,7 +11,6 @@ from robinlab import (DDParams, DtNOperator, build_grid,
                       recommend_params, reduction_spectrum, robin_robin_solve,
                       symmetrized_T)
 from robinlab.operator_analysis import offcenter_columns
-from robinlab.sparse_linalg import ConvergenceError
 from robinlab.spectral import mode_arrays
 
 
@@ -292,17 +291,20 @@ def test_radius_plain_diagonal():
     assert iteration_spectral_radius(np.diag([0.2, -0.3])) == pytest.approx(0.3, abs=1e-9)
 
 
-def test_radius_fallback_uses_similar_symmetric(monkeypatch):
-    from robinlab import operator_analysis
-
-    def always_stuck(apply, dim, **kw):
-        raise ConvergenceError("stuck")
-
-    monkeypatch.setattr(operator_analysis, "power_spectral_radius", always_stuck)
-    R = np.diag([0.2, -0.3])
-    assert iteration_spectral_radius(R, similar_symmetric=R) == pytest.approx(0.3, abs=1e-12)
-    with pytest.raises(ConvergenceError):
-        iteration_spectral_radius(R)
+def test_radius_matches_similar_symmetric_and_power_oracle():
+    # R is similar to theta I - (1 - theta) symmetrized_T, so the general
+    # eigensolve must agree with a symmetric one and with power iteration
+    for n in range(1, 33):
+        for make_pair in (symmetric_pair, third_split_pair):
+            _, S1, S2 = make_pair(n)
+            params = recommend_params(S1, S2)
+            R = build_iteration_operator(S1, S2, params)
+            radius = iteration_spectral_radius(R)
+            T_sym = symmetrized_T(S1, S2, params)
+            similar = params.theta * np.eye(len(R)) - (1.0 - params.theta) * T_sym
+            want = float(np.abs(np.linalg.eigvalsh(similar)).max())
+            assert radius == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert radius == pytest.approx(power_spectral_radius(R, len(R)), rel=1e-9, abs=0.0)
 
 
 def test_radius_matches_measured_rate():

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from jacobi_oracle import jacobi_symmetric_eigen
-from robinlab import build_grid, power_spectral_radius
+from jacobi_oracle import jacobi_symmetric_eigen, power_spectral_radius
+from robinlab import build_grid
 
 
 def test_jacobi_diagonal():
