@@ -20,9 +20,8 @@ from .operator_analysis import (DtNOperator, EquivalenceBounds,
                                 equivalence_bounds, iteration_spectral_radius,
                                 params_from_bounds, recommend_params,
                                 symmetrized_T)
-from .spectral import (BoundMargins, ModeCoefficients, bound_margins,
-                       cj_eigenvalue, corollary_rate, fd_eigenvalue,
-                       mode_coefficients, omega, omega_max, reduction_spectrum,
+from .spectral import (BoundMargins, bound_margins, corollary_rate,
+                       fd_eigenvalue, omega, omega_max, reduction_spectrum,
                        sine_basis_vector, theta_star, tilde_lambda,
                        von_neumann_advisor, von_neumann_rho)
 

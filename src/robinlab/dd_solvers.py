@@ -18,10 +18,13 @@ and to recover the strip solutions after the last.
 
 Every strip solve runs through grid_fem.StripSolver: a sine transform in
 y splits the strip into independent tridiagonal systems in x, factored
-once per run by banded LAPACK, and one step of iterative refinement keeps
-the result as accurate as a sparse direct solve.  SuperLU (splu/spsolve)
-on the assembled matrices is kept only as the test oracle.  Both sweeps stop early, as not
-converged, when the sup-norm change of their state turns non-finite.
+once per system by banded LAPACK, and one step of iterative refinement
+keeps the result as accurate as a sparse direct solve.  The sweeps read
+no assembled matrix: the interface couplings come from the five-point
+stencil and the solvers' last blocks.  SuperLU (splu/spsolve) on the
+assembled matrices is kept only as the test oracle.  Both sweeps stop
+early, as not converged, when the sup-norm change of their state turns
+non-finite.
 """
 
 from __future__ import annotations
@@ -150,16 +153,22 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     so one sweep is a per-mode affine map of w^ = V w and runs no strip
     solve.  The history holds the physical traces V w^; the strip solutions
     of the last sweep are recovered by one Dirichlet and one Neumann solve.
+
+    The five-point stencil couples the interface to the last interior
+    column by -I (there is no interior when the left strip has one column),
+    and the interface block A_GG is the last block of the left strip's
+    Neumann solver.
     """
     m = left.grid.n_interface
     base_l = left.n_cols * m - m
     base_r = right.n_cols * m - m
-    A1 = left.stiffness
-    A_IG = A1[:base_l, base_l:]
-    A_GI = A1[base_l:, :base_l]
-    A_GG = A1[base_l:, base_l:]
+
+    def a_gi(u_I):
+        return -u_I[-m:] if base_l else np.zeros(m)
+
     solve_dirichlet = left.dirichlet_solver().solve
     neumann = right.solver(0.0)
+    left_neumann = left.solver(0.0)
     F1_I = left.load[:base_l]
     F1_G = left.load[base_l:]
 
@@ -167,13 +176,13 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     if w_state.shape != (m,):
         raise ValueError("w_init has wrong length")
     V = sine_basis_matrix(m)
-    c0 = A_GI @ solve_dirichlet(F1_I)
+    c0 = a_gi(solve_dirichlet(F1_I))
     if include_left_interface_load:
         c0 -= F1_G
     t2 = neumann.solve(right.load)[base_r:]
     sigma2 = neumann.interface_symbol
     alpha = V @ t2 - (V @ c0) / sigma2
-    beta = left.solver(0.0).interface_symbol / sigma2
+    beta = left_neumann.interface_symbol / sigma2
     w_hat = V @ w_state
     history = [w_state]
     converged = False
@@ -188,9 +197,12 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
             converged = True
             break
     # the last sweep's strip solves, from the state it started with
-    u_I = solve_dirichlet(F1_I - A_IG @ history[-2])
+    rhs_I = F1_I.copy()
+    if base_l:
+        rhs_I[-m:] += history[-2]
+    u_I = solve_dirichlet(rhs_I)
     rhs = right.load.copy()
-    rhs[base_r:] -= A_GI @ u_I + A_GG @ history[-2]
+    rhs[base_r:] -= a_gi(u_I) + left_neumann.last_block.matvec(history[-2])
     if include_left_interface_load:
         rhs[base_r:] += F1_G
     report = DDReport(

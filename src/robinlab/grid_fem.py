@@ -13,14 +13,14 @@ from x = 1 leftward), which makes the two subdomain matrices identical
 entry by entry.
 
 Strip loads are summed on the node lattice by shifted slice adds.  A
-SubdomainSystem assembles its stiffness only when something reads it and
-factors each of its strip solvers once.
+SubdomainSystem holds no assembled matrix: its strip solvers apply and
+factor the stencil, each once.  CSR matrices are built only for the
+dense trace-operator analysis, for --dump-matrices and for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg.lapack
@@ -85,9 +85,6 @@ class Tridiagonal:
         out[..., 1:] += self.off * v[..., :-1]
         return out
 
-    def quadratic_form(self, v):
-        return float(np.asarray(v) @ self.matvec(v))
-
     def eigenvalues(self):
         """Eigenvalues in index order j = 1..size: diag + 2 off cos(j pi / (size+1))."""
         j = np.arange(1, self.size + 1)
@@ -144,51 +141,38 @@ def assemble_a0(grid: GridSpec, n_cols=None) -> csr_matrix:
     return csr_matrix((v, (i, j)), shape=(size, size))
 
 
-def assemble_subdomain_stiffness(grid: GridSpec, side=LEFT, n_cols=None) -> csr_matrix:
-    """Subdomain stiffness with the natural (free) condition on the interface
-    column: A0 minus the interface correction on the trace block.
-
-    The two sides give identical matrices because the right strip is
-    numbered mirror-image; the side argument is kept for interface clarity.
-    """
-    _check_side(side)
-    n_cols = grid.n if n_cols is None else int(n_cols)
-    size, i, j, v = _strip_five_point(grid, n_cols)
-    m = grid.n_interface
-    a_gamma = assemble_interface_stiffness(grid)
-    base = size - m
-    tr = np.arange(base, size)
+def _with_trace_block(size, i, j, v, tri: Tridiagonal, coeff: float) -> csr_matrix:
+    """CSR of the triplets (i, j, v) plus coeff * tri on the trailing trace
+    block, summed as triplets rather than as A + B, which would drop
+    entries that cancel."""
+    m = tri.size
+    if size < m:
+        raise ValueError("matrix smaller than the trace block")
+    tr = np.arange(size - m, size)
     i = np.concatenate([i, tr, tr[:-1], tr[1:]])
     j = np.concatenate([j, tr, tr[1:], tr[:-1]])
-    v = np.concatenate([v, np.full(m, -a_gamma.diag),
-                        np.full(m - 1, -a_gamma.off), np.full(m - 1, -a_gamma.off)])
+    v = np.concatenate([v, np.full(m, coeff * tri.diag),
+                        np.full(m - 1, coeff * tri.off), np.full(m - 1, coeff * tri.off)])
     return csr_matrix((v, (i, j)), shape=(size, size))
+
+
+def assemble_subdomain_stiffness(grid: GridSpec, n_cols=None) -> csr_matrix:
+    """Subdomain stiffness with the natural (free) condition on the interface
+    column: A0 minus the interface correction on the trace block.  Both
+    sides share it, because the right strip is numbered mirror-image."""
+    n_cols = grid.n if n_cols is None else int(n_cols)
+    return _with_trace_block(*_strip_five_point(grid, n_cols),
+                             assemble_interface_stiffness(grid), -1.0)
 
 
 def add_interface_tridiagonal(A: csr_matrix, tri: Tridiagonal, coeff: float) -> csr_matrix:
     """A + coeff * R^T tri R, where R restricts to the trailing trace block."""
-    m = tri.size
-    size = A.shape[0]
-    if size < m:
-        raise ValueError("matrix smaller than the trace block")
-    tr = np.arange(size - m, size)
-    # summed triplets rather than A + B, which would drop entries that cancel
     coo = A.tocoo()
-    i = np.concatenate([coo.row, tr, tr[:-1], tr[1:]])
-    j = np.concatenate([coo.col, tr, tr[1:], tr[:-1]])
-    v = np.concatenate([coo.data, np.full(m, coeff * tri.diag),
-                        np.full(m - 1, coeff * tri.off), np.full(m - 1, coeff * tri.off)])
-    return csr_matrix((v, (i, j)), shape=A.shape)
+    return _with_trace_block(A.shape[0], coo.row, coo.col, coo.data, tri, coeff)
 
 
-# Quadrature rules on the reference triangle, in barycentric coordinates.
-# Weights sum to one and multiply the triangle area.
-
-TRI_MIDPOINT = (
-    np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-    np.array([1.0, 1.0, 1.0]) / 3.0,
-)
-
+# The degree-six Dunavant rule on the reference triangle, in barycentric
+# coordinates.  Weights sum to one and multiply the triangle area.
 
 def _dunavant_degree6():
     a1, w1 = 0.063089014491502, 0.050844906370207
@@ -209,8 +193,6 @@ def _dunavant_degree6():
 
 TRI_DEGREE6 = _dunavant_degree6()
 
-QUADRATURES = {"midpoint": TRI_MIDPOINT, "degree6": TRI_DEGREE6}
-
 
 # vertex offsets from a cell's south-west corner, in vertex-slot order, for
 # the cell's lower and upper triangle
@@ -218,12 +200,12 @@ _LOWER = ((0, 0), (1, 0), (1, 1))
 _UPPER = ((0, 0), (1, 1), (0, 1))
 
 
-def assemble_load(grid: GridSpec, f, side=LEFT, rule="degree6", n_cols=None):
+def assemble_load(grid: GridSpec, f, side=LEFT, n_cols=None):
     """Load vector (f, phi_i) over one strip by triangle quadrature.
 
-    f must accept numpy arrays.  The default rule integrates degree six
-    exactly, which covers polynomial data like the manufactured right-hand
-    side without quadrature error.
+    f must accept numpy arrays.  The rule integrates degree six exactly,
+    which covers polynomial data like the manufactured right-hand side
+    without quadrature error.
 
     The shares are summed on the strip's (n_cols+1) x (2n+1) node lattice:
     per quadrature point and vertex slot, the lower then the upper
@@ -232,10 +214,7 @@ def assemble_load(grid: GridSpec, f, side=LEFT, rule="degree6", n_cols=None):
     """
     _check_side(side)
     n_cols = grid.n if n_cols is None else int(n_cols)
-    try:
-        bary, weights = QUADRATURES[rule]
-    except KeyError:
-        raise ValueError(f"unknown quadrature rule {rule!r}") from None
+    bary, weights = TRI_DEGREE6
     two_n = 2 * grid.n
     x0 = 0 if side == LEFT else two_n - n_cols
     cx, cy = np.meshgrid(np.arange(x0, x0 + n_cols), np.arange(two_n), indexing="ij")
@@ -289,6 +268,7 @@ class StripSolver:
             raise ValueError("strip cannot have a negative column count")
         self.n_cols = k = int(n_cols)
         self.m = m = last_block.size
+        self.last_block = last_block
         if k == 0:
             return
         # last column: the stencil adds last_block - tridiag(-1, 4, -1)
@@ -346,28 +326,16 @@ class StripSolver:
 
 @dataclass
 class SubdomainSystem:
-    """One strip: the interface mass and stiffness couplings, the load,
-    and the stiffness with free interface column, assembled when first
-    read.  The strip solvers need only the couplings; each is factored on
+    """One strip: the load, the interface mass and stiffness couplings,
+    and the strip solvers built from them.  Each solver is factored on
     first use and the same StripSolver is handed to every later caller."""
 
     grid: GridSpec
-    side: str
     n_cols: int
     interface_mass: Tridiagonal
     interface_stiffness: Tridiagonal
     load: np.ndarray
     _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def stiffness(self) -> csr_matrix:
-        return assemble_subdomain_stiffness(self.grid, self.side, self.n_cols)
-
-    def robin_matrix(self, gamma: float) -> csr_matrix:
-        """Stiffness plus gamma times the interface mass on the trace block."""
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return add_interface_tridiagonal(self.stiffness, self.interface_mass, gamma)
 
     def solver(self, gamma: float) -> StripSolver:
         """Fast solver of the stiffness plus gamma times the interface mass
@@ -390,39 +358,27 @@ class SubdomainSystem:
         return self._solvers["dirichlet"]
 
 
-def build_subdomain_system(grid: GridSpec, f, side=LEFT, rule="degree6",
-                           n_cols=None) -> SubdomainSystem:
-    _check_side(side)
+def build_subdomain_system(grid: GridSpec, f, side=LEFT, n_cols=None) -> SubdomainSystem:
     n_cols = grid.n if n_cols is None else int(n_cols)
     return SubdomainSystem(
         grid=grid,
-        side=side,
         n_cols=n_cols,
         interface_mass=assemble_interface_mass(grid),
         interface_stiffness=assemble_interface_stiffness(grid),
-        load=assemble_load(grid, f, side, rule, n_cols),
+        load=assemble_load(grid, f, side, n_cols),
     )
 
 
 def write_matrix_market(path, A, comment=""):
-    """Write a matrix in MatrixMarket coordinate format (1-based indices)."""
+    """Write a CSR or Tridiagonal matrix in MatrixMarket coordinate format
+    (1-based indices)."""
     if isinstance(A, Tridiagonal):
         A = add_interface_tridiagonal(csr_matrix((A.size, A.size)), A, 1.0)
-    if isinstance(A, csr_matrix):
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        with open(path, "w") as fh:
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-            for r, c, v in zip(rows, A.indices, A.data):
-                fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
-        return
-    A = np.asarray(A, dtype=float)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
+        fh.write("%%MatrixMarket matrix coordinate real general\n")
         if comment:
             fh.write(f"% {comment}\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]}\n")
-        for v in A.T.ravel():
-            fh.write(f"{v:.17g}\n")
+        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
+        for r, c, v in zip(rows, A.indices, A.data):
+            fh.write(f"{r + 1} {c + 1} {v:.17g}\n")

@@ -29,7 +29,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .dd_solvers import DDParams
-from .grid_fem import GridSpec, SubdomainSystem
+from .grid_fem import GridSpec, SubdomainSystem, assemble_subdomain_stiffness
 
 
 @dataclass
@@ -94,7 +94,7 @@ def dtn_schur(system: SubdomainSystem, coords="mass") -> DtNOperator:
     m = system.grid.n_interface
     size = system.n_cols * m
     base = size - m
-    A = system.stiffness
+    A = assemble_subdomain_stiffness(system.grid, system.n_cols)
     A_GG = A[base:, base:].toarray()
     if base > 0:
         A_II = A[:base, :base].tocsc()

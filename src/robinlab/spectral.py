@@ -83,39 +83,13 @@ def tilde_lambda_all(n):
     return 2.0 / (n + 1) * np.sum(s * s / (lam_col + lam_row), axis=0)
 
 
-@dataclass
-class ModeCoefficients:
-    """Per-mode scalars of the symmetric split; c is filled in once the
-    Robin weights are known."""
-
-    j: int
-    lambda_fd: float
-    tilde_lambda: float
-    a: float
-    b: float
-    c: Optional[float] = None
-
-
-def _ab_from(lam, tlam, h):
-    a = (h - (h / 6.0) * lam) * tlam
-    b = 1.0 - (1.0 + 0.5 * lam) * tlam
-    return a, b
-
-
-def mode_coefficients(j, n) -> ModeCoefficients:
-    h = 1.0 / (2 * n)
-    lam = float(fd_eigenvalue(j, 2 * n - 1))
-    tlam = tilde_lambda(j, n)
-    a, b = _ab_from(lam, tlam, h)
-    return ModeCoefficients(j=j, lambda_fd=lam, tilde_lambda=tlam, a=a, b=b)
-
-
 def mode_arrays(n):
     """(lam, tlam, a, b) arrays for all modes of the symmetric split."""
     h = 1.0 / (2 * n)
     lam = fd_eigenvalue(np.arange(1, 2 * n), 2 * n - 1)
     tlam = tilde_lambda_all(n)
-    a, b = _ab_from(lam, tlam, h)
+    a = (h - (h / 6.0) * lam) * tlam
+    b = 1.0 - (1.0 + 0.5 * lam) * tlam
     return lam, tlam, a, b
 
 
@@ -123,14 +97,6 @@ def cj_values(a, b, gamma1, gamma2):
     """Two-sided damping factors c_j of modes with coefficients (a_j, b_j);
     a and b may be scalars or arrays."""
     return ((gamma1 * a - b) / (gamma1 * a + b)) * ((gamma2 * a - b) / (gamma2 * a + b))
-
-
-def cj_eigenvalue(coeff: ModeCoefficients, gamma1, gamma2):
-    """Two-sided damping factor of one mode; fills and returns coeff.c."""
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ValueError("Robin weights must be positive")
-    coeff.c = float(cj_values(coeff.a, coeff.b, gamma1, gamma2))
-    return coeff.c
 
 
 def reduction_spectrum(n, params):

@@ -13,7 +13,7 @@ them.
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from robinlab.grid_fem import LEFT, QUADRATURES, GridSpec, _check_side
+from robinlab.grid_fem import LEFT, TRI_DEGREE6, GridSpec, _check_side
 
 
 def _strip_node_ids(grid: GridSpec, n_cols: int, side: str, ix, iy):
@@ -60,11 +60,8 @@ def strip_triangles(grid: GridSpec, side=LEFT, n_cols=None):
     return tri_x, tri_y, ids
 
 
-def _quadrature_load(grid, tri_x, tri_y, ids, n_unknowns, f, rule):
-    try:
-        bary, weights = QUADRATURES[rule]
-    except KeyError:
-        raise ValueError(f"unknown quadrature rule {rule!r}") from None
+def _quadrature_load(grid, tri_x, tri_y, ids, n_unknowns, f):
+    bary, weights = TRI_DEGREE6
     x = grid.coord(tri_x)
     y = grid.coord(tri_y)
     area = 0.5 * grid.h * grid.h
@@ -127,10 +124,10 @@ def assemble_p1_forms(grid: GridSpec, tri_x, tri_y, ids, n_unknowns):
     return mass, stiffness
 
 
-def global_poisson_system(grid: GridSpec, f, rule="degree6"):
+def global_poisson_system(grid: GridSpec, f):
     """Single-domain stiffness and load on the whole square; the stiffness
     is the five-point matrix on the (2n-1) x (2n-1) interior lattice."""
     tri_x, tri_y, ids = global_triangles(grid)
     m = grid.n_interface
     _, stiffness = assemble_p1_forms(grid, tri_x, tri_y, ids, m * m)
-    return stiffness, _quadrature_load(grid, tri_x, tri_y, ids, m * m, f, rule)
+    return stiffness, _quadrature_load(grid, tri_x, tri_y, ids, m * m, f)

@@ -1,0 +1,26 @@
+"""Every demo script runs to completion against the installed package."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import robinlab
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demo_directory_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(script):
+    # a fresh interpreter, so a demo sees only the public package
+    src = str(Path(robinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

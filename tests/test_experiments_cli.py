@@ -235,8 +235,9 @@ def test_relaxation_sweep_table_deep_mesh(capsys):
 
 
 def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
-    # the Robin sweeps read no assembled stiffness, and each strip solver
-    # is factored once per mesh and weight, not once per theta
+    # the sweeps read no assembled stiffness, and each strip solver is
+    # factored once per mesh and weight, not once per theta; the dense
+    # operator analysis assembles each strip's stiffness once
     calls = {"stiffness": 0, "solver": 0}
     stiffness = robinlab.grid_fem.assemble_subdomain_stiffness
     strip_solver = robinlab.grid_fem.StripSolver
@@ -250,6 +251,8 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
         return strip_solver(*args, **kwargs)
 
     monkeypatch.setattr(robinlab.grid_fem, "assemble_subdomain_stiffness", counted_stiffness)
+    monkeypatch.setattr(robinlab.operator_analysis, "assemble_subdomain_stiffness",
+                        counted_stiffness)
     monkeypatch.setattr(robinlab.grid_fem, "StripSolver", counted_solver)
     run_table1(ExperimentConfig(table="table1", n_list=(2, 6, 10)))
     assert calls == {"stiffness": 0, "solver": 6}
@@ -257,10 +260,13 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     run_table2(ExperimentConfig(table="table2", n_list=(2, 6)))
     assert calls == {"stiffness": 0, "solver": 4}
     calls.update(stiffness=0, solver=0)
-    # Dirichlet-Neumann reads the left stiffness for its interface flux:
     # Dirichlet, left Neumann and right Neumann solvers, once per mesh
     run_table3(ExperimentConfig(table="table3", n_list=(2, 6), max_iter=50))
-    assert calls == {"stiffness": 2, "solver": 6}
+    assert calls == {"stiffness": 0, "solver": 6}
+    calls.update(stiffness=0, solver=0)
+    # two meshes, two splits, two strips
+    run_operator(ExperimentConfig(table="operator", n_list=(2, 3)))
+    assert calls == {"stiffness": 8, "solver": 0}
 
 
 def test_mode_table_single_mode():

@@ -7,10 +7,10 @@ import scipy.io
 
 from robinlab import (Tridiagonal, assemble_a0, assemble_interface_mass,
                       assemble_interface_stiffness, assemble_load,
-                      assemble_subdomain_stiffness, build_grid,
-                      build_subdomain_system, fd_eigenvalue, sine_basis_vector)
+                      assemble_subdomain_stiffness, build_grid, fd_eigenvalue,
+                      sine_basis_vector)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import QUADRATURES, write_matrix_market
+from robinlab.grid_fem import TRI_DEGREE6, add_interface_tridiagonal, write_matrix_market
 from robinlab.operator_analysis import offcenter_columns
 from p1_oracle import (_quadrature_load, assemble_p1_forms, global_poisson_system,
                        global_triangles, strip_triangles)
@@ -87,7 +87,6 @@ def test_tridiagonal_against_dense():
     dense = tri.to_dense()
     v = np.array([1.0, -2.0, 0.0, 3.0, 1.0])
     assert np.abs(tri.matvec(v) - dense @ v).max() < 1e-14
-    assert tri.quadratic_form(v) == pytest.approx(v @ dense @ v)
     assert np.abs(np.sort(tri.eigenvalues()) - np.linalg.eigvalsh(dense)).max() < 1e-12
 
 
@@ -159,14 +158,6 @@ def test_subdomain_stiffness_single_unknown():
         assemble_subdomain_stiffness(build_grid(1)).toarray(), [[2.0]])
 
 
-def test_subdomain_stiffness_sides_identical():
-    for n in (1, 2, 3):
-        grid = build_grid(n)
-        L = assemble_subdomain_stiffness(grid, "left").toarray()
-        R = assemble_subdomain_stiffness(grid, "right").toarray()
-        assert np.array_equal(L, R)
-
-
 def test_subdomain_stiffness_equals_free_interface_element_loop():
     # element loop over the strip cells only; the trace column stays free
     for n in (1, 2, 3):
@@ -180,17 +171,16 @@ def test_subdomain_stiffness_equals_free_interface_element_loop():
 
         vertices, ids = rectangle_triangles(n, 2 * n, grid.h, node_id)
         want = element_loop_stiffness(vertices, ids, n * m)
-        got = assemble_subdomain_stiffness(grid, "left").toarray()
+        got = assemble_subdomain_stiffness(grid).toarray()
         assert np.abs(got - want).max() < 1e-13
 
 
 def test_robin_matrix_positive_definite():
     grid = build_grid(2)
-    _, f = manufactured_solution()
-    system = build_subdomain_system(grid, f, "left")
+    stiffness = assemble_subdomain_stiffness(grid)
     rng = np.random.default_rng(1)
     for gamma in (1e-3, 1.0, 1e3):
-        A = system.robin_matrix(gamma)
+        A = add_interface_tridiagonal(stiffness, assemble_interface_mass(grid), gamma)
         dense = A.toarray()
         assert np.abs(dense - dense.T).max() < 1e-13
         for _ in range(20):
@@ -200,17 +190,16 @@ def test_robin_matrix_positive_definite():
 
 def test_quadrature_rules_integrate_monomials():
     # reference-triangle moments: int x^a y^b = a! b! / (a+b+2)!
-    for rule, degree in (("midpoint", 2), ("degree6", 6)):
-        bary, weights = QUADRATURES[rule]
-        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
-        xs = bary[:, 1]
-        ys = bary[:, 2]
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                exact = (math.factorial(a) * math.factorial(b)
-                         / math.factorial(a + b + 2))
-                got = 0.5 * np.sum(weights * xs ** a * ys ** b)
-                assert got == pytest.approx(exact, abs=5e-15), (rule, a, b)
+    bary, weights = TRI_DEGREE6
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+    xs = bary[:, 1]
+    ys = bary[:, 2]
+    for a in range(7):
+        for b in range(7 - a):
+            exact = (math.factorial(a) * math.factorial(b)
+                     / math.factorial(a + b + 2))
+            got = 0.5 * np.sum(weights * xs ** a * ys ** b)
+            assert got == pytest.approx(exact, abs=5e-15), (a, b)
 
 
 def test_load_zero_field():
@@ -224,9 +213,8 @@ def test_load_constant_field():
     grid = build_grid(2)
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     want = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]) / 16.0
-    for rule in ("midpoint", "degree6"):
-        got = assemble_load(grid, one, "left", rule=rule)
-        assert np.abs(got - want).max() < 1e-15
+    got = assemble_load(grid, one, "left")
+    assert np.abs(got - want).max() < 1e-15
 
 
 def test_load_manufactured_exact_integrals():
@@ -237,8 +225,8 @@ def test_load_manufactured_exact_integrals():
                           59 / 960, -7 / 960, 17 / 960])
     want_right = np.array([613 / 240, 1451 / 480, 553 / 240,
                            563 / 960, 599 / 960, 97 / 192])
-    got_left = assemble_load(grid, f, "left", rule="degree6")
-    got_right = assemble_load(grid, f, "right", rule="degree6")
+    got_left = assemble_load(grid, f, "left")
+    got_right = assemble_load(grid, f, "right")
     assert np.abs(got_left - want_left).max() < 1e-10
     assert np.abs(got_right - want_right).max() < 1e-10
 
@@ -256,19 +244,11 @@ def test_load_bit_identical_to_triangle_scatter():
         for side in ("left", "right"):
             for n_cols in sorted({n, *offcenter_columns(grid)}):
                 tri_x, tri_y, ids = strip_triangles(grid, side, n_cols)
-                for rule in ("degree6", "midpoint"):
-                    for f in (f_poly, f_smooth):
-                        want = _quadrature_load(grid, tri_x, tri_y, ids,
-                                                n_cols * grid.n_interface, f, rule)
-                        got = assemble_load(grid, f, side, rule, n_cols)
-                        assert np.array_equal(got, want), (n, side, n_cols, rule)
-
-
-def test_load_rejects_unknown_rule():
-    grid = build_grid(1)
-    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    with pytest.raises(ValueError):
-        assemble_load(grid, one, "left", rule="degree99")
+                for f in (f_poly, f_smooth):
+                    want = _quadrature_load(grid, tri_x, tri_y, ids,
+                                            n_cols * grid.n_interface, f)
+                    got = assemble_load(grid, f, side, n_cols)
+                    assert np.array_equal(got, want), (n, side, n_cols)
 
 
 def test_strip_triangles_cover_strip():
@@ -345,7 +325,3 @@ def test_matrix_market_round_trip(tmp_path):
     write_matrix_market(path2, tri)
     back2 = scipy.io.mmread(str(path2))
     assert np.abs(back2.toarray() - tri.to_dense()).max() < 1e-15
-    vec = np.array([[1.5], [2.5]])
-    path3 = tmp_path / "v.mtx"
-    write_matrix_market(path3, vec)
-    assert np.abs(scipy.io.mmread(str(path3)) - vec).max() == 0.0

@@ -2,19 +2,15 @@
 import numpy as np
 import pytest
 
-from robinlab import (DDParams, bound_margins, build_grid,
-                      build_subdomain_system, cj_eigenvalue, corollary_rate,
-                      fd_eigenvalue, mode_coefficients, omega, omega_max,
-                      reduction_spectrum, sine_basis_vector, theta_star,
-                      tilde_lambda, von_neumann_advisor, von_neumann_rho)
-from robinlab.grid_fem import assemble_a0
-from robinlab.spectral import (COTH_1, mode_arrays, sine_basis_matrix,
+from robinlab import (DDParams, assemble_interface_mass,
+                      assemble_subdomain_stiffness, bound_margins, build_grid,
+                      corollary_rate, fd_eigenvalue, omega, omega_max, reduction_spectrum,
+                      sine_basis_vector, theta_star, tilde_lambda,
+                      von_neumann_advisor, von_neumann_rho)
+from robinlab.grid_fem import add_interface_tridiagonal, assemble_a0
+from robinlab.spectral import (COTH_1, cj_values, mode_arrays, sine_basis_matrix,
                                tilde_lambda_all, von_neumann_rho_via_omega,
                                z_bracket)
-
-
-def zero_field(x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def canonical_params(n, theta=3.0 / 7.0):
@@ -101,13 +97,13 @@ def test_tilde_lambda_matches_dense_trace_inverse():
 
 
 def test_mode_coefficients_single_mode_exact():
-    c = mode_coefficients(1, 1)
-    assert c.lambda_fd == pytest.approx(2.0, abs=1e-15)
-    assert c.tilde_lambda == pytest.approx(0.25, abs=1e-16)
-    assert c.a == pytest.approx(1.0 / 12.0, abs=1e-16)
-    assert c.b == pytest.approx(0.5, abs=1e-16)
+    lam, tlam, a, b = (float(v[0]) for v in mode_arrays(1))
+    assert lam == pytest.approx(2.0, abs=1e-15)
+    assert tlam == pytest.approx(0.25, abs=1e-16)
+    assert a == pytest.approx(1.0 / 12.0, abs=1e-16)
+    assert b == pytest.approx(0.5, abs=1e-16)
     # the margin driving the sharp quadratic bound
-    assert 3.0 * c.a - c.b == pytest.approx(-0.25, abs=1e-15)
+    assert 3.0 * a - b == pytest.approx(-0.25, abs=1e-15)
     assert -0.25 < -7.0 / 64.0
 
 
@@ -124,17 +120,14 @@ def test_mode_coefficient_ranges():
 
 
 def test_cj_hand_value():
-    c = mode_coefficients(1, 1)
-    assert cj_eigenvalue(c, 1.0, 128.0) == pytest.approx(-305.0 / 469.0, abs=1e-15)
-    assert c.c == pytest.approx(-305.0 / 469.0, abs=1e-15)
+    _, _, a, b = mode_arrays(1)
+    assert float(cj_values(a[0], b[0], 1.0, 128.0)) == pytest.approx(-305.0 / 469.0, abs=1e-15)
 
 
 def test_cj_zero_when_first_factor_vanishes():
-    c = mode_coefficients(1, 2)
-    gamma1 = c.b / c.a
-    assert cj_eigenvalue(c, gamma1, 7.0) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        cj_eigenvalue(c, -1.0, 7.0)
+    _, _, a, b = mode_arrays(2)
+    gamma1 = b[0] / a[0]
+    assert float(cj_values(a[0], b[0], gamma1, 7.0)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cj_interval_canonical_weights():
@@ -170,13 +163,14 @@ def test_one_sweep_matrix_diagonalized_by_sine_basis():
     for n in range(1, 9):
         grid = build_grid(n)
         m = grid.n_interface
-        system = build_subdomain_system(grid, zero_field, "left")
-        Mg = system.interface_mass.to_dense()
+        mass = assemble_interface_mass(grid)
+        stiffness = assemble_subdomain_stiffness(grid)
+        Mg = mass.to_dense()
         for params in (canonical_params(n), DDParams(2.5, 40.0, 0.2)):
             gsum = params.gamma1 + params.gamma2
 
             def robin_to_robin(gamma):
-                A = system.robin_matrix(gamma).toarray()
+                A = add_interface_tridiagonal(stiffness, mass, gamma).toarray()
                 rhs = np.zeros((A.shape[0], m))
                 rhs[-m:, :] = Mg
                 traces = np.linalg.solve(A, rhs)[-m:, :]

@@ -7,7 +7,8 @@ from robinlab import (DDParams, assemble_global_solution, build_grid,
                       build_subdomain_system, dirichlet_neumann_solve,
                       dtn_schur)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import StripSolver, Tridiagonal
+from robinlab.grid_fem import (StripSolver, Tridiagonal, add_interface_tridiagonal,
+                               assemble_subdomain_stiffness)
 from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import sine_basis_matrix
 from p1_oracle import global_poisson_system
@@ -30,10 +31,11 @@ def oracle_cases(system):
     """(fast solver, assembled matrix) for the Neumann stiffness, both Robin
     weights and the Dirichlet interior block."""
     m = system.grid.n_interface
-    stiffness = system.stiffness
+    stiffness = assemble_subdomain_stiffness(system.grid, system.n_cols)
     cases = [(system.solver(0.0), stiffness)]
     for gamma in (1.0, 64.0 / system.grid.h):
-        cases.append((system.solver(gamma), system.robin_matrix(gamma)))
+        cases.append((system.solver(gamma),
+                      add_interface_tridiagonal(stiffness, system.interface_mass, gamma)))
     interior = (system.n_cols - 1) * m
     cases.append((system.dirichlet_solver(), stiffness[:interior, :interior]))
     return cases
