@@ -257,7 +257,8 @@ def assemble_global_solution(grid: GridSpec, u, w) -> np.ndarray:
 
 def error_norms(grid: GridSpec, u_h, exact):
     """L2 and H1-seminorm distance between a global interior-node vector
-    and the nodal interpolant of a callable exact solution.
+    and the nodal interpolant of a callable exact solution, which is
+    called on the interior x coordinates as a column and y as a row.
 
     On the criss mesh the P1 stiffness is the five-point stencil and the P1
     mass the stencil h^2/12 times 6 at the node and 1 at its E, W, N, S, NE
@@ -268,8 +269,8 @@ def error_norms(grid: GridSpec, u_h, exact):
     u_h = np.asarray(u_h, dtype=float)
     if u_h.shape != (m * m,):
         raise ValueError("global vector has wrong length")
-    ix, iy = np.meshgrid(np.arange(1, m + 1), np.arange(1, m + 1), indexing="ij")
-    u_I = np.asarray(exact(grid.coord(ix.ravel()), grid.coord(iy.ravel())), dtype=float)
+    x = grid.coord(np.arange(1, m + 1))
+    u_I = np.broadcast_to(np.asarray(exact(x[:, None], x[None, :]), dtype=float), (m, m)).ravel()
     E = np.pad((u_I - u_h).reshape(m, m), 1)  # axis 0 runs in x
     e = E[1:-1, 1:-1]
     edges = E[2:, 1:-1] + E[:-2, 1:-1] + E[1:-1, 2:] + E[1:-1, :-2]

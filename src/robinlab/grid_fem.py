@@ -12,10 +12,11 @@ each strip.  The right strip is numbered mirror-image (columns counted
 from x = 1 leftward), which makes the two subdomain matrices identical
 entry by entry.
 
-Strip loads are summed on the node lattice by shifted slice adds.  A
-SubdomainSystem holds no assembled matrix: its strip solvers apply and
-factor the stencil, each once.  CSR matrices are built only for the
-dense trace-operator analysis, for --dump-matrices and for the tests.
+Strip loads are summed on the node lattice by shifted slice adds, from
+O(n_cols + n) load values per quadrature point.  A SubdomainSystem holds
+no assembled matrix: its strip solvers apply and factor the stencil, each
+once.  CSR matrices are built only for the dense trace-operator analysis,
+for --dump-matrices and for the tests.
 """
 
 from __future__ import annotations
@@ -203,9 +204,15 @@ _UPPER = ((0, 0), (1, 1), (0, 1))
 def assemble_load(grid: GridSpec, f, side=LEFT, n_cols=None):
     """Load vector (f, phi_i) over one strip by triangle quadrature.
 
-    f must accept numpy arrays.  The rule integrates degree six exactly,
-    which covers polynomial data like the manufactured right-hand side
-    without quadrature error.
+    f must accept broadcastable numpy arrays.  On the criss mesh a
+    quadrature point's x depends only on the cell column and its y only on
+    the cell row, so f is called once per quadrature point on x of shape
+    (2, n_cols, 1) and y of shape (2, 1, 2n) (lower, upper triangle), and
+    its result, a scalar or any broadcastable array, is broadcast to
+    (2, n_cols, 2n).  Each coordinate has the bits of the per-triangle
+    one, so an elementwise f gives bit-identical loads.  The rule
+    integrates degree six exactly, which covers polynomial data like the
+    manufactured right-hand side without quadrature error.
 
     The shares are summed on the strip's (n_cols+1) x (2n+1) node lattice:
     per quadrature point and vertex slot, the lower then the upper
@@ -217,17 +224,17 @@ def assemble_load(grid: GridSpec, f, side=LEFT, n_cols=None):
     bary, weights = TRI_DEGREE6
     two_n = 2 * grid.n
     x0 = 0 if side == LEFT else two_n - n_cols
-    cx, cy = np.meshgrid(np.arange(x0, x0 + n_cols), np.arange(two_n), indexing="ij")
-    # corner coordinates (T, 3): every lower triangle, then every upper one
-    x = grid.coord(np.concatenate(
-        [cx.ravel()[:, None] + [dx for dx, _ in tri] for tri in (_LOWER, _UPPER)]))
-    y = grid.coord(np.concatenate(
-        [cy.ravel()[:, None] + [dy for _, dy in tri] for tri in (_LOWER, _UPPER)]))
+    # corner coordinates per axis and triangle (lower, upper): (2, n_cols, 3), (2, 2n, 3)
+    cx = np.arange(x0, x0 + n_cols)[:, None]
+    cy = np.arange(two_n)[:, None]
+    x = grid.coord(np.stack([cx + [dx for dx, _ in tri] for tri in (_LOWER, _UPPER)]))
+    y = grid.coord(np.stack([cy + [dy for _, dy in tri] for tri in (_LOWER, _UPPER)]))
     area = 0.5 * grid.h * grid.h
     F = np.zeros((n_cols + 1, two_n + 1))
     G = np.empty_like(F)
     for b, w in zip(bary, weights):
-        fx = np.asarray(f(x @ b, y @ b), dtype=float).reshape(2, n_cols, two_n)
+        fx = np.broadcast_to(np.asarray(f((x @ b)[:, :, None], (y @ b)[:, None, :]),
+                                        dtype=float), (2, n_cols, two_n))
         for k in range(3):
             c = area * w * b[k]
             G[...] = 0.0

@@ -236,6 +236,29 @@ def test_error_norms_zero_for_interpolant():
     assert h1 < 1e-13
 
 
+def test_error_norms_bit_identical_to_full_lattice_field():
+    # exact evaluated on the two coordinate axes gives the same bits as on
+    # every node of the m x m lattice
+    def smooth(x, y):
+        return np.exp(x) * np.sin(3.0 * y) + np.cos(x * y)
+
+    def on_lattice(exact):
+        def full(x, y):
+            x, y = np.broadcast_arrays(x, y)
+            return exact(x.ravel(), y.ravel()).reshape(x.shape)
+        return full
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 36):
+        grid = build_grid(n)
+        x = grid.coord(np.arange(1, 2 * n))
+        for exact in (U_EXACT, smooth):
+            # a small error, so that a last-bit change of the interpolant shows
+            u_h = on_lattice(exact)(x[:, None], x[None, :]).ravel()
+            u_h += 1e-6 * rng.standard_normal(u_h.shape)
+            assert error_norms(grid, u_h, exact) == error_norms(grid, u_h, on_lattice(exact))
+
+
 def test_error_norms_converged_runs():
     for n, want_l2, want_h1 in ((2, 3.6535255736e-02, 2.5776747743e-01),
                                 (10, 2.0146279844e-03, 1.3743205554e-02)):

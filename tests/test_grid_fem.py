@@ -239,16 +239,46 @@ def test_load_bit_identical_to_triangle_scatter():
     def f_smooth(x, y):
         return np.exp(x) * np.sin(3.0 * y) + np.cos(x * y)
 
-    for n in list(range(1, 30)) + [36, 72, 108, 144]:
+    cases = [(n, n_cols) for n in list(range(1, 30)) + [36, 72, 108, 144]
+             for n_cols in sorted({n, *offcenter_columns(build_grid(n))})]
+    for n, n_cols in cases + [(288, 288)]:
+        grid = build_grid(n)
+        for side in ("left", "right"):
+            tri_x, tri_y, ids = strip_triangles(grid, side, n_cols)
+            for f in (f_poly, f_smooth):
+                want = _quadrature_load(grid, tri_x, tri_y, ids,
+                                        n_cols * grid.n_interface, f)
+                got = assemble_load(grid, f, side, n_cols)
+                assert np.array_equal(got, want), (n, side, n_cols)
+
+
+def test_load_broadcasts_field_result():
+    # a scalar or an axis-shaped result stands for the full-lattice field
+    def full(x, y):
+        return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+    for n in (1, 2, 7):
         grid = build_grid(n)
         for side in ("left", "right"):
             for n_cols in sorted({n, *offcenter_columns(grid)}):
-                tri_x, tri_y, ids = strip_triangles(grid, side, n_cols)
-                for f in (f_poly, f_smooth):
-                    want = _quadrature_load(grid, tri_x, tri_y, ids,
-                                            n_cols * grid.n_interface, f)
+                want = assemble_load(grid, full, side, n_cols)
+                for f in (lambda x, y: 1.0, lambda x, y: np.ones_like(x)):
                     got = assemble_load(grid, f, side, n_cols)
                     assert np.array_equal(got, want), (n, side, n_cols)
+
+
+def test_load_evaluates_field_on_axes():
+    # f sees one coordinate per cell column (x) and per cell row (y), for
+    # the lower and the upper triangle, not one per triangle
+    for n, n_cols in ((3, 3), (5, 2)):
+        shapes = []
+
+        def f(x, y):
+            shapes.append((x.shape, y.shape))
+            return x + y
+
+        assemble_load(build_grid(n), f, "right", n_cols)
+        assert shapes == [((2, n_cols, 1), (2, 1, 2 * n))] * len(TRI_DEGREE6[1])
 
 
 def test_strip_triangles_cover_strip():
