@@ -22,7 +22,7 @@ from .operator_analysis import (DtNOperator, EquivalenceBounds,
                                 symmetrized_T)
 from .spectral import (BoundMargins, bound_margins, corollary_rate,
                        fd_eigenvalue, omega, omega_max, reduction_spectrum,
-                       sine_basis_vector, theta_star, tilde_lambda,
+                       sine_basis_vector, strip_symbol, theta_star,
                        von_neumann_advisor, von_neumann_rho)
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .grid_fem import GridSpec, SubdomainSystem, Tridiagonal
-from .spectral import sine_basis_matrix
+from .spectral import sine_basis_matrix, strip_symbol
 
 
 @dataclass
@@ -146,7 +146,8 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     rule is that of robin_robin_solve.
 
     The sweep runs in the sine basis V of the interface, where both strips'
-    interface Schur complements S_i = V diag(sigma_i) V are diagonal.  With
+    interface Schur complements S_i = V diag(sigma_i) V are diagonal, with
+    sigma_i the closed-form spectral.strip_symbol of strip i's width.  With
     c0 the left flux of the Dirichlet solve of the load (less the left
     interface load when it is included) and t2 the trace of the Neumann
     solve of the right load, the new trace is w~|_G = t2 - S_2^-1 (c0 + S_1 w),
@@ -156,8 +157,8 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
 
     The five-point stencil couples the interface to the last interior
     column by -I (there is no interior when the left strip has one column),
-    and the interface block A_GG is the last block of the left strip's
-    Neumann solver.
+    and the interface block A_GG is the last block of the Neumann solver;
+    both strips share one interface coupling.
     """
     m = left.grid.n_interface
     base_l = left.n_cols * m - m
@@ -168,7 +169,6 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
 
     solve_dirichlet = left.dirichlet_solver().solve
     neumann = right.solver(0.0)
-    left_neumann = left.solver(0.0)
     F1_I = left.load[:base_l]
     F1_G = left.load[base_l:]
 
@@ -180,9 +180,9 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     if include_left_interface_load:
         c0 -= F1_G
     t2 = neumann.solve(right.load)[base_r:]
-    sigma2 = neumann.interface_symbol
+    sigma2 = strip_symbol(m, right.n_cols)
     alpha = V @ t2 - (V @ c0) / sigma2
-    beta = left_neumann.interface_symbol / sigma2
+    beta = strip_symbol(m, left.n_cols) / sigma2
     w_hat = V @ w_state
     history = [w_state]
     converged = False
@@ -202,7 +202,7 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
         rhs_I[-m:] += history[-2]
     u_I = solve_dirichlet(rhs_I)
     rhs = right.load.copy()
-    rhs[base_r:] -= a_gi(u_I) + left_neumann.last_block.matvec(history[-2])
+    rhs[base_r:] -= a_gi(u_I) + neumann.last_block.matvec(history[-2])
     if include_left_interface_load:
         rhs[base_r:] += F1_G
     report = DDReport(

@@ -258,7 +258,10 @@ class StripSolver:
     per sine mode.  They are laid end to end, factored once by LAPACK
     dpttrf (each is positive definite) and solved by dpttrs, and the same
     transform maps back.  The transform is a dense product with the sine
-    basis matrix, which at these sizes is faster than an FFT.
+    basis matrix, which at these sizes is faster than an FFT.  The last
+    pivot of mode j is its Schur complement onto the last column; for the
+    Neumann block spectral.strip_symbol gives it in closed form, so the
+    pivots are not exposed.
 
     One step of iterative refinement follows, with the residual taken by
     the stencil in physical space.  The mode systems have constant
@@ -290,17 +293,6 @@ class StripSolver:
         if info != 0:
             raise ValueError("strip operator is not positive definite")
         self._d, self._e = d, e
-
-    @property
-    def interface_symbol(self) -> np.ndarray:
-        """Schur complement of each sine mode onto the last column.
-
-        The mode systems are decoupled, so the last dpttrf pivot of mode j
-        is the Schur complement sigma_j of its tridiagonal system onto the
-        last unknown.  In the sine basis V the strip's Schur complement
-        onto its last column is therefore V diag(sigma) V.
-        """
-        return self._d.reshape(self.m, self.n_cols)[:, -1].copy()
 
     def _apply(self, x):
         """The strip operator applied by its stencil to x of shape (k, m)."""

@@ -1,21 +1,27 @@
 """Closed-form mode analysis of the two-sided Robin iteration on uniform grids.
 
 Every trace-space operator in the symmetric split diagonalizes in the
-discrete sine basis.  For mode j = 1..2n-1 the three numbers
+discrete sine basis.  For mode j = 1..m of the m = 2n-1 interface nodes,
+with theta_j = j pi / (m+1),
 
+    lam_j = 4 sin^2(theta_j / 2)            (interface eigenvalue)
+    sigma_j = sinh(kappa_j) coth(n kappa_j),   kappa_j = 2 asinh(sin(theta_j / 2))
+    tlam_j = 1 / (sigma_j + 1 + lam_j/2)
     a_j = (h - (h/6) lam_j) * tlam_j        (mass-weighted trace response)
-    b_j = 1 - (1 + lam_j/2) * tlam_j        (stiffness-weighted response)
-    lam_j = 4 sin^2(j pi / (8n))            (interface eigenvalue, m = 2n-1)
+    b_j = sigma_j * tlam_j                  (stiffness-weighted response)
 
 govern one sweep: with Robin weights g1, g2 the damped error factor is
 
     theta + (1 - theta) * c_j,
     c_j = ((g1 a_j - b_j) / (g1 a_j + b_j)) * ((g2 a_j - b_j) / (g2 a_j + b_j)).
 
-tlam_j is a finite lattice sum; it stays inside (1/8, 1) for every n, so
-b_j / a_j lives in [3 + 7h/16, 21/(2h)] and c_j in (-1, -1/2).  The module
-also carries the continuous (half-plane Fourier) counterpart where the
-trace symbol is k coth k, and tuning helpers built on both.
+sigma_j is the Neumann Schur symbol of an n-column strip (strip_symbol), the
+discrete counterpart of the half-strip symbol k coth(k L), and tlam_j the
+diagonal of the clamped strip's trace inverse.  tlam_j stays inside
+(1/8, 1) for every n, so b_j / a_j lives in [3 + 7h/16, 21/(2h)] and c_j in
+(-1, -1/2).  The module also carries the continuous (half-plane Fourier)
+counterpart where the trace symbol is k coth k, and tuning helpers built on
+both.
 """
 
 from __future__ import annotations
@@ -56,40 +62,34 @@ def sine_basis_matrix(m):
     return phi
 
 
-def tilde_lambda(j, n):
-    """Diagonal entry of the clamped-strip trace inverse in the sine basis:
+def strip_symbol(m, k):
+    """Neumann Schur symbol sigma_j of a k-column strip, j = 1..m.
 
-        tlam_j = (2/(n+1)) sum_{i=1..n} sin^2(i pi/(n+1)) / (lam_i^(n) + lam_j^(2n-1))
+    In sine mode j of the m interface nodes a strip column carries
+    2 cosh(kappa_j) = 4 - 2 cos(theta_j), the Neumann interface column half
+    of it, and neighbouring columns couple by -1.  The Schur complement of
+    that tridiagonal system onto the interface unknown is
 
-    summed with math.fsum so the value is reliable far past n = 10^4.
+        sigma_j = sinh(kappa_j) coth(k kappa_j),   kappa_j = 2 asinh(sin(theta_j / 2)),
+
+    with theta_j = j pi / (m+1); no step subtracts nearby numbers.  The
+    Robin symbol with weight gamma adds gamma times the interface-mass
+    eigenvalue.
     """
-    m = 2 * n - 1
-    if not 1 <= j <= m:
-        raise ValueError("mode index out of range")
-    lam_j = float(fd_eigenvalue(j, m))
-    terms = []
-    for i in range(1, n + 1):
-        s = math.sin(i * math.pi / (n + 1))
-        terms.append(s * s / (float(fd_eigenvalue(i, n)) + lam_j))
-    return 2.0 / (n + 1) * math.fsum(terms)
-
-
-def tilde_lambda_all(n):
-    """Vectorized tilde_lambda for every mode j = 1..2n-1 at once."""
-    m = 2 * n - 1
-    lam_col = fd_eigenvalue(np.arange(1, n + 1), n)[:, None]
-    lam_row = fd_eigenvalue(np.arange(1, m + 1), m)[None, :]
-    s = np.sin(np.arange(1, n + 1) * np.pi / (n + 1))[:, None]
-    return 2.0 / (n + 1) * np.sum(s * s / (lam_col + lam_row), axis=0)
+    if m < 1 or k < 1:
+        raise ValueError("strip_symbol needs m >= 1 interface nodes and k >= 1 columns")
+    kappa = 2.0 * np.arcsinh(np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))))
+    return np.sinh(kappa) / np.tanh(k * kappa)
 
 
 def mode_arrays(n):
     """(lam, tlam, a, b) arrays for all modes of the symmetric split."""
     h = 1.0 / (2 * n)
     lam = fd_eigenvalue(np.arange(1, 2 * n), 2 * n - 1)
-    tlam = tilde_lambda_all(n)
+    sigma = strip_symbol(2 * n - 1, n)
+    tlam = 1.0 / (sigma + 1.0 + 0.5 * lam)
     a = (h - (h / 6.0) * lam) * tlam
-    b = 1.0 - (1.0 + 0.5 * lam) * tlam
+    b = sigma * tlam
     return lam, tlam, a, b
 
 
@@ -151,14 +151,6 @@ def von_neumann_rho(k, gamma1, gamma2, theta):
     z = k / np.tanh(k)
     s = gamma1 + gamma2
     return theta + (1.0 - theta) * (s / (gamma2 + z) - 1.0) * (s / (gamma1 + z) - 1.0)
-
-
-def von_neumann_rho_via_omega(k, gamma1, gamma2, theta):
-    """Same factor written through the symbol: theta - (1-theta) omega(k coth k)."""
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ValueError("Robin weights must be positive")
-    k = np.asarray(k, dtype=float)
-    return theta - (1.0 - theta) * omega(k / np.tanh(k), gamma1, gamma2)
 
 
 COTH_1 = 1.0 / math.tanh(1.0)

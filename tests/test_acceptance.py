@@ -41,8 +41,8 @@ from robinlab.spectral import (
     mode_arrays,
     von_neumann_advisor,
     von_neumann_rho,
-    von_neumann_rho_via_omega,
 )
+from symbol_oracle import von_neumann_rho_via_omega
 
 THETA_STAR = 3.0 / 7.0
 

@@ -260,9 +260,10 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     run_table2(ExperimentConfig(table="table2", n_list=(2, 6)))
     assert calls == {"stiffness": 0, "solver": 4}
     calls.update(stiffness=0, solver=0)
-    # Dirichlet, left Neumann and right Neumann solvers, once per mesh
+    # Dirichlet and right Neumann solvers, once per mesh; the left strip's
+    # symbol is closed-form, so its Neumann solver is never factored
     run_table3(ExperimentConfig(table="table3", n_list=(2, 6), max_iter=50))
-    assert calls == {"stiffness": 0, "solver": 6}
+    assert calls == {"stiffness": 0, "solver": 4}
     calls.update(stiffness=0, solver=0)
     # two meshes, two splits, two strips
     run_operator(ExperimentConfig(table="operator", n_list=(2, 3)))
@@ -507,6 +508,18 @@ def test_cli_hyphenated_subcommand(capsys):
     assert captured.out.startswith("K,")
 
 
+def _pinned_run(args, name):
+    """stdout of `python -m robinlab args` in a fresh interpreter with
+    OPENBLAS_NUM_THREADS=2, with the return code, and the stored output."""
+    want = (Path(__file__).resolve().parent / "data" / name).read_text()
+    src = str(Path(robinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "robinlab", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done, want
+
+
 def test_table1_refining_meshes_byte_identical():
     """`table1 --n 36,72,108,144` prints exactly the stored CSV.
 
@@ -523,11 +536,26 @@ def test_table1_refining_meshes_byte_identical():
     interpreter with OPENBLAS_NUM_THREADS=2, and the file holds that run's
     output with OpenBLAS 0.3.31 on x86-64.
     """
-    want = (Path(__file__).resolve().parent / "data" / "table1_mesh_refine.csv").read_text()
-    src = str(Path(robinlab.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-m", "robinlab", "table1", "--n", "36,72,108,144"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done, want = _pinned_run(["table1", "--n", "36,72,108,144"], "table1_mesh_refine.csv")
     assert done.returncode == 0, done.stderr
+    assert done.stdout == want
+
+
+@pytest.mark.parametrize("args, name, code", [
+    (["spectrum", "--n", "36,144"], "spectrum_n36_144.csv", 0),
+    (["table3", "--n", "18,36,54"], "table3_n18_36_54.csv", 3),
+])
+def test_mode_symbol_tables_byte_identical(args, name, code):
+    """`spectrum` and `table3` print exactly the stored output.
+
+    Both read the per-mode strip symbol: `spectrum` through the trace
+    response of mode_arrays, `table3` through the Dirichlet-Neumann sweep.
+    The files hold the output of the lattice-sum and dpttrf-pivot symbols
+    (now the oracles in symbol_oracle.py), so a change to the symbol keeps
+    these bytes or lists every moved cell.  They run as table1 does above
+    (fresh interpreter, two BLAS threads); `table3` exits 3 by design, as
+    its theta = 0 column does not converge.
+    """
+    done, want = _pinned_run(args, name)
+    assert done.returncode == code, done.stderr
     assert done.stdout == want

@@ -5,12 +5,13 @@ import pytest
 from robinlab import (DDParams, assemble_interface_mass,
                       assemble_subdomain_stiffness, bound_margins, build_grid,
                       corollary_rate, fd_eigenvalue, omega, omega_max, reduction_spectrum,
-                      sine_basis_vector, theta_star, tilde_lambda,
+                      sine_basis_vector, strip_symbol, theta_star,
                       von_neumann_advisor, von_neumann_rho)
 from robinlab.grid_fem import add_interface_tridiagonal, assemble_a0
 from robinlab.spectral import (COTH_1, cj_values, mode_arrays, sine_basis_matrix,
-                               tilde_lambda_all, von_neumann_rho_via_omega,
                                z_bracket)
+from symbol_oracle import (longdouble_symbol, tilde_lambda, tilde_lambda_all,
+                           von_neumann_rho_via_omega)
 
 
 def canonical_params(n, theta=3.0 / 7.0):
@@ -75,9 +76,96 @@ def test_tilde_lambda_all_matches_scalar():
 
 def test_tilde_lambda_range():
     for n in range(1, 65):
-        tl = tilde_lambda_all(n)
-        assert tl.min() > 1.0 / 8.0
-        assert tl.max() < 1.0
+        for tl in (tilde_lambda_all(n), mode_arrays(n)[1]):
+            assert tl.min() > 1.0 / 8.0
+            assert tl.max() < 1.0
+
+
+def test_closed_form_tlam_matches_lattice_sum():
+    # tlam_j = 1 / (sigma_j + 1 + lam_j/2) against the O(n^2) lattice sum,
+    # which is itself about 6e-15 from 40-digit values at these sizes
+    for n in list(range(1, 33)) + [64, 144]:
+        tlam = mode_arrays(n)[1]
+        assert np.abs(tlam / tilde_lambda_all(n) - 1.0).max() < 2e-14
+
+
+def test_mode_coefficients_from_strip_symbol():
+    # b_j = sigma_j tlam_j, which equals 1 - (1 + lam_j/2) tlam_j but is
+    # formed without that difference's cancellation
+    for n in (1, 2, 9, 36):
+        lam, tlam, a, b = mode_arrays(n)
+        assert np.array_equal(b, strip_symbol(2 * n - 1, n) * tlam)
+        assert np.abs(b - (1.0 - (1.0 + 0.5 * lam) * tlam)).max() < 1e-14
+
+
+# sigma_j at n = 576 (m = 1151) to 40 digits.  Recipe: with mpmath at
+# mp.dps = 60, a = 2 + 4 sin(j pi / (2 (m+1)))^2, r = a, then r = a - 1/r
+# k - 2 times, sigma = a/2 - 1/r (a/2 for k = 1); this agrees with
+# sinh(kappa) coth(k kappa), kappa = 2 asinh(sin(j pi / (2 (m+1)))), to 45
+# digits, and is printed by mpmath.nstr(sigma, 40).
+SIGMA_576 = [
+    (1, 1, "1.000003718472058122693900212653201168575"),
+    (1, 2, "1.000014873860578421881522404526263401966"),
+    (1, 3, "1.00003346608259889654239618942086088763"),
+    (1, 5, "1.000092960418756820790061394995196245548"),
+    (1, 10, "1.00037182439174837227328845363527077768"),
+    (1, 576, "2.0"),
+    (1, 1150, "2.999985126139421578118477595473736598034"),
+    (1, 1151, "2.999996281527941877306099787346798831425"),
+    (192, 1, "0.005675826367111885108720693672588730368094"),
+    (192, 2, "0.006986132531798508680146199249633864013829"),
+    (192, 3, "0.008920316283051656140196908062882648628062"),
+    (192, 5, "0.01378150979250554815304804069703672523008"),
+    (192, 10, "0.02727400501837874606228725212387234967062"),
+    (192, 576, "1.732050807568877293527446341505872366943"),
+    (192, 1150, "2.828411348629785355538845138087878759226"),
+    (192, 1151, "2.828423180710672633113299254545756052073"),
+    (576, 1, "0.002973420008905048530318443723874371926681"),
+    (576, 2, "0.005474576554539423959504765086796698021738"),
+    (576, 3, "0.008182597126557818494871767497110316561905"),
+    (576, 5, "0.01363560014300747780040989933930101379657"),
+    (576, 10, "0.02727245931109094704483747691066616313734"),
+    (576, 576, "1.732050807568877293527446341505872366943"),
+    (576, 1150, "2.828411348629785355538845138087878759226"),
+    (576, 1151, "2.828423180710672633113299254545756052073"),
+]
+
+
+def test_strip_symbol_matches_pinned_40_digits():
+    """sigma_j at n = 576 against the pinned 40-digit values, to 1e-15.
+
+    The long-double recursion cannot gate here: at n = k = 576 it drifts
+    3.2e-15 from these values.  The last dpttrf pivots are 1.4e-11 off.
+    """
+    m = 1151
+    for k in (1, 192, 576):
+        sigma = strip_symbol(m, k)
+        for kk, j, want in SIGMA_576:
+            if kk == k:
+                assert abs(sigma[j - 1] / float(want) - 1.0) <= 1e-15
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 36, 72, 144])
+def test_strip_symbol_matches_long_double_recursion(n):
+    m = 2 * n - 1
+    for k in sorted({1, max(n // 3, 1), n}):
+        sigma = strip_symbol(m, k)
+        want = longdouble_symbol(m, k)
+        assert sigma.shape == (m,)
+        assert float(np.abs(sigma / want - 1).max()) <= 1e-15
+
+
+def test_strip_symbol_single_column_and_input_checks():
+    # one column: sigma_j is the Neumann interface eigenvalue 2 - cos theta_j
+    m = 7
+    want = 2.0 - np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
+    assert np.abs(strip_symbol(m, 1) - want).max() < 1e-15
+    assert strip_symbol(1, 1) == pytest.approx([2.0], abs=1e-15)
+    for bad_m, bad_k in ((0, 1), (1, 0), (-3, 2), (5, -1)):
+        with pytest.raises(ValueError):
+            strip_symbol(bad_m, bad_k)
 
 
 def test_tilde_lambda_matches_dense_trace_inverse():
@@ -93,6 +181,7 @@ def test_tilde_lambda_matches_dense_trace_inverse():
     phi = sine_basis_matrix(m)
     D = phi @ B0 @ phi
     assert np.abs(np.diag(D) - tilde_lambda_all(n)).max() < 1e-10
+    assert np.abs(np.diag(D) - mode_arrays(n)[1]).max() < 1e-10
     assert np.abs(D - np.diag(np.diag(D))).max() < 1e-10
 
 

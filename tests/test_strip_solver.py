@@ -10,8 +10,9 @@ from robinlab.experiments import manufactured_solution
 from robinlab.grid_fem import (StripSolver, Tridiagonal, add_interface_tridiagonal,
                                assemble_subdomain_stiffness)
 from robinlab.operator_analysis import offcenter_columns
-from robinlab.spectral import sine_basis_matrix
+from robinlab.spectral import sine_basis_matrix, strip_symbol
 from p1_oracle import global_poisson_system
+from symbol_oracle import interface_symbol
 
 _, F_LOAD = manufactured_solution()
 MESHES = list(range(1, 17)) + [24, 32, 48, 64]
@@ -75,11 +76,13 @@ def test_strip_solver_accuracy_on_smooth_load(n):
 
 @pytest.mark.parametrize("n", list(range(1, 17)) + [24])
 def test_interface_symbol_diagonalizes_schur(n):
+    # the closed-form symbol against the dense Schur complement, on the
+    # symmetric split and on both off-center strips
     grid = build_grid(n)
     V = sine_basis_matrix(grid.n_interface)
     for side, k in strips(grid):
         system = build_subdomain_system(grid, zero_field, side, n_cols=k)
-        sigma = system.solver(0.0).interface_symbol
+        sigma = strip_symbol(grid.n_interface, k)
         D = V @ dtn_schur(system, coords="euclidean").matrix @ V
         assert np.abs(np.diag(D) / sigma - 1.0).max() <= 1e-13
         assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-13 * sigma.max()
@@ -87,23 +90,17 @@ def test_interface_symbol_diagonalizes_schur(n):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 24])
 def test_interface_symbol_robin_recursion(n):
-    # the last dpttrf pivot of mode j: r <- a_j - 1/r from r = a_j, k - 2
-    # times, then sigma_j = b_j - 1/r, or sigma_j = b_j for one column
+    # the Robin symbol sigma_j + gamma mu_j, with mu_j the interface-mass
+    # eigenvalue, is the last dpttrf pivot of mode j in the Robin solver
     grid = build_grid(n)
     m = grid.n_interface
-    gamma = 64.0 / grid.h
-    a = Tridiagonal(m, 4.0, -1.0).eigenvalues()
     for side, k in strips(grid):
         system = build_subdomain_system(grid, zero_field, side, n_cols=k)
-        mass, stiff = system.interface_mass, system.interface_stiffness
-        b = Tridiagonal(m, 4.0 - stiff.diag + gamma * mass.diag,
-                        -1.0 - stiff.off + gamma * mass.off).eigenvalues()
-        r = a
-        for _ in range(k - 2):
-            r = a - 1.0 / r
-        want = b - 1.0 / r if k > 1 else b
-        got = system.solver(gamma).interface_symbol
-        assert np.abs(got / want - 1.0).max() <= 1e-13
+        mu = system.interface_mass.eigenvalues()
+        for gamma in (0.0, 1.0, 64.0 / grid.h):
+            want = strip_symbol(m, k) + gamma * mu
+            got = interface_symbol(system.solver(gamma))
+            assert np.abs(got / want - 1.0).max() <= 1e-13
 
 
 def test_dirichlet_neumann_with_empty_interior():
