@@ -18,12 +18,11 @@ from .grid_fem import (GridSpec, SubdomainSystem, Tridiagonal, assemble_a0,
 from .operator_analysis import (DtNOperator, EquivalenceBounds,
                                 build_iteration_operator, dtn_schur,
                                 equivalence_bounds, iteration_spectral_radius,
-                                params_from_bounds, recommend_params,
-                                symmetrized_T)
+                                params_from_bounds, symmetrized_T)
 from .spectral import (BoundMargins, bound_margins, corollary_rate,
                        fd_eigenvalue, omega, omega_max, reduction_spectrum,
-                       sine_basis_vector, strip_symbol, theta_star,
-                       von_neumann_advisor, von_neumann_rho)
+                       strip_symbol, theta_star, von_neumann_advisor,
+                       von_neumann_rho)
 
 __version__ = "0.1.0"
 

@@ -16,12 +16,12 @@ from . import experiments, grid_fem
 from .experiments import ExperimentConfig
 
 
-def _parse_floats(text):
-    return tuple(float(t) for t in text.split(",") if t.strip())
-
-
-def _parse_ints(text):
-    return tuple(int(t) for t in text.split(",") if t.strip())
+def _parse_list(kind):
+    """argparse type for a comma-separated list of kind values."""
+    def parse(text):
+        return tuple(kind(t) for t in text.split(",") if t.strip())
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
 def build_parser():
@@ -39,18 +39,18 @@ def build_parser():
         ("operator", "trace-map equivalence constants and radius bounds"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=_parse_ints, default=None, metavar="N1,N2,...",
+        p.add_argument("--n", dest="n_list", type=_parse_list(int), metavar="N1,N2,...",
                        help="strip widths n (mesh h = 1/(2n)); default 2,6,10,14,18,22,26")
-        p.add_argument("--gamma1", type=float, default=1.0)
-        p.add_argument("--gamma2-coeff", type=float, default=64.0,
+        p.add_argument("--gamma1", type=float)
+        p.add_argument("--gamma2-coeff", dest="gamma2_coefficient", type=float,
+                       metavar="GAMMA2_COEFF",
                        help="gamma2 = coeff/h (or the constant itself with --gamma2-rule constant)")
-        p.add_argument("--gamma2-rule", choices=("constant", "scale_inv_h"),
-                       default="scale_inv_h")
-        p.add_argument("--theta", type=_parse_floats, default=None, metavar="T1,T2,...",
-                       help="damping values; default depends on the subcommand")
-        p.add_argument("--tol", type=float, default=1e-11,
+        p.add_argument("--gamma2-rule", choices=("constant", "scale_inv_h"))
+        p.add_argument("--theta", dest="theta_list", type=_parse_list(float),
+                       metavar="T1,T2,...", help="damping values; default depends on the subcommand")
+        p.add_argument("--tol", dest="stop_tol", type=float, metavar="TOL",
                        help="sup-norm stopping tolerance of the sweeps")
-        p.add_argument("--max-iter", type=int, default=2000)
+        p.add_argument("--max-iter", type=int)
         p.add_argument("--format", choices=("csv", "markdown", "md"),
                        default="csv")
         p.add_argument("--out", default=None, metavar="FILE",
@@ -71,15 +71,10 @@ def cli_main(argv=None) -> int:
     try:
         config = ExperimentConfig(
             table=args.command.replace("-", "_"),
-            n_list=experiments.DEFAULT_N_LIST if args.n is None else args.n,
-            gamma1=args.gamma1,
-            gamma2_rule=args.gamma2_rule,
-            gamma2_coefficient=args.gamma2_coeff,
-            theta_list=args.theta,
-            stop_tol=args.tol,
-            max_iter=args.max_iter,
             output_format="markdown" if args.format == "md" else args.format,
-            deep=args.deep,
+            # options left out keep the config's defaults
+            **{k: v for k, v in vars(args).items()
+               if k in ExperimentConfig.__dataclass_fields__ and v is not None},
         )
     except (ValueError, TypeError) as exc:
         print(f"robinlab: {exc}", file=sys.stderr)

@@ -22,9 +22,10 @@ once per system by banded LAPACK, and one step of iterative refinement
 keeps the result as accurate as a sparse direct solve.  The sweeps read
 no assembled matrix: the interface couplings come from the five-point
 stencil and the solvers' last blocks.  SuperLU (splu/spsolve) on the
-assembled matrices is kept only as the test oracle.  Both sweeps stop
-early, as not converged, when the sup-norm change of their state turns
-non-finite.
+assembled matrices is kept only as the test oracle.  Both sweeps run
+through one driver, _iterate, which owns the loop, the stop on the
+sup-norm change of the interface trace (converged below stop_tol, not
+converged once non-finite), the trace history and the report.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     Stops when the sup-norm change of g1 drops below params.stop_tol, or
     unconverged once it is not finite.
     """
-    grid = left.grid
-    m = grid.n_interface
+    m = left.grid.n_interface
     mass = left.interface_mass
     gsum = params.gamma1 + params.gamma2
     solve1 = left.solver(params.gamma1).solve
@@ -99,11 +99,10 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     g1 = np.zeros(m) if g1_init is None else np.asarray(g1_init, dtype=float).copy()
     if g1.shape != (m,):
         raise ValueError("g1_init has wrong length")
-    history = [g1.copy()]
-    u = np.zeros(left.n_cols * m)
-    w = np.zeros(right.n_cols * m)
-    converged = False
-    for _ in range(params.max_iter):
+    u = w = None
+
+    def sweep(g1):
+        nonlocal u, w
         rhs1 = left.load.copy()
         rhs1[-m:] += mass.matvec(g1)
         u = solve1(rhs1)
@@ -111,39 +110,21 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
         rhs2 = right.load.copy()
         rhs2[-m:] += mass.matvec(g2)
         w = solve2(rhs2)
-        g1_new = params.theta * g1 + (1.0 - params.theta) * (-g2 + gsum * w[-m:])
-        delta = np.abs(g1_new - g1).max()
-        history.append(g1_new.copy())
-        g1 = g1_new
-        if not np.isfinite(delta):
-            break
-        if delta < params.stop_tol:
-            converged = True
-            break
-    report = DDReport(
-        iterations=len(history) - 1,
-        interface_trace_history=np.asarray(history),
-        solution_u=u,
-        solution_w=w,
-        reduction_rate=None,
-        converged=converged,
-        interface_mass=mass,
-    )
-    if report.iterations >= 4:
-        report.reduction_rate = measured_reduction_rate(report)
-    return report
+        return params.theta * g1 + (1.0 - params.theta) * (-g2 + gsum * w[-m:])
+
+    return _iterate(sweep, g1, lambda g: g, params, mass, lambda history: (u, w))
 
 
 def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
-                            params: DDParams, w_init=None,
+                            params: DDParams,
                             include_left_interface_load=False) -> DDReport:
     """Damped Dirichlet-Neumann sweep with interface values w as the state.
 
     One sweep: a Dirichlet solve on the left strip with trace w, then a
     Neumann-coupled solve on the right strip whose interface rows carry
     minus the left residual flux, then w <- theta w + (1 - theta) w~|_G.
-    Only theta and the stopping controls of params are used; the stopping
-    rule is that of robin_robin_solve.
+    The start is w = 0.  Only theta and the stopping controls of params
+    are used; the stopping rule is that of robin_robin_solve.
 
     The sweep runs in the sine basis V of the interface, where both strips'
     interface Schur complements S_i = V diag(sigma_i) V are diagonal, with
@@ -172,9 +153,6 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     F1_I = left.load[:base_l]
     F1_G = left.load[base_l:]
 
-    w_state = np.zeros(m) if w_init is None else np.asarray(w_init, dtype=float).copy()
-    if w_state.shape != (m,):
-        raise ValueError("w_init has wrong length")
     V = sine_basis_matrix(m)
     c0 = a_gi(solve_dirichlet(F1_I))
     if include_left_interface_load:
@@ -183,36 +161,54 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     sigma2 = strip_symbol(m, right.n_cols)
     alpha = V @ t2 - (V @ c0) / sigma2
     beta = strip_symbol(m, left.n_cols) / sigma2
-    w_hat = V @ w_state
-    history = [w_state]
+
+    def sweep(w_hat):
+        return params.theta * w_hat + (1.0 - params.theta) * (alpha - beta * w_hat)
+
+    def strips(history):
+        # the last sweep's strip solves, from the state it started with
+        rhs_I = F1_I.copy()
+        if base_l:
+            rhs_I[-m:] += history[-2]
+        u_I = solve_dirichlet(rhs_I)
+        rhs = right.load.copy()
+        rhs[base_r:] -= a_gi(u_I) + neumann.last_block.matvec(history[-2])
+        if include_left_interface_load:
+            rhs[base_r:] += F1_G
+        return np.concatenate([u_I, history[-1]]), neumann.solve(rhs)
+
+    return _iterate(sweep, np.zeros(m), lambda w_hat: V @ w_hat, params,
+                    left.interface_mass, strips)
+
+
+def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,
+             strips) -> DDReport:
+    """Run state <- sweep(state) until the sup-norm of to_trace(new - old)
+    drops below params.stop_tol (converged), turns non-finite, or
+    params.max_iter sweeps have run.  The history holds to_trace of every
+    state, initial one included; strips(history) returns the strip
+    solutions of the last sweep."""
+    history = [to_trace(state)]
     converged = False
     for _ in range(params.max_iter):
-        w_hat_new = params.theta * w_hat + (1.0 - params.theta) * (alpha - beta * w_hat)
-        delta = np.abs(V @ (w_hat_new - w_hat)).max()
-        history.append(V @ w_hat_new)
-        w_hat = w_hat_new
+        new = sweep(state)
+        delta = np.abs(to_trace(new - state)).max()
+        history.append(to_trace(new))
+        state = new
         if not np.isfinite(delta):
             break
         if delta < params.stop_tol:
             converged = True
             break
-    # the last sweep's strip solves, from the state it started with
-    rhs_I = F1_I.copy()
-    if base_l:
-        rhs_I[-m:] += history[-2]
-    u_I = solve_dirichlet(rhs_I)
-    rhs = right.load.copy()
-    rhs[base_r:] -= a_gi(u_I) + neumann.last_block.matvec(history[-2])
-    if include_left_interface_load:
-        rhs[base_r:] += F1_G
+    u, w = strips(history)
     report = DDReport(
         iterations=len(history) - 1,
         interface_trace_history=np.asarray(history),
-        solution_u=np.concatenate([u_I, history[-1]]),
-        solution_w=neumann.solve(rhs),
+        solution_u=u,
+        solution_w=w,
         reduction_rate=None,
         converged=converged,
-        interface_mass=left.interface_mass,
+        interface_mass=mass,
     )
     if report.iterations >= 4:
         report.reduction_rate = measured_reduction_rate(report)

@@ -71,8 +71,8 @@ class ExperimentConfig:
     gamma2_rule: str = "scale_inv_h"
     gamma2_coefficient: float = 64.0
     theta_list: Optional[tuple] = None
-    stop_tol: float = 1e-11
-    max_iter: int = 2000
+    stop_tol: float = DDParams.stop_tol
+    max_iter: int = DDParams.max_iter
     output_format: str = "csv"
     deep: bool = False
 
@@ -82,24 +82,20 @@ class ExperimentConfig:
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be a nonempty list of positive integers")
-        if not (0.0 < self.gamma1 < math.inf and 0.0 < self.gamma2_coefficient < math.inf):
-            raise ValueError("gamma1 and gamma2_coefficient must be positive and finite")
         if self.gamma2_rule not in ("constant", "scale_inv_h"):
             raise ValueError(f"unknown gamma2_rule {self.gamma2_rule!r}")
-        if not all(self.gamma2(n) < math.inf for n in self.grids()):
-            raise ValueError("gamma2 = gamma2_coefficient / h is not finite on the finest mesh")
         if self.theta_list is None:
             self.theta_list = {"table2": SEVENTHS, "table3": DN_THETAS}.get(
                 self.table, (3.0 / 7.0,))
         self.theta_list = tuple(float(t) for t in self.theta_list)
-        if not self.theta_list or any(not 0.0 <= t < 1.0 for t in self.theta_list):
-            raise ValueError("theta_list must be a nonempty list of values in [0, 1)")
-        if not 0.0 < self.stop_tol < math.inf:
-            raise ValueError("stop_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not self.theta_list:
+            raise ValueError("theta_list must be a nonempty list")
         if self.output_format not in ("csv", "markdown"):
             raise ValueError(f"output_format must be csv or markdown, got {self.output_format!r}")
+        # DDParams checks the weights, damping and stopping controls
+        for n in self.grids():
+            for theta in self.theta_list:
+                self.params(n, theta)
 
     def gamma2(self, n: int) -> float:
         if self.gamma2_rule == "constant":
@@ -228,7 +224,7 @@ def run_table2(config: ExperimentConfig) -> TableResult:
             params = config.params(n, theta)
             vals, _ = spectral.reduction_spectrum(n, params)
             j_star = int(np.argmax(np.abs(vals))) + 1
-            seed = spectral.sine_basis_vector(j_star, grid.n_interface)
+            seed = spectral.sine_basis_matrix(grid.n_interface)[j_star - 1]
             report = robin_robin_solve(left, right, params, g1_init=seed)
             all_converged &= report.converged
             rate = report.reduction_rate

@@ -2,10 +2,10 @@
 
 The interface response of each strip is condensed into its
 Dirichlet-to-Neumann map, realized as the Schur complement of the strip
-stiffness on the interface block.  By default the map is expressed in
-coordinates where the interface mass matrix is the identity (congruence
-by its Cholesky factor), so adjointness with respect to the trace inner
-product becomes plain matrix symmetry.  In those coordinates one damped
+stiffness on the interface block.  The map is expressed in coordinates
+where the interface mass matrix is the identity (congruence by its
+Cholesky factor), so adjointness with respect to the trace inner product
+becomes plain matrix symmetry.  In those coordinates one damped
 double sweep is
 
     R = theta I - (1 - theta) T,
@@ -36,14 +36,12 @@ from .grid_fem import GridSpec, SubdomainSystem, assemble_subdomain_stiffness
 class DtNOperator:
     """Dense symmetric interface response map with its eigenpairs.
 
-    coords records whether the matrix lives in interface-mass-orthonormal
-    coordinates ("mass") or raw nodal ones ("euclidean").  The eigenpairs
-    (eigvals ascending, orthonormal eigvecs as columns) are computed once,
-    on construction, and every function of the map is applied through them.
+    The eigenpairs (eigvals ascending, orthonormal eigvecs as columns) are
+    computed once, on construction, and every function of the map is
+    applied through them.
     """
 
     matrix: np.ndarray
-    coords: str = "mass"
     eigvals: np.ndarray = field(init=False, repr=False)
     eigvecs: np.ndarray = field(init=False, repr=False)
 
@@ -82,15 +80,13 @@ class EquivalenceBounds:
     t: float
 
 
-def dtn_schur(system: SubdomainSystem, coords="mass") -> DtNOperator:
+def dtn_schur(system: SubdomainSystem) -> DtNOperator:
     """Interface Schur complement of one strip, as a DtNOperator.
 
     Eliminates the strip interior from the free-interface stiffness:
-    S = A_GG - A_GI A_II^-1 A_IG, then (for coords="mass") congruence by
-    the inverse Cholesky factor of the interface mass matrix.
+    S = A_GG - A_GI A_II^-1 A_IG, then congruence by the inverse Cholesky
+    factor of the interface mass matrix.
     """
-    if coords not in ("mass", "euclidean"):
-        raise ValueError(f"coords must be 'mass' or 'euclidean', got {coords!r}")
     m = system.grid.n_interface
     size = system.n_cols * m
     base = size - m
@@ -103,20 +99,19 @@ def dtn_schur(system: SubdomainSystem, coords="mass") -> DtNOperator:
         S = A_GG - A[base:, :base].toarray() @ lu.solve(A_IG)
     else:
         S = A_GG
-    if coords == "mass":
-        L = scipy.linalg.cholesky(system.interface_mass.to_dense(), lower=True)
-        S = scipy.linalg.solve_triangular(L, S, lower=True)
-        S = scipy.linalg.solve_triangular(L, S.T, lower=True).T
-    op = DtNOperator(matrix=0.5 * (S + S.T), coords=coords)
+    L = scipy.linalg.cholesky(system.interface_mass.to_dense(), lower=True)
+    S = scipy.linalg.solve_triangular(L, S, lower=True)
+    S = scipy.linalg.solve_triangular(L, S.T, lower=True).T
+    op = DtNOperator(matrix=0.5 * (S + S.T))
     if op.min_eig <= 0:
         raise ValueError(f"interface response map is not positive definite (min eigenvalue {op.min_eig:.3e})")
     return op
 
 
-def offcenter_columns(grid: GridSpec, fraction=1.0 / 3.0):
+def offcenter_columns(grid: GridSpec):
     """Column counts (left, right) for a split at the grid line nearest to
-    x = fraction."""
-    k = int(round(2 * grid.n * fraction))
+    x = 1/3."""
+    k = round(2 * grid.n / 3)
     k = min(max(k, 1), 2 * grid.n - 1)
     return k, 2 * grid.n - k
 
@@ -132,8 +127,6 @@ def equivalence_bounds(S1: DtNOperator, S2: DtNOperator) -> EquivalenceBounds:
 def _check_pair(S1, S2):
     if S1.matrix.shape != S2.matrix.shape:
         raise ValueError("trace maps have different sizes")
-    if S1.coords != S2.coords:
-        raise ValueError("trace maps use different coordinate conventions")
 
 
 def build_iteration_operator(S1: DtNOperator, S2: DtNOperator, params: DDParams) -> np.ndarray:
@@ -173,15 +166,11 @@ def symmetrized_T(S1: DtNOperator, S2: DtNOperator, params: DDParams) -> np.ndar
     return 0.5 * (out + out.T)
 
 
-def recommend_params(S1: DtNOperator, S2: DtNOperator) -> DDParams:
-    """Weights and damping from the spectral extremes: g1 at the smallest
-    eigenvalue, g2 at three times the largest, theta = (2t-1)/(2t+1)."""
-    return params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
-
-
 def params_from_bounds(S1: DtNOperator, S2: DtNOperator,
                        bounds: EquivalenceBounds) -> DDParams:
-    """recommend_params for a pair whose equivalence bounds are already known."""
+    """Weights and damping from the spectral extremes: g1 at the smallest
+    eigenvalue, g2 at three times the largest, theta = (2t-1)/(2t+1) with
+    t = bounds.t, the upper equivalence constant of the pair."""
     theta = (2.0 * bounds.t - 1.0) / (2.0 * bounds.t + 1.0)
     return DDParams(
         gamma1=min(S1.min_eig, S2.min_eig),

@@ -43,15 +43,6 @@ def fd_eigenvalue(i, m):
     return 4.0 * s * s
 
 
-def sine_basis_vector(i, m):
-    """Orthonormal eigenvector of tridiag(-1, 2, -1): entries
-    sqrt(2/(m+1)) sin(i k pi / (m+1)), k = 1..m."""
-    if not 1 <= i <= m:
-        raise ValueError("mode index out of range")
-    k = np.arange(1, m + 1)
-    return np.sqrt(2.0 / (m + 1)) * np.sin(i * k * np.pi / (m + 1))
-
-
 @lru_cache(maxsize=8)
 def sine_basis_matrix(m):
     """All sine modes as rows; symmetric and involutory (Phi @ Phi = I).

@@ -16,7 +16,7 @@ from robinlab.grid_fem import SubdomainSystem, assemble_subdomain_stiffness
 
 
 def dirichlet_neumann_oracle(left: SubdomainSystem, right: SubdomainSystem,
-                             params: DDParams, w_init=None,
+                             params: DDParams,
                              include_left_interface_load=False) -> DDReport:
     """Damped Dirichlet-Neumann sweep with interface values w as the state.
 
@@ -39,9 +39,7 @@ def dirichlet_neumann_oracle(left: SubdomainSystem, right: SubdomainSystem,
     F1_I = left.load[:base_l]
     F1_G = left.load[base_l:]
 
-    w_state = np.zeros(m) if w_init is None else np.asarray(w_init, dtype=float).copy()
-    if w_state.shape != (m,):
-        raise ValueError("w_init has wrong length")
+    w_state = np.zeros(m)
     history = [w_state.copy()]
     u = np.zeros(left.n_cols * m)
     wt = np.zeros(right.n_cols * m)

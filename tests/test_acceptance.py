@@ -32,7 +32,7 @@ from robinlab.operator_analysis import (
     equivalence_bounds,
     iteration_spectral_radius,
     offcenter_columns,
-    recommend_params,
+    params_from_bounds,
     symmetrized_T,
 )
 from robinlab.spectral import (
@@ -277,7 +277,7 @@ def test_criterion_7_interface_operator_suite():
             right = build_subdomain_system(grid, _zero, "right", n_cols=ncr)
             S1, S2 = dtn_schur(left), dtn_schur(right)
             bounds = equivalence_bounds(S1, S2)
-            params = recommend_params(S1, S2)
+            params = params_from_bounds(S1, S2, bounds)
             g1, g2 = params.gamma1, params.gamma2
             tilde = symmetrized_T(S1, S2, params)
             w = np.linalg.eigvalsh(tilde)

@@ -32,6 +32,13 @@ def strip_pair(n, f=F_LOAD):
     return grid, left, right
 
 
+def both_sweeps(left, right, **kw):
+    """Reports of the Robin sweep at the canonical weights and of the
+    Dirichlet-Neumann sweep at theta = 0.45, with stopping controls kw."""
+    return [robin_robin_solve(left, right, canonical_params(left.grid.n, **kw)),
+            dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45, **kw))]
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         DDParams(gamma1=0.0, gamma2=1.0, theta=0.4)
@@ -101,10 +108,11 @@ def test_history_length_and_rate_presence():
 
 
 def test_non_convergence_reported_not_raised():
+    # both sweeps need more than 3 sweeps here (13 each)
     _, left, right = strip_pair(2)
-    report = robin_robin_solve(left, right, canonical_params(2, max_iter=3))
-    assert not report.converged
-    assert report.iterations == 3
+    for report in both_sweeps(left, right, max_iter=3):
+        assert not report.converged
+        assert report.iterations == 3
 
 
 def test_bad_initial_trace_rejected():
@@ -116,13 +124,13 @@ def test_bad_initial_trace_rejected():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf in the FFT
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_trace_stops_after_one_sweep(bad):
-    grid, left, right = strip_pair(2)
-    g1 = np.zeros(grid.n_interface)
-    g1[0] = bad
-    report = robin_robin_solve(left, right, canonical_params(2), g1_init=g1)
-    assert report.iterations == 1
-    assert not report.converged
-    assert report.reduction_rate is None
+    # a non-finite strip load makes the first sweep's trace non-finite
+    _, left, right = strip_pair(2)
+    left.load[0] = bad
+    for report in both_sweeps(left, right):
+        assert report.iterations == 1
+        assert not report.converged
+        assert report.reduction_rate is None
 
 
 def test_converged_trace_is_fixed_point():
@@ -372,25 +380,6 @@ def test_dirichlet_neumann_interface_load_flag():
     without = dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45))
     x0 = assemble_global_solution(grid, without.solution_u, without.solution_w)
     assert np.abs(x0 - x_global).max() > 1e-3
-
-
-def test_dirichlet_neumann_bad_initial_trace():
-    _, left, right = strip_pair(2)
-    with pytest.raises(ValueError):
-        dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45),
-                                w_init=np.ones(7))
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf in the FFT
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_dirichlet_neumann_non_finite_trace_stops(bad):
-    grid, left, right = strip_pair(2)
-    w0 = np.zeros(grid.n_interface)
-    w0[0] = bad
-    report = dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45), w_init=w0)
-    assert report.iterations == 1
-    assert not report.converged
-    assert report.reduction_rate is None
 
 
 def test_assemble_global_solution_layout():

@@ -527,7 +527,7 @@ def test_table1_refining_meshes_byte_identical():
     line on the mesh_refine h = 1/288 row): a last-bit change in a strip
     load moves that row's sweep count and its L2 cell by about 1e-8.  So a
     change to the table1 path keeps these bytes, or it lists every moved
-    cell.  ROADMAP item 1, the mode-space Robin sweep, will move cells and
+    cell.  ROADMAP item 3, the mode-space Robin sweep, will move cells and
     update this file, listing each of them.
 
     The strip solver's transform back to physical space is a BLAS product
@@ -544,17 +544,24 @@ def test_table1_refining_meshes_byte_identical():
 @pytest.mark.parametrize("args, name, code", [
     (["spectrum", "--n", "36,144"], "spectrum_n36_144.csv", 0),
     (["table3", "--n", "18,36,54"], "table3_n18_36_54.csv", 3),
+    (["table2", "--n", "36,72"], "table2_n36_72.csv", 0),
+    (["operator", "--n", "8,16,24"], "operator_n8_16_24.csv", 0),
 ])
 def test_mode_symbol_tables_byte_identical(args, name, code):
-    """`spectrum` and `table3` print exactly the stored output.
+    """`spectrum`, `table3`, `table2` and `operator` print exactly the
+    stored output.
 
-    Both read the per-mode strip symbol: `spectrum` through the trace
-    response of mode_arrays, `table3` through the Dirichlet-Neumann sweep.
-    The files hold the output of the lattice-sum and dpttrf-pivot symbols
-    (now the oracles in symbol_oracle.py), so a change to the symbol keeps
-    these bytes or lists every moved cell.  They run as table1 does above
-    (fresh interpreter, two BLAS threads); `table3` exits 3 by design, as
-    its theta = 0 column does not converge.
+    The first two read the per-mode strip symbol: `spectrum` through the
+    trace response of mode_arrays, `table3` through the Dirichlet-Neumann
+    sweep.  Their files hold the output of the lattice-sum and dpttrf-pivot
+    symbols (now the oracles in symbol_oracle.py), so a change to the
+    symbol keeps these bytes or lists every moved cell.  `table2` pins the
+    Robin sweep's measured rates from the slowest-mode seed, and
+    `operator` the trace-map study (Schur complements, recommended weights
+    and radii); their files hold the output from before the two sweeps
+    shared one driver.  They run as table1 does above (fresh interpreter,
+    two BLAS threads); `table3` exits 3 by design, as its theta = 0 column
+    does not converge.
     """
     done, want = _pinned_run(args, name)
     assert done.returncode == code, done.stderr

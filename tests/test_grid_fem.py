@@ -7,11 +7,11 @@ import scipy.io
 
 from robinlab import (Tridiagonal, assemble_a0, assemble_interface_mass,
                       assemble_interface_stiffness, assemble_load,
-                      assemble_subdomain_stiffness, build_grid, fd_eigenvalue,
-                      sine_basis_vector)
+                      assemble_subdomain_stiffness, build_grid, fd_eigenvalue)
 from robinlab.experiments import manufactured_solution
 from robinlab.grid_fem import TRI_DEGREE6, add_interface_tridiagonal, write_matrix_market
 from robinlab.operator_analysis import offcenter_columns
+from robinlab.spectral import sine_basis_matrix
 from p1_oracle import (_quadrature_load, assemble_p1_forms, global_poisson_system,
                        global_triangles, strip_triangles)
 
@@ -113,7 +113,7 @@ def test_interface_matrices_diagonalized_by_sine_basis():
     m = grid.n_interface
     h = grid.h
     lam = np.array([fd_eigenvalue(j, m) for j in range(1, m + 1)])
-    phi = np.column_stack([sine_basis_vector(j, m) for j in range(1, m + 1)])
+    phi = sine_basis_matrix(m).T  # modes as columns
     M = assemble_interface_mass(grid).to_dense()
     A = assemble_interface_stiffness(grid).to_dense()
     assert np.abs(phi.T @ M @ phi - np.diag(h - (h / 6.0) * lam)).max() < 1e-12
@@ -148,7 +148,7 @@ def test_a0_eigenvector_identity():
         A = assemble_a0(grid)
         for i in range(1, n + 1):
             for j in range(1, m + 1):
-                v = np.kron(sine_basis_vector(i, n), sine_basis_vector(j, m))
+                v = np.kron(sine_basis_matrix(n)[i - 1], sine_basis_matrix(m)[j - 1])
                 lam = fd_eigenvalue(i, n) + fd_eigenvalue(j, m)
                 assert np.abs(A @ v - lam * v).max() < 1e-10
 

@@ -9,8 +9,7 @@ from robinlab import (DDParams, DtNOperator, assemble_subdomain_stiffness, build
                       build_iteration_operator, build_subdomain_system,
                       dtn_schur, equivalence_bounds, iteration_spectral_radius,
                       measured_reduction_rate, omega, params_from_bounds,
-                      recommend_params, reduction_spectrum, robin_robin_solve,
-                      symmetrized_T)
+                      reduction_spectrum, robin_robin_solve, symmetrized_T)
 from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import mode_arrays
 
@@ -28,7 +27,7 @@ def symmetric_pair(n):
 
 def third_split_pair(n):
     grid = build_grid(n)
-    k, rest = offcenter_columns(grid, 1.0 / 3.0)
+    k, rest = offcenter_columns(grid)
     left = build_subdomain_system(grid, zero_field, "left", n_cols=k)
     right = build_subdomain_system(grid, zero_field, "right", n_cols=rest)
     return grid, dtn_schur(left), dtn_schur(right)
@@ -38,18 +37,21 @@ def canonical_params(n, theta=3.0 / 7.0):
     return DDParams(gamma1=1.0, gamma2=128.0 * n, theta=theta)
 
 
+def nodal_schur(system):
+    """The Schur complement in nodal coordinates: dtn_schur's map with the
+    congruence by the interface mass's Cholesky factor L undone."""
+    L = np.linalg.cholesky(system.interface_mass.to_dense())
+    return L @ dtn_schur(system).matrix @ L.T
+
+
 def test_single_node_schur():
     grid = build_grid(1)
     system = build_subdomain_system(grid, zero_field, "left")
-    raw = dtn_schur(system, coords="euclidean")
-    assert np.allclose(raw.matrix, [[2.0]], atol=1e-14)
+    assert np.allclose(nodal_schur(system), [[2.0]], atol=1e-14)
     hat = dtn_schur(system)
     # congruence by M = [1/3] rescales 2 to 6
     assert np.allclose(hat.matrix, [[6.0]], atol=1e-13)
     assert hat.min_eig == pytest.approx(6.0, abs=1e-13)
-    assert hat.coords == "mass"
-    with pytest.raises(ValueError):
-        dtn_schur(system, coords="nodal")
 
 
 def test_euclidean_schur_matches_dense_block_elimination():
@@ -61,8 +63,7 @@ def test_euclidean_schur_matches_dense_block_elimination():
     base = system.n_cols * m - m
     S = (A[base:, base:]
          - A[base:, :base] @ np.linalg.solve(A[:base, :base], A[:base, base:]))
-    got = dtn_schur(system, coords="euclidean")
-    assert np.abs(got.matrix - S).max() < 1e-10
+    assert np.abs(nodal_schur(system) - S).max() < 1e-10
 
 
 def test_symmetric_split_sides_identical():
@@ -124,9 +125,10 @@ def test_schur_rejects_indefinite_input(monkeypatch):
 
 
 def test_offcenter_columns():
-    assert offcenter_columns(build_grid(6), 1.0 / 3.0) == (4, 8)
-    assert offcenter_columns(build_grid(1), 1.0 / 3.0) == (1, 1)
-    assert offcenter_columns(build_grid(4), 0.5) == (4, 4)
+    # the grid line nearest to x = 1/3, kept off the boundary
+    assert offcenter_columns(build_grid(6)) == (4, 8)
+    assert offcenter_columns(build_grid(4)) == (3, 5)
+    assert offcenter_columns(build_grid(1)) == (1, 1)
 
 
 def test_equivalence_bounds_identity_and_scaling():
@@ -217,7 +219,7 @@ def test_symmetrized_T_names_violated_bracket():
 def test_symmetrized_T_positive_with_explicit_lower_bound():
     for make_pair in (symmetric_pair, third_split_pair):
         _, S1, S2 = make_pair(8)
-        params = recommend_params(S1, S2)
+        params = params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
         w, _ = jacobi_symmetric_eigen(symmetrized_T(S1, S2, params))
         assert w[0] > -1e-10
         g1, g2 = params.gamma1, params.gamma2
@@ -228,7 +230,7 @@ def test_symmetrized_T_positive_with_explicit_lower_bound():
 
 def test_symmetrized_T_spectrum_capped_by_equivalence():
     _, S1, S2 = third_split_pair(8)
-    params = recommend_params(S1, S2)
+    params = params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
     t = equivalence_bounds(S1, S2).t
     w, _ = jacobi_symmetric_eigen(symmetrized_T(S1, S2, params))
     assert w[-1] <= 2.0 * t - 1.0 + 1e-9
@@ -236,7 +238,7 @@ def test_symmetrized_T_spectrum_capped_by_equivalence():
 
 def test_shifted_resolvent_inequality():
     _, S1, S2 = third_split_pair(8)
-    params = recommend_params(S1, S2)
+    params = params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
     t = equivalence_bounds(S1, S2).t
     g1, g2 = params.gamma1, params.gamma2
     dim = S1.matrix.shape[0]
@@ -250,8 +252,7 @@ def test_shifted_resolvent_inequality():
 
 def test_recommendation_matched_sides():
     _, S1, S2 = symmetric_pair(4)
-    params = recommend_params(S1, S2)
-    assert params == params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
+    params = params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
     assert params.theta == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert params.gamma1 == pytest.approx(S1.min_eig, abs=1e-12)
     assert params.gamma2 == pytest.approx(3.0 * S1.max_eig, abs=1e-12)
@@ -260,14 +261,14 @@ def test_recommendation_matched_sides():
 def test_recommendation_scaled_pair():
     _, S1, _ = symmetric_pair(3)
     doubled = DtNOperator(matrix=2.0 * S1.matrix)
-    params = recommend_params(S1, doubled)
+    params = params_from_bounds(S1, doubled, equivalence_bounds(S1, doubled))
     assert params.theta == pytest.approx(3.0 / 5.0, abs=1e-10)
 
 
 def test_recommended_radius_below_guarantee():
     for make_pair in (symmetric_pair, third_split_pair):
         _, S1, S2 = make_pair(8)
-        params = recommend_params(S1, S2)
+        params = params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
         R = build_iteration_operator(S1, S2, params)
         radius = iteration_spectral_radius(R)
         assert radius <= params.theta + 1e-9
@@ -293,7 +294,7 @@ def test_radius_matches_similar_symmetric_and_power_oracle():
     for n in range(1, 33):
         for make_pair in (symmetric_pair, third_split_pair):
             _, S1, S2 = make_pair(n)
-            params = recommend_params(S1, S2)
+            params = params_from_bounds(S1, S2, equivalence_bounds(S1, S2))
             R = build_iteration_operator(S1, S2, params)
             radius = iteration_spectral_radius(R)
             T_sym = symmetrized_T(S1, S2, params)

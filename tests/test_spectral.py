@@ -5,7 +5,7 @@ import pytest
 from robinlab import (DDParams, assemble_interface_mass,
                       assemble_subdomain_stiffness, bound_margins, build_grid,
                       corollary_rate, fd_eigenvalue, omega, omega_max, reduction_spectrum,
-                      sine_basis_vector, strip_symbol, theta_star,
+                      strip_symbol, theta_star,
                       von_neumann_advisor, von_neumann_rho)
 from robinlab.grid_fem import add_interface_tridiagonal, assemble_a0
 from robinlab.spectral import (COTH_1, cj_values, mode_arrays, sine_basis_matrix,
@@ -29,11 +29,16 @@ def test_fd_eigenvalue_values():
 
 
 def test_sine_basis_single_node():
-    assert np.allclose(sine_basis_vector(1, 1), [1.0], atol=1e-15)
-    with pytest.raises(ValueError):
-        sine_basis_vector(0, 3)
-    with pytest.raises(ValueError):
-        sine_basis_vector(4, 3)
+    assert np.allclose(sine_basis_matrix(1), [[1.0]], atol=1e-15)
+
+
+def test_sine_basis_rows_closed_form():
+    # row i holds sqrt(2/(m+1)) sin(i k pi / (m+1)), k = 1..m
+    m = 5
+    k = np.arange(1, m + 1)
+    for i in k:
+        want = np.sqrt(2.0 / (m + 1)) * np.sin(i * k * np.pi / (m + 1))
+        assert np.abs(sine_basis_matrix(m)[i - 1] - want).max() < 1e-15
 
 
 def test_sine_basis_orthogonal_and_involutory():
