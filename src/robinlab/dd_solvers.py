@@ -220,8 +220,9 @@ def measured_reduction_rate(report: DDReport) -> float:
 
     Uses the interface-mass norm of successive trace differences and
     averages the ratios over the last half of the history, where the
-    dominant mode has taken over.  Zero or non-finite ratios (an exactly
-    converged tail) are dropped; an all-zero tail reports 0.
+    dominant mode has taken over.  A non-finite norm there (a diverged
+    run) reports nan; ratios spoilt by a zero norm (an exactly converged
+    tail) are dropped, and an all-zero tail reports 0.
     """
     if report.iterations < 4:
         raise ValueError("need at least 4 iterations to measure a rate")
@@ -229,9 +230,12 @@ def measured_reduction_rate(report: DDReport) -> float:
     diffs = H[1:] - H[:-1]
     squares = np.einsum("ij,ij->i", diffs, report.interface_mass.matvec(diffs))
     norms = np.sqrt(np.maximum(squares, 0.0))
+    start = (len(norms) - 1) // 2
+    if not np.isfinite(norms[start:]).all():
+        return float("nan")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = norms[1:] / norms[:-1]
-    tail = ratios[len(ratios) // 2:]
+    tail = ratios[start:]
     tail = tail[np.isfinite(tail) & (tail > 0.0)]
     if len(tail) == 0:
         return 0.0
@@ -271,6 +275,7 @@ def error_norms(grid: GridSpec, u_h, exact):
     e = E[1:-1, 1:-1]
     edges = E[2:, 1:-1] + E[:-2, 1:-1] + E[1:-1, 2:] + E[1:-1, :-2]
     mass_e = grid.h * grid.h / 12.0 * (6.0 * e + edges + E[2:, 2:] + E[:-2, :-2])
-    l2 = float(np.sqrt(max(0.0, np.vdot(e, mass_e))))
-    h1 = float(np.sqrt(max(0.0, np.vdot(e, 4.0 * e - edges))))
+    # np.maximum, unlike max, keeps a nan from a non-finite u_h
+    l2 = float(np.sqrt(np.maximum(np.vdot(e, mass_e), 0.0)))
+    h1 = float(np.sqrt(np.maximum(np.vdot(e, 4.0 * e - edges), 0.0)))
     return l2, h1

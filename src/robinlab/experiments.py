@@ -228,10 +228,10 @@ def run_table2(config: ExperimentConfig) -> TableResult:
             report = robin_robin_solve(left, right, params, g1_init=seed)
             all_converged &= report.converged
             rate = report.reduction_rate
-            if rate is None:
-                cells.append("n/a")
+            if report.converged:
+                cells.append("n/a" if rate is None else rate)
             else:
-                cells.append(rate if report.converged else f"{rate:.3f}*")
+                cells.append(("n/a" if rate is None else f"{rate:.3f}") + "*")
         rows.append(cells)
     rows.append(["rate bound"] + [spectral.corollary_rate(t) for t in thetas])
     return TableResult(

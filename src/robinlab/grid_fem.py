@@ -15,8 +15,8 @@ entry by entry.
 Strip loads are summed on the node lattice by shifted slice adds, from
 O(n_cols + n) load values per quadrature point.  A SubdomainSystem holds
 no assembled matrix: its strip solvers apply and factor the stencil, each
-once.  CSR matrices are built only for the dense trace-operator analysis,
-for --dump-matrices and for the tests.
+once, for the sweeps and the trace-operator analysis alike.  CSR matrices
+are built only for --dump-matrices and for the tests.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 The interface response of each strip is condensed into its
 Dirichlet-to-Neumann map, realized as the Schur complement of the strip
-stiffness on the interface block.  The map is expressed in coordinates
-where the interface mass matrix is the identity (congruence by its
-Cholesky factor), so adjointness with respect to the trace inner product
-becomes plain matrix symmetry.  In those coordinates one damped
-double sweep is
+stiffness on the interface block, eliminated by the strip's own fast
+solvers.  The map is expressed in coordinates where the interface mass
+matrix is the identity (congruence by its Cholesky factor), so adjointness
+with respect to the trace inner product becomes plain matrix symmetry.
+In those coordinates one damped double sweep is
 
     R = theta I - (1 - theta) T,
     T = (S2 - g1)(g2 + S2)^-1 (g2 - S1)(g1 + S1)^-1,
@@ -25,11 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .dd_solvers import DDParams
-from .grid_fem import GridSpec, SubdomainSystem, assemble_subdomain_stiffness
+from .grid_fem import GridSpec, SubdomainSystem
 
 
 @dataclass
@@ -83,22 +81,18 @@ class EquivalenceBounds:
 def dtn_schur(system: SubdomainSystem) -> DtNOperator:
     """Interface Schur complement of one strip, as a DtNOperator.
 
-    Eliminates the strip interior from the free-interface stiffness:
-    S = A_GG - A_GI A_II^-1 A_IG, then congruence by the inverse Cholesky
-    factor of the interface mass matrix.
+    S = A_GG - A_GI A_II^-1 A_IG, with A_GG the Neumann solver's last
+    block.  The stencil couples the interface to the last interior column
+    by A_GI = A_IG^T = -I, so the subtrahend is the last m rows of the
+    Dirichlet solves of the unit vectors on that column.  S is then
+    congruenced by the inverse Cholesky factor of the interface mass.
     """
     m = system.grid.n_interface
-    size = system.n_cols * m
-    base = size - m
-    A = assemble_subdomain_stiffness(system.grid, system.n_cols)
-    A_GG = A[base:, base:].toarray()
-    if base > 0:
-        A_II = A[:base, :base].tocsc()
-        A_IG = A[:base, base:].toarray()
-        lu = scipy.sparse.linalg.splu(A_II)
-        S = A_GG - A[base:, :base].toarray() @ lu.solve(A_IG)
-    else:
-        S = A_GG
+    S = system.solver(0.0).last_block.to_dense()
+    if system.n_cols > 1:
+        solve = system.dirichlet_solver().solve
+        base = (system.n_cols - 1) * m
+        S -= np.array([solve(np.eye(1, base, base - m + j)[0])[-m:] for j in range(m)])
     L = scipy.linalg.cholesky(system.interface_mass.to_dense(), lower=True)
     S = scipy.linalg.solve_triangular(L, S, lower=True)
     S = scipy.linalg.solve_triangular(L, S.T, lower=True).T

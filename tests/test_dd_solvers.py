@@ -225,6 +225,17 @@ def test_measured_rate_synthetic_histories():
         measured_reduction_rate(short)
 
 
+def test_measured_rate_non_finite_tail_is_nan():
+    mass = Tridiagonal(1, 1.0 / 3.0, 0.0)
+    for bad in (np.nan, np.inf):
+        history = np.array([[1.0], [0.5], [0.25], [0.125], [bad]])
+        report = DDReport(iterations=4, interface_trace_history=history,
+                          solution_u=np.zeros(1), solution_w=np.zeros(1),
+                          reduction_rate=None, converged=False, interface_mass=mass)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(measured_reduction_rate(report))
+
+
 def test_converged_solution_solves_global_system():
     n = 3
     grid, left, right = strip_pair(n)
@@ -265,6 +276,18 @@ def test_error_norms_bit_identical_to_full_lattice_field():
             u_h = on_lattice(exact)(x[:, None], x[None, :]).ravel()
             u_h += 1e-6 * rng.standard_normal(u_h.shape)
             assert error_norms(grid, u_h, exact) == error_norms(grid, u_h, on_lattice(exact))
+
+
+def test_error_norms_non_finite_input_gives_nan():
+    # a diverged run must not read as an exact one
+    grid = build_grid(2)
+    u_h = np.zeros(grid.n_interface ** 2)
+    u_h[4] = np.nan
+    assert all(np.isnan(error_norms(grid, u_h, U_EXACT)))
+    # an infinite entry gives inf or, where inf - inf forms, nan
+    u_h[4] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert not any(np.isfinite(error_norms(grid, u_h, U_EXACT)))
 
 
 def test_error_norms_converged_runs():

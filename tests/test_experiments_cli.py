@@ -235,9 +235,8 @@ def test_relaxation_sweep_table_deep_mesh(capsys):
 
 
 def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
-    # the sweeps read no assembled stiffness, and each strip solver is
-    # factored once per mesh and weight, not once per theta; the dense
-    # operator analysis assembles each strip's stiffness once
+    # no table assembles a stiffness matrix, and each strip solver is
+    # factored once per mesh and weight, not once per theta
     calls = {"stiffness": 0, "solver": 0}
     stiffness = robinlab.grid_fem.assemble_subdomain_stiffness
     strip_solver = robinlab.grid_fem.StripSolver
@@ -251,8 +250,6 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
         return strip_solver(*args, **kwargs)
 
     monkeypatch.setattr(robinlab.grid_fem, "assemble_subdomain_stiffness", counted_stiffness)
-    monkeypatch.setattr(robinlab.operator_analysis, "assemble_subdomain_stiffness",
-                        counted_stiffness)
     monkeypatch.setattr(robinlab.grid_fem, "StripSolver", counted_solver)
     run_table1(ExperimentConfig(table="table1", n_list=(2, 6, 10)))
     assert calls == {"stiffness": 0, "solver": 6}
@@ -265,9 +262,11 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     run_table3(ExperimentConfig(table="table3", n_list=(2, 6), max_iter=50))
     assert calls == {"stiffness": 0, "solver": 4}
     calls.update(stiffness=0, solver=0)
-    # two meshes, two splits, two strips
+    # two meshes, two splits, two strips: a Neumann solver each for the
+    # interface block, and a Dirichlet solver each to eliminate the
+    # interior, except for the one-column left strip of n = 2's third split
     run_operator(ExperimentConfig(table="operator", n_list=(2, 3)))
-    assert calls == {"stiffness": 8, "solver": 0}
+    assert calls == {"stiffness": 0, "solver": 15}
 
 
 def test_mode_table_single_mode():
@@ -398,15 +397,26 @@ def test_cli_rejects_non_finite(capsys, option, value):
     assert captured.out == ""
 
 
+def _cli_import_loads(module):
+    """Whether importing robinlab.cli in a fresh interpreter loads module."""
+    src = str(Path(robinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = f"import sys, robinlab.cli; sys.exit({module!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
 def test_cli_import_leaves_scipy_fft_unloaded():
     # importing scipy.fft would add about 0.1 s to the start of every CLI
     # call; a sine transform by FFT has to come from numpy.fft, which numpy
     # loads anyway
-    src = str(Path(robinlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, robinlab.cli; sys.exit('scipy.fft' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert not _cli_import_loads("scipy.fft")
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # every strip is solved by its fast solver, so no table factors a
+    # sparse matrix; SuperLU stays with the test oracles
+    assert not _cli_import_loads("scipy.sparse.linalg")
 
 
 def test_cli_reports_nonconvergence(capsys):
@@ -415,6 +425,31 @@ def test_cli_reports_nonconvergence(capsys):
     assert rc == 3
     assert "did not converge" in captured.err
     assert "20*" in captured.out
+
+
+def test_cli_diverged_runs_print_nan(capsys):
+    # gamma2 = 1e306/h overflows the sweeps' datum, so every run stops
+    # non-finite; no error or rate may read 0
+    with np.errstate(all="ignore"):
+        rc = cli_main(["table1", "--n", "2,3", "--gamma2-coeff", "1e306"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out.splitlines()[1:] == ["1/4,nan,,nan,,2*",
+                                                 "1/6,nan,nan,nan,nan,2*"]
+        rc = cli_main(["table2", "--n", "2", "--gamma2-coeff", "1e306"])
+        captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out.splitlines()[1] == "1/4," + ",".join(["n/a*"] * 6 + ["nan*"])
+
+
+def test_cli_short_unconverged_runs_marked(capsys):
+    # fewer than 4 sweeps measure no rate, but a run cut at the cap is
+    # still marked
+    rc = cli_main(["table2", "--n", "2", "--max-iter", "3"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "marked with *" in captured.err
+    assert captured.out.splitlines()[1] == "1/4," + ",".join(["n/a*"] * 7)
 
 
 def test_cli_mode_table_large_grid(capsys):
@@ -546,6 +581,7 @@ def test_table1_refining_meshes_byte_identical():
     (["table3", "--n", "18,36,54"], "table3_n18_36_54.csv", 3),
     (["table2", "--n", "36,72"], "table2_n36_72.csv", 0),
     (["operator", "--n", "8,16,24"], "operator_n8_16_24.csv", 0),
+    (["operator"], "operator_default.csv", 0),
 ])
 def test_mode_symbol_tables_byte_identical(args, name, code):
     """`spectrum`, `table3`, `table2` and `operator` print exactly the
@@ -559,7 +595,10 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     Robin sweep's measured rates from the slowest-mode seed, and
     `operator` the trace-map study (Schur complements, recommended weights
     and radii); their files hold the output from before the two sweeps
-    shared one driver.  They run as table1 does above (fresh interpreter,
+    shared one driver.  The default `operator` meshes add n = 2, whose
+    off-center split has a one-column strip with no interior; that file
+    holds the output of the SuperLU elimination now kept in
+    schur_oracle.py.  They run as table1 does above (fresh interpreter,
     two BLAS threads); `table3` exits 3 by design, as its theta = 0 column
     does not converge.
     """

@@ -1,17 +1,17 @@
 """Trace-operator (Schur complement) analysis of the double sweep."""
 import numpy as np
 import pytest
-import scipy.sparse
 
-import robinlab.operator_analysis
 from jacobi_oracle import jacobi_symmetric_eigen, power_spectral_radius
+from schur_oracle import splu_schur
 from robinlab import (DDParams, DtNOperator, assemble_subdomain_stiffness, build_grid,
                       build_iteration_operator, build_subdomain_system,
                       dtn_schur, equivalence_bounds, iteration_spectral_radius,
                       measured_reduction_rate, omega, params_from_bounds,
                       reduction_spectrum, robin_robin_solve, symmetrized_T)
+from robinlab.grid_fem import StripSolver, Tridiagonal
 from robinlab.operator_analysis import offcenter_columns
-from robinlab.spectral import mode_arrays
+from robinlab.spectral import mode_arrays, strip_symbol
 
 
 def zero_field(x, y):
@@ -117,11 +117,46 @@ def test_schur_spectrum_bracket():
 
 
 def test_schur_rejects_indefinite_input(monkeypatch):
+    # a one-column strip has no interior, so its map is the last block of
+    # the Neumann solver; a zero-column StripSolver factors nothing, so its
+    # negative block reaches dtn_schur's own check
     system = build_subdomain_system(build_grid(1), zero_field, "left")
-    monkeypatch.setattr(robinlab.operator_analysis, "assemble_subdomain_stiffness",
-                        lambda grid, n_cols: scipy.sparse.csr_matrix([[-2.0]]))
-    with pytest.raises(ValueError, match="positive definite"):
+    monkeypatch.setattr(system, "solver",
+                        lambda gamma: StripSolver(0, Tridiagonal(1, -2.0, 0.0)))
+    with pytest.raises(ValueError, match="interface response map is not positive definite"):
         dtn_schur(system)
+
+
+def split_strips(grid):
+    """(side, column count) of both strips of the symmetric and the
+    off-center split."""
+    k_left, k_right = offcenter_columns(grid)
+    return (("left", grid.n), ("right", grid.n), ("left", k_left), ("right", k_right))
+
+
+def test_schur_matches_splu_oracle():
+    # the elimination through the strip's solvers against the CSR + SuperLU one
+    for n in range(1, 13):
+        grid = build_grid(n)
+        for side, k in split_strips(grid):
+            system = build_subdomain_system(grid, zero_field, side, n_cols=k)
+            want = splu_schur(system)
+            got = dtn_schur(system).matrix
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, side, k)
+
+
+@pytest.mark.parametrize("n", [96, 128])
+def test_schur_eigenvalues_match_strip_symbol_large_mesh(n):
+    # the operator view against the closed form at large n: in
+    # mass-orthonormal coordinates the map of a k-column strip has the
+    # eigenvalues sigma_j / mu_j, with mu_j the interface-mass eigenvalues
+    grid = build_grid(n)
+    k_left, k_right = offcenter_columns(grid)
+    for side, k in (("left", n), ("left", k_left), ("right", k_right)):
+        system = build_subdomain_system(grid, zero_field, side, n_cols=k)
+        want = np.sort(strip_symbol(grid.n_interface, k) / system.interface_mass.eigenvalues())
+        got = dtn_schur(system).eigvals
+        assert np.abs(got / want - 1.0).max() <= 1e-13, (side, k)
 
 
 def test_offcenter_columns():
