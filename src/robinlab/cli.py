@@ -112,10 +112,12 @@ def _dump_matrices(config, directory):
             grid_fem.assemble_subdomain_stiffness(grid), comment=f"free-interface strip stiffness, n={n}")
         grid_fem.write_matrix_market(
             os.path.join(directory, f"interface_mass_{tag}.mtx"),
-            grid_fem.assemble_interface_mass(grid), comment=f"interface mass, n={n}")
+            grid_fem.strip_matrix(1, grid_fem.assemble_interface_mass(grid)),
+            comment=f"interface mass, n={n}")
         grid_fem.write_matrix_market(
             os.path.join(directory, f"interface_stiffness_{tag}.mtx"),
-            grid_fem.assemble_interface_stiffness(grid), comment=f"interface coupling, n={n}")
+            grid_fem.strip_matrix(1, grid_fem.assemble_interface_stiffness(grid)),
+            comment=f"interface coupling, n={n}")
 
 
 def main():

@@ -20,12 +20,13 @@ Every strip solve runs through grid_fem.StripSolver: a sine transform in
 y splits the strip into independent tridiagonal systems in x, factored
 once per system by banded LAPACK, and one step of iterative refinement
 keeps the result as accurate as a sparse direct solve.  The sweeps read
-no assembled matrix: the interface couplings come from the five-point
-stencil and the solvers' last blocks.  SuperLU (splu/spsolve) on the
-assembled matrices is kept only as the test oracle.  Both sweeps run
-through one driver, _iterate, which owns the loop, the stop on the
-sup-norm change of the interface trace (converged below stop_tol, not
-converged once non-finite), the trace history and the report.
+no assembled matrix and no block offsets: the interface couplings come
+from the strips' interface blocks and SubdomainSystem.dirichlet_flux.
+SuperLU (splu/spsolve) on the assembled matrices is kept only as the test
+oracle.  Both sweeps run through one driver, _iterate, which owns the
+loop, the stop on the sup-norm change of the interface trace (converged
+below stop_tol, not converged once non-finite, with numpy's overflow
+warnings silenced), the trace history and the report.
 """
 
 from __future__ import annotations
@@ -136,28 +137,19 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     solve.  The history holds the physical traces V w^; the strip solutions
     of the last sweep are recovered by one Dirichlet and one Neumann solve.
 
-    The five-point stencil couples the interface to the last interior
-    column by -I (there is no interior when the left strip has one column),
-    and the interface block A_GG is the last block of the Neumann solver;
-    both strips share one interface coupling.
+    The left strip's Dirichlet solves and fluxes come from
+    SubdomainSystem.dirichlet_flux; both strips share one Neumann interface
+    block, so the right strip's interface rows carry minus that flux.
     """
     m = left.grid.n_interface
-    base_l = left.n_cols * m - m
-    base_r = right.n_cols * m - m
-
-    def a_gi(u_I):
-        return -u_I[-m:] if base_l else np.zeros(m)
-
-    solve_dirichlet = left.dirichlet_solver().solve
     neumann = right.solver(0.0)
-    F1_I = left.load[:base_l]
-    F1_G = left.load[base_l:]
+    F1_I, F1_G = left.load[:-m], left.load[-m:]
 
     V = sine_basis_matrix(m)
-    c0 = a_gi(solve_dirichlet(F1_I))
+    c0 = left.dirichlet_flux(F1_I, np.zeros(m))[1]
     if include_left_interface_load:
         c0 -= F1_G
-    t2 = neumann.solve(right.load)[base_r:]
+    t2 = neumann.solve(right.load)[-m:]
     sigma2 = strip_symbol(m, right.n_cols)
     alpha = V @ t2 - (V @ c0) / sigma2
     beta = strip_symbol(m, left.n_cols) / sigma2
@@ -167,14 +159,11 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
 
     def strips(history):
         # the last sweep's strip solves, from the state it started with
-        rhs_I = F1_I.copy()
-        if base_l:
-            rhs_I[-m:] += history[-2]
-        u_I = solve_dirichlet(rhs_I)
+        u_I, flux = left.dirichlet_flux(F1_I, history[-2])
         rhs = right.load.copy()
-        rhs[base_r:] -= a_gi(u_I) + neumann.last_block.matvec(history[-2])
+        rhs[-m:] -= flux
         if include_left_interface_load:
-            rhs[base_r:] += F1_G
+            rhs[-m:] += F1_G
         return np.concatenate([u_I, history[-1]]), neumann.solve(rhs)
 
     return _iterate(sweep, np.zeros(m), lambda w_hat: V @ w_hat, params,
@@ -190,17 +179,19 @@ def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,
     solutions of the last sweep."""
     history = [to_trace(state)]
     converged = False
-    for _ in range(params.max_iter):
-        new = sweep(state)
-        delta = np.abs(to_trace(new - state)).max()
-        history.append(to_trace(new))
-        state = new
-        if not np.isfinite(delta):
-            break
-        if delta < params.stop_tol:
-            converged = True
-            break
-    u, w = strips(history)
+    # a diverging state overflows; the non-finite stop below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.max_iter):
+            new = sweep(state)
+            delta = np.abs(to_trace(new - state)).max()
+            history.append(to_trace(new))
+            state = new
+            if not np.isfinite(delta):
+                break
+            if delta < params.stop_tol:
+                converged = True
+                break
+        u, w = strips(history)
     report = DDReport(
         iterations=len(history) - 1,
         interface_trace_history=np.asarray(history),
@@ -227,14 +218,14 @@ def measured_reduction_rate(report: DDReport) -> float:
     if report.iterations < 4:
         raise ValueError("need at least 4 iterations to measure a rate")
     H = np.asarray(report.interface_trace_history, dtype=float)
-    diffs = H[1:] - H[:-1]
-    squares = np.einsum("ij,ij->i", diffs, report.interface_mass.matvec(diffs))
-    norms = np.sqrt(np.maximum(squares, 0.0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diffs = H[1:] - H[:-1]
+        squares = np.einsum("ij,ij->i", diffs, report.interface_mass.matvec(diffs))
+        norms = np.sqrt(np.maximum(squares, 0.0))
+        ratios = norms[1:] / norms[:-1]
     start = (len(norms) - 1) // 2
     if not np.isfinite(norms[start:]).all():
         return float("nan")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = norms[1:] / norms[:-1]
     tail = ratios[start:]
     tail = tail[np.isfinite(tail) & (tail > 0.0)]
     if len(tail) == 0:
@@ -252,7 +243,7 @@ def assemble_global_solution(grid: GridSpec, u, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if u.shape != (n * m,) or w.shape != (n * m,):
         raise ValueError("strip vectors have wrong length")
-    return np.concatenate([u[:(n - 1) * m], w.reshape(n, m)[::-1].ravel()])
+    return np.concatenate([u[:-m], w.reshape(n, m)[::-1].ravel()])
 
 
 def error_norms(grid: GridSpec, u_h, exact):
@@ -271,11 +262,13 @@ def error_norms(grid: GridSpec, u_h, exact):
         raise ValueError("global vector has wrong length")
     x = grid.coord(np.arange(1, m + 1))
     u_I = np.broadcast_to(np.asarray(exact(x[:, None], x[None, :]), dtype=float), (m, m)).ravel()
-    E = np.pad((u_I - u_h).reshape(m, m), 1)  # axis 0 runs in x
-    e = E[1:-1, 1:-1]
-    edges = E[2:, 1:-1] + E[:-2, 1:-1] + E[1:-1, 2:] + E[1:-1, :-2]
-    mass_e = grid.h * grid.h / 12.0 * (6.0 * e + edges + E[2:, 2:] + E[:-2, :-2])
-    # np.maximum, unlike max, keeps a nan from a non-finite u_h
-    l2 = float(np.sqrt(np.maximum(np.vdot(e, mass_e), 0.0)))
-    h1 = float(np.sqrt(np.maximum(np.vdot(e, 4.0 * e - edges), 0.0)))
+    # a non-finite u_h (a diverged run) gives nan or inf norms, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = np.pad((u_I - u_h).reshape(m, m), 1)  # axis 0 runs in x
+        e = E[1:-1, 1:-1]
+        edges = E[2:, 1:-1] + E[:-2, 1:-1] + E[1:-1, 2:] + E[1:-1, :-2]
+        mass_e = grid.h * grid.h / 12.0 * (6.0 * e + edges + E[2:, 2:] + E[:-2, :-2])
+        # np.maximum, unlike max, keeps a nan from a non-finite u_h
+        l2 = float(np.sqrt(np.maximum(np.vdot(e, mass_e), 0.0)))
+        h1 = float(np.sqrt(np.maximum(np.vdot(e, 4.0 * e - edges), 0.0)))
     return l2, h1

@@ -15,8 +15,12 @@ entry by entry.
 Strip loads are summed on the node lattice by shifted slice adds, from
 O(n_cols + n) load values per quadrature point.  A SubdomainSystem holds
 no assembled matrix: its strip solvers apply and factor the stencil, each
-once, for the sweeps and the trace-operator analysis alike.  CSR matrices
-are built only for --dump-matrices and for the tests.
+once, for the sweeps and the trace-operator analysis alike.  The strip's
+block structure lives here alone: interface_block is the interface
+column's block and dirichlet_flux the one elimination of the interior,
+through the -I coupling of the interface to the last interior column.
+strip_matrix builds the CSR of a strip with a given interface block, only
+for --dump-matrices and for the tests.
 """
 
 from __future__ import annotations
@@ -110,25 +114,26 @@ def assemble_interface_stiffness(grid: GridSpec) -> Tridiagonal:
     return Tridiagonal(grid.n_interface, 2.0, -0.5)
 
 
-def _strip_five_point(grid: GridSpec, n_cols: int):
-    """COO triplets of the five-point operator on an n_cols-column strip
-    with homogeneous Dirichlet values on all four strip edges."""
-    m = grid.n_interface
-    size = n_cols * m
-    idx = np.arange(size)
+def strip_matrix(n_cols: int, last_block: Tridiagonal) -> csr_matrix:
+    """CSR of the n_cols-column strip operator, numbered column-major with
+    the interface column last: every column carries the five-point block
+    tridiag(-1, 4, -1) but the last, which carries last_block, and
+    neighbouring columns couple by -I.  Every entry of last_block is
+    stored, a zero one included, so strip_matrix(1, tri) is tri itself."""
+    if n_cols < 1:
+        raise ValueError("strip must have at least one column")
+    m = last_block.size
+    idx = np.arange(n_cols * m)
     col, row = divmod(idx, m)
-    ii = [idx]
-    jj = [idx]
-    vv = [np.full(size, 4.0)]
+    last = col == n_cols - 1
     up = idx[row < m - 1]
-    ii += [up, up + 1]
-    jj += [up + 1, up]
-    vv += [np.full(len(up), -1.0)] * 2
-    right = idx[col < n_cols - 1]
-    ii += [right, right + m]
-    jj += [right + m, right]
-    vv += [np.full(len(right), -1.0)] * 2
-    return size, np.concatenate(ii), np.concatenate(jj), np.concatenate(vv)
+    off = np.where(last[up], last_block.off, -1.0)
+    right = idx[~last]
+    i = np.concatenate([idx, up, up + 1, right, right + m])
+    j = np.concatenate([idx, up + 1, up, right + m, right])
+    v = np.concatenate([np.where(last, last_block.diag, 4.0), off, off,
+                        np.full(2 * len(right), -1.0)])
+    return csr_matrix((v, (i, j)), shape=(len(idx), len(idx)))
 
 
 def assemble_a0(grid: GridSpec, n_cols=None) -> csr_matrix:
@@ -136,25 +141,7 @@ def assemble_a0(grid: GridSpec, n_cols=None) -> csr_matrix:
     clamped (diagonal 4 everywhere).  Used as the auxiliary operator in the
     closed-form trace analysis."""
     n_cols = grid.n if n_cols is None else int(n_cols)
-    if n_cols < 1:
-        raise ValueError("strip must have at least one column")
-    size, i, j, v = _strip_five_point(grid, n_cols)
-    return csr_matrix((v, (i, j)), shape=(size, size))
-
-
-def _with_trace_block(size, i, j, v, tri: Tridiagonal, coeff: float) -> csr_matrix:
-    """CSR of the triplets (i, j, v) plus coeff * tri on the trailing trace
-    block, summed as triplets rather than as A + B, which would drop
-    entries that cancel."""
-    m = tri.size
-    if size < m:
-        raise ValueError("matrix smaller than the trace block")
-    tr = np.arange(size - m, size)
-    i = np.concatenate([i, tr, tr[:-1], tr[1:]])
-    j = np.concatenate([j, tr, tr[1:], tr[:-1]])
-    v = np.concatenate([v, np.full(m, coeff * tri.diag),
-                        np.full(m - 1, coeff * tri.off), np.full(m - 1, coeff * tri.off)])
-    return csr_matrix((v, (i, j)), shape=(size, size))
+    return strip_matrix(n_cols, Tridiagonal(grid.n_interface, 4.0, -1.0))
 
 
 def assemble_subdomain_stiffness(grid: GridSpec, n_cols=None) -> csr_matrix:
@@ -162,14 +149,8 @@ def assemble_subdomain_stiffness(grid: GridSpec, n_cols=None) -> csr_matrix:
     column: A0 minus the interface correction on the trace block.  Both
     sides share it, because the right strip is numbered mirror-image."""
     n_cols = grid.n if n_cols is None else int(n_cols)
-    return _with_trace_block(*_strip_five_point(grid, n_cols),
-                             assemble_interface_stiffness(grid), -1.0)
-
-
-def add_interface_tridiagonal(A: csr_matrix, tri: Tridiagonal, coeff: float) -> csr_matrix:
-    """A + coeff * R^T tri R, where R restricts to the trailing trace block."""
-    coo = A.tocoo()
-    return _with_trace_block(A.shape[0], coo.row, coo.col, coo.data, tri, coeff)
+    stiff = assemble_interface_stiffness(grid)
+    return strip_matrix(n_cols, Tridiagonal(stiff.size, 4.0 - stiff.diag, -1.0 - stiff.off))
 
 
 # The degree-six Dunavant rule on the reference triangle, in barycentric
@@ -278,7 +259,6 @@ class StripSolver:
             raise ValueError("strip cannot have a negative column count")
         self.n_cols = k = int(n_cols)
         self.m = m = last_block.size
-        self.last_block = last_block
         if k == 0:
             return
         # last column: the stencil adds last_block - tridiag(-1, 4, -1)
@@ -336,16 +316,20 @@ class SubdomainSystem:
     load: np.ndarray
     _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def interface_block(self, gamma: float = 0.0) -> Tridiagonal:
+        """The interface column's block A_GG of the stiffness plus gamma
+        times the interface mass; gamma = 0 gives the Neumann block."""
+        if not 0.0 <= gamma < np.inf:
+            raise ValueError("gamma must be non-negative and finite")
+        stiff, mass = self.interface_stiffness, self.interface_mass
+        return Tridiagonal(mass.size, 4.0 - stiff.diag + gamma * mass.diag,
+                           -1.0 - stiff.off + gamma * mass.off)
+
     def solver(self, gamma: float) -> StripSolver:
         """Fast solver of the stiffness plus gamma times the interface mass
         on the trace block; gamma = 0 gives the Neumann stiffness."""
-        if not 0.0 <= gamma < np.inf:
-            raise ValueError("gamma must be non-negative and finite")
         if gamma not in self._solvers:
-            stiff, mass = self.interface_stiffness, self.interface_mass
-            last = Tridiagonal(mass.size, 4.0 - stiff.diag + gamma * mass.diag,
-                               -1.0 - stiff.off + gamma * mass.off)
-            self._solvers[gamma] = StripSolver(self.n_cols, last)
+            self._solvers[gamma] = StripSolver(self.n_cols, self.interface_block(gamma))
         return self._solvers[gamma]
 
     def dirichlet_solver(self) -> StripSolver:
@@ -355,6 +339,28 @@ class SubdomainSystem:
             self._solvers["dirichlet"] = StripSolver(
                 self.n_cols - 1, Tridiagonal(self.grid.n_interface, 4.0, -1.0))
         return self._solvers["dirichlet"]
+
+    def dirichlet_flux(self, load_I, trace):
+        """Dirichlet solve with interface values trace, and its flux.
+
+        Returns u_I solving A_II u_I = load_I - A_IG trace, and the flux
+        A_GG trace + A_GI u_I onto the interface, with A_GG the Neumann
+        block.  load_I is broadcast over the interior, so a scalar 0 stands
+        for no load.
+        """
+        m = self.grid.n_interface
+        solver = self.dirichlet_solver()
+        rhs = np.empty(solver.n_cols * m)
+        rhs[:] = load_I
+        flux = self.interface_block().matvec(trace)
+        if solver.n_cols == 0:  # a one-column strip has no interior
+            return rhs, flux
+        # the stencil couples the interface to the last interior column by
+        # A_GI = A_IG^T = -I
+        rhs[-m:] += trace
+        u_I = solver.solve(rhs)
+        flux -= u_I[-m:]
+        return u_I, flux
 
 
 def build_subdomain_system(grid: GridSpec, f, side=LEFT, n_cols=None) -> SubdomainSystem:
@@ -369,10 +375,8 @@ def build_subdomain_system(grid: GridSpec, f, side=LEFT, n_cols=None) -> Subdoma
 
 
 def write_matrix_market(path, A, comment=""):
-    """Write a CSR or Tridiagonal matrix in MatrixMarket coordinate format
-    (1-based indices)."""
-    if isinstance(A, Tridiagonal):
-        A = add_interface_tridiagonal(csr_matrix((A.size, A.size)), A, 1.0)
+    """Write a CSR matrix in MatrixMarket coordinate format (1-based
+    indices); strip_matrix(1, tri) gives the CSR of a Tridiagonal."""
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")

@@ -81,18 +81,13 @@ class EquivalenceBounds:
 def dtn_schur(system: SubdomainSystem) -> DtNOperator:
     """Interface Schur complement of one strip, as a DtNOperator.
 
-    S = A_GG - A_GI A_II^-1 A_IG, with A_GG the Neumann solver's last
-    block.  The stencil couples the interface to the last interior column
-    by A_GI = A_IG^T = -I, so the subtrahend is the last m rows of the
-    Dirichlet solves of the unit vectors on that column.  S is then
-    congruenced by the inverse Cholesky factor of the interface mass.
+    S = A_GG - A_GI A_II^-1 A_IG is symmetric, so its row j is the flux of
+    the Dirichlet solve with no load and the unit trace e_j
+    (SubdomainSystem.dirichlet_flux).  S is then congruenced by the inverse
+    Cholesky factor of the interface mass.
     """
     m = system.grid.n_interface
-    S = system.solver(0.0).last_block.to_dense()
-    if system.n_cols > 1:
-        solve = system.dirichlet_solver().solve
-        base = (system.n_cols - 1) * m
-        S -= np.array([solve(np.eye(1, base, base - m + j)[0])[-m:] for j in range(m)])
+    S = np.array([system.dirichlet_flux(0.0, e)[1] for e in np.eye(m)])
     L = scipy.linalg.cholesky(system.interface_mass.to_dense(), lower=True)
     S = scipy.linalg.solve_triangular(L, S, lower=True)
     S = scipy.linalg.solve_triangular(L, S.T, lower=True).T

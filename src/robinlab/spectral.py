@@ -105,10 +105,12 @@ def reduction_spectrum(n, params):
 def omega(z, gamma1, gamma2):
     """Symbol of the undamped double sweep on the half plane:
 
-        omega(z) = ((gamma2 - z) / (gamma2 + z)) * ((z - gamma1) / (z + gamma1)).
+        omega(z) = ((gamma2 - z) / (gamma2 + z)) * ((z - gamma1) / (z + gamma1)),
+
+    which is -c_j at a_j = 1, b_j = z (cj_values); subtracting from 0.0
+    keeps omega(gamma1) at +0.0.
     """
-    z = np.asarray(z, dtype=float)
-    return ((gamma2 - z) / (gamma2 + z)) * ((z - gamma1) / (z + gamma1))
+    return 0.0 - cj_values(1.0, np.asarray(z, dtype=float), gamma1, gamma2)
 
 
 def omega_max(gamma1, gamma2):
@@ -134,14 +136,13 @@ def theta_star(a, b):
 
 
 def von_neumann_rho(k, gamma1, gamma2, theta):
-    """Damped per-sweep factor of transverse frequency k on the half plane,
-    in the raw product form."""
+    """Damped per-sweep factor theta + (1 - theta) c of transverse frequency
+    k on the half plane, with c the two-sided factor of cj_values at
+    a = 1, b = k coth k."""
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("Robin weights must be positive")
     k = np.asarray(k, dtype=float)
-    z = k / np.tanh(k)
-    s = gamma1 + gamma2
-    return theta + (1.0 - theta) * (s / (gamma2 + z) - 1.0) * (s / (gamma1 + z) - 1.0)
+    return theta + (1.0 - theta) * cj_values(1.0, k / np.tanh(k), gamma1, gamma2)
 
 
 COTH_1 = 1.0 / math.tanh(1.0)

@@ -5,15 +5,16 @@ spectral.strip_symbol, and builds the clamped strip's trace response from
 it.  These compute the same numbers by routes that share no code with it:
 the last dpttrf pivot of each mode system of a StripSolver, the pivot
 recursion in long double, and the lattice sum over the clamped strip's
-modes.  The half-plane sweep factor written through its symbol omega is
-the second form against which spectral.von_neumann_rho is checked.
+modes.  The half-plane sweep factor in its raw product form is the
+second form against which spectral.von_neumann_rho, written through the
+two-sided factor cj_values, is checked.
 """
 
 import math
 
 import numpy as np
 
-from robinlab.spectral import fd_eigenvalue, omega
+from robinlab.spectral import fd_eigenvalue
 
 
 def interface_symbol(solver):
@@ -72,10 +73,13 @@ def tilde_lambda_all(n):
     return 2.0 / (n + 1) * np.sum(s * s / (lam_col + lam_row), axis=0)
 
 
-def von_neumann_rho_via_omega(k, gamma1, gamma2, theta):
-    """Same factor as von_neumann_rho written through the symbol:
-    theta - (1-theta) omega(k coth k)."""
+def von_neumann_rho_product(k, gamma1, gamma2, theta):
+    """Same factor as von_neumann_rho in the raw product form
+    theta + (1-theta) (s/(gamma2+z) - 1)(s/(gamma1+z) - 1), with
+    s = gamma1 + gamma2 and z = k coth k."""
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("Robin weights must be positive")
     k = np.asarray(k, dtype=float)
-    return theta - (1.0 - theta) * omega(k / np.tanh(k), gamma1, gamma2)
+    z = k / np.tanh(k)
+    s = gamma1 + gamma2
+    return theta + (1.0 - theta) * (s / (gamma2 + z) - 1.0) * (s / (gamma1 + z) - 1.0)

@@ -42,7 +42,7 @@ from robinlab.spectral import (
     von_neumann_advisor,
     von_neumann_rho,
 )
-from symbol_oracle import von_neumann_rho_via_omega
+from symbol_oracle import von_neumann_rho_product
 
 THETA_STAR = 3.0 / 7.0
 
@@ -239,7 +239,7 @@ def test_criterion_6_half_plane_advisor():
         g2 = g1 * 10.0 ** rng.uniform(0.0, 3.0)
         th = rng.uniform(0.0, 0.999)
         forms_dev = max(forms_dev, abs(von_neumann_rho(k, g1, g2, th)
-                                       - von_neumann_rho_via_omega(k, g1, g2, th)))
+                                       - von_neumann_rho_product(k, g1, g2, th)))
     forms_ok = forms_dev <= 1e-12
 
     branch_excess = -np.inf

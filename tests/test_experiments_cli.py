@@ -1,5 +1,6 @@
 """Table drivers, config plumbing, and the command line front end."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -262,11 +263,11 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     run_table3(ExperimentConfig(table="table3", n_list=(2, 6), max_iter=50))
     assert calls == {"stiffness": 0, "solver": 4}
     calls.update(stiffness=0, solver=0)
-    # two meshes, two splits, two strips: a Neumann solver each for the
-    # interface block, and a Dirichlet solver each to eliminate the
-    # interior, except for the one-column left strip of n = 2's third split
+    # two meshes, two splits, two strips: a Dirichlet solver each to
+    # eliminate the interior (with no column for the one-column left strip
+    # of n = 2's third split); the interface block needs no solver
     run_operator(ExperimentConfig(table="operator", n_list=(2, 3)))
-    assert calls == {"stiffness": 0, "solver": 15}
+    assert calls == {"stiffness": 0, "solver": 8}
 
 
 def test_mode_table_single_mode():
@@ -397,13 +398,17 @@ def test_cli_rejects_non_finite(capsys, option, value):
     assert captured.out == ""
 
 
+def _fresh_env(**extra):
+    """Environment for a fresh interpreter that imports this robinlab."""
+    src = str(Path(robinlab.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _cli_import_loads(module):
     """Whether importing robinlab.cli in a fresh interpreter loads module."""
-    src = str(Path(robinlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = f"import sys, robinlab.cli; sys.exit({module!r} in sys.modules)"
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+    return subprocess.run([sys.executable, "-c", code], env=_fresh_env()).returncode != 0
 
 
 def test_cli_import_leaves_scipy_fft_unloaded():
@@ -440,6 +445,18 @@ def test_cli_diverged_runs_print_nan(capsys):
         captured = capsys.readouterr()
     assert rc == 3
     assert captured.out.splitlines()[1] == "1/4," + ",".join(["n/a*"] * 6 + ["nan*"])
+
+
+def test_cli_diverged_runs_write_only_the_message():
+    # the sweeps report a non-finite state themselves, so no numpy warning
+    # (with the package's file paths) reaches stderr; a fresh interpreter,
+    # as numpy warns once per code line and process
+    for table in ("table1", "table2"):
+        done = subprocess.run([sys.executable, "-m", "robinlab", table, "--n", "2",
+                               "--gamma2-coeff", "1e306"],
+                              env=_fresh_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        assert done.stderr == "robinlab: some runs did not converge (marked with *)\n"
 
 
 def test_cli_short_unconverged_runs_marked(capsys):
@@ -518,6 +535,28 @@ def test_cli_matrix_dumps_load_back(tmp_path, capsys):
         np.testing.assert_allclose(back, expected, atol=1e-15)
 
 
+# sha256 of the files written by `table1 --n 1,2 --dump-matrices`, as the
+# program wrote them before strip_matrix built every dumped CSR
+DUMP_SHA256 = {
+    "a0_n1.mtx": "a26e4188be8948fba0df2d852ea9bf59742bc432bf59cdfb9d8592bad276d2b7",
+    "a0_n2.mtx": "c48b1242c27a571525cf6b376a391fa4401fa721b963f299d147801b97ce7a02",
+    "interface_mass_n1.mtx": "da5b5b1196bd9fd9204f223fab3116831d4fa1d19a720bbd1db08cc506e9e2e0",
+    "interface_mass_n2.mtx": "037a7a99331ffb623bb88a49b2402df5c03c26f105e164eb292f2948e606058a",
+    "interface_stiffness_n1.mtx": "35b2717328ce9abe2c148122bc34fb218a7d418bf9bc66900625baff0cbc1ce8",
+    "interface_stiffness_n2.mtx": "aa0c3ced54131655b06ef57018f6ce6986c15c48e3e4bea17c0d9ce7464764b1",
+    "stiffness_n1.mtx": "e17d63017662b0abfddd6b16f619eec1543101e1ca2154565a4993e00a42590e",
+    "stiffness_n2.mtx": "071bf64ec6963e347f5799564ba3085df24bdbbbe0ca81c5143e87deef5177a2",
+}
+
+
+def test_cli_matrix_dumps_byte_identical(tmp_path, capsys):
+    rc = cli_main(["table1", "--n", "1,2", "--dump-matrices", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == DUMP_SHA256
+
+
 @pytest.mark.parametrize("option, path", [
     ("--out", "missing/table.csv"),
     ("--dump-matrices", "plain_file/mm"),
@@ -547,11 +586,9 @@ def _pinned_run(args, name):
     """stdout of `python -m robinlab args` in a fresh interpreter with
     OPENBLAS_NUM_THREADS=2, with the return code, and the stored output."""
     want = (Path(__file__).resolve().parent / "data" / name).read_text()
-    src = str(Path(robinlab.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-m", "robinlab", *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_fresh_env(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, timeout=120)
     return done, want
 
 

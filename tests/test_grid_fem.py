@@ -9,11 +9,12 @@ from robinlab import (Tridiagonal, assemble_a0, assemble_interface_mass,
                       assemble_interface_stiffness, assemble_load,
                       assemble_subdomain_stiffness, build_grid, fd_eigenvalue)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import TRI_DEGREE6, add_interface_tridiagonal, write_matrix_market
+from robinlab.grid_fem import TRI_DEGREE6, strip_matrix, write_matrix_market
 from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import sine_basis_matrix
 from p1_oracle import (_quadrature_load, assemble_p1_forms, global_poisson_system,
                        global_triangles, strip_triangles)
+from robin_oracle import add_interface_tridiagonal
 
 
 def element_loop_stiffness(vertices, ids, n_unknowns):
@@ -173,6 +174,15 @@ def test_subdomain_stiffness_equals_free_interface_element_loop():
         want = element_loop_stiffness(vertices, ids, n * m)
         got = assemble_subdomain_stiffness(grid).toarray()
         assert np.abs(got - want).max() < 1e-13
+
+
+def test_one_column_strip_matrix_is_the_tridiagonal():
+    # every entry is stored, a zero off-diagonal included
+    for tri in (Tridiagonal(1, 2.0, -0.5), Tridiagonal(5, 2.0 / 3.0, 1.0 / 6.0),
+                Tridiagonal(4, 2.0, 0.0)):
+        A = strip_matrix(1, tri)
+        assert np.array_equal(A.toarray(), tri.to_dense())
+        assert A.nnz == 3 * tri.size - 2
 
 
 def test_robin_matrix_positive_definite():
@@ -352,6 +362,6 @@ def test_matrix_market_round_trip(tmp_path):
     assert np.abs(back.toarray() - A.toarray()).max() < 1e-12
     tri = assemble_interface_mass(grid)
     path2 = tmp_path / "m.mtx"
-    write_matrix_market(path2, tri)
+    write_matrix_market(path2, strip_matrix(1, tri))
     back2 = scipy.io.mmread(str(path2))
     assert np.abs(back2.toarray() - tri.to_dense()).max() < 1e-15

@@ -9,7 +9,7 @@ from robinlab import (DDParams, DtNOperator, assemble_subdomain_stiffness, build
                       dtn_schur, equivalence_bounds, iteration_spectral_radius,
                       measured_reduction_rate, omega, params_from_bounds,
                       reduction_spectrum, robin_robin_solve, symmetrized_T)
-from robinlab.grid_fem import StripSolver, Tridiagonal
+from robinlab.grid_fem import Tridiagonal
 from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import mode_arrays, strip_symbol
 
@@ -117,12 +117,12 @@ def test_schur_spectrum_bracket():
 
 
 def test_schur_rejects_indefinite_input(monkeypatch):
-    # a one-column strip has no interior, so its map is the last block of
-    # the Neumann solver; a zero-column StripSolver factors nothing, so its
-    # negative block reaches dtn_schur's own check
+    # a one-column strip has no interior, so its map is its interface
+    # block; a negative block factors nothing and reaches dtn_schur's own
+    # check
     system = build_subdomain_system(build_grid(1), zero_field, "left")
-    monkeypatch.setattr(system, "solver",
-                        lambda gamma: StripSolver(0, Tridiagonal(1, -2.0, 0.0)))
+    monkeypatch.setattr(system, "interface_block",
+                        lambda gamma=0.0: Tridiagonal(1, -2.0, 0.0))
     with pytest.raises(ValueError, match="interface response map is not positive definite"):
         dtn_schur(system)
 

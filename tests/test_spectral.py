@@ -7,11 +7,12 @@ from robinlab import (DDParams, assemble_interface_mass,
                       corollary_rate, fd_eigenvalue, omega, omega_max, reduction_spectrum,
                       strip_symbol, theta_star,
                       von_neumann_advisor, von_neumann_rho)
-from robinlab.grid_fem import add_interface_tridiagonal, assemble_a0
+from robinlab.grid_fem import assemble_a0
 from robinlab.spectral import (COTH_1, cj_values, mode_arrays, sine_basis_matrix,
                                z_bracket)
+from robin_oracle import add_interface_tridiagonal
 from symbol_oracle import (longdouble_symbol, tilde_lambda, tilde_lambda_all,
-                           von_neumann_rho_via_omega)
+                           von_neumann_rho_product)
 
 
 def canonical_params(n, theta=3.0 / 7.0):
@@ -333,7 +334,7 @@ def test_von_neumann_forms_agree():
         gamma2 = 10.0 ** rng.uniform(-2, 2)
         theta = rng.uniform(0.0, 0.99)
         r1 = von_neumann_rho(k, gamma1, gamma2, theta)
-        r2 = von_neumann_rho_via_omega(k, gamma1, gamma2, theta)
+        r2 = von_neumann_rho_product(k, gamma1, gamma2, theta)
         assert abs(r1 - r2) < 1e-12
 
 

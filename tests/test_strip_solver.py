@@ -7,11 +7,11 @@ from robinlab import (DDParams, assemble_global_solution, build_grid,
                       build_subdomain_system, dirichlet_neumann_solve,
                       dtn_schur)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import (StripSolver, Tridiagonal, add_interface_tridiagonal,
-                               assemble_subdomain_stiffness)
+from robinlab.grid_fem import StripSolver, Tridiagonal, assemble_subdomain_stiffness
 from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import sine_basis_matrix, strip_symbol
 from p1_oracle import global_poisson_system
+from robin_oracle import add_interface_tridiagonal
 from symbol_oracle import interface_symbol
 
 _, F_LOAD = manufactured_solution()
@@ -56,6 +56,30 @@ def test_strip_solver_matches_spsolve(n):
                 continue
             ref = scipy.sparse.linalg.spsolve(A.tocsc(), b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_dirichlet_flux_matches_dense_block_elimination():
+    # u_I = A_II^-1 (load_I - A_IG t) and the flux A_GG t + A_GI u_I from
+    # the dense blocks of the assembled stiffness, on all four strips of
+    # both splits (one-column strips included)
+    rng = np.random.default_rng(14)
+    for n in range(1, 9):
+        grid = build_grid(n)
+        m = grid.n_interface
+        k_left, k_right = offcenter_columns(grid)
+        for side, k in (("left", n), ("right", n), ("left", k_left), ("right", k_right)):
+            system = build_subdomain_system(grid, zero_field, side, n_cols=k)
+            A = assemble_subdomain_stiffness(grid, k).toarray()
+            base = (k - 1) * m
+            load_I = rng.standard_normal(base)
+            trace = rng.standard_normal(m)
+            want_u = np.linalg.solve(A[:base, :base], load_I - A[:base, base:] @ trace)
+            want_flux = A[base:, base:] @ trace + A[base:, :base] @ want_u
+            u_I, flux = system.dirichlet_flux(load_I, trace)
+            assert u_I.shape == (base,)
+            if base:
+                assert np.abs(u_I - want_u).max() <= 1e-13 * np.abs(want_u).max()
+            assert np.abs(flux - want_flux).max() <= 1e-13 * np.abs(want_flux).max()
 
 
 @pytest.mark.parametrize("n", [48, 64])
