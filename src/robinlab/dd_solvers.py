@@ -58,8 +58,9 @@ class DDParams:
             raise ValueError("damping theta must lie in [0, 1)")
         if not 0.0 < self.stop_tol < np.inf:
             raise ValueError("stop_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (float(self.max_iter).is_integer() and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer of at least 1")
+        self.max_iter = int(self.max_iter)
 
 
 @dataclass
@@ -268,7 +269,8 @@ def error_norms(grid: GridSpec, u_h, exact):
         e = E[1:-1, 1:-1]
         edges = E[2:, 1:-1] + E[:-2, 1:-1] + E[1:-1, 2:] + E[1:-1, :-2]
         mass_e = grid.h * grid.h / 12.0 * (6.0 * e + edges + E[2:, 2:] + E[:-2, :-2])
-        # np.maximum, unlike max, keeps a nan from a non-finite u_h
-        l2 = float(np.sqrt(np.maximum(np.vdot(e, mass_e), 0.0)))
-        h1 = float(np.sqrt(np.maximum(np.vdot(e, 4.0 * e - edges), 0.0)))
-    return l2, h1
+        forms = np.array([np.vdot(e, mass_e), np.vdot(e, 4.0 * e - edges)])
+        # np.maximum clips a finite form's roundoff only; an overflowed
+        # form (a diverged run) gives nan, never 0
+        l2, h1 = np.sqrt(np.where(np.isfinite(forms), np.maximum(forms, 0.0), np.nan))
+    return float(l2), float(h1)

@@ -146,14 +146,15 @@ def von_neumann_rho(k, gamma1, gamma2, theta):
 
 
 COTH_1 = 1.0 / math.tanh(1.0)
+ADVISOR_GAMMA2_FACTOR = 1.1
 
 
-def von_neumann_advisor(K, gamma1, gamma2_factor=1.1):
+def von_neumann_advisor(K, gamma1):
     """Pick (gamma2, theta) for frequencies 1 <= k <= K at a given gamma1.
 
     Returns (gamma2, theta, bound) with bound a proven cap on the damped
-    factor magnitude over the whole band.  gamma2 is set a fixed factor
-    above K coth K so the second factor of the symbol stays positive.
+    factor magnitude over the whole band.  gamma2 = ADVISOR_GAMMA2_FACTOR
+    K coth K keeps the second factor of the symbol positive.
 
     For gamma1 below coth 1 the symbol is nonnegative on the band and
     theta = omega(z0) / (2 + omega(z0)) balances its range, giving a bound
@@ -166,10 +167,8 @@ def von_neumann_advisor(K, gamma1, gamma2_factor=1.1):
         raise ValueError("band limit K must be at least 1")
     if gamma1 <= 0:
         raise ValueError("gamma1 must be positive")
-    if gamma2_factor <= 1.0:
-        raise ValueError("gamma2_factor must exceed 1")
     z_top = K / math.tanh(K)
-    gamma2 = gamma2_factor * z_top
+    gamma2 = ADVISOR_GAMMA2_FACTOR * z_top
     _, w0 = omega_max(gamma1, gamma2)
     zeta = max(0.0, (gamma1 - COTH_1) / (gamma1 + COTH_1))
     if w0 <= zeta:

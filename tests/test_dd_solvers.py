@@ -52,6 +52,10 @@ def test_params_validation():
         DDParams(gamma1=1.0, gamma2=1.0, theta=0.4, stop_tol=0.0)
     with pytest.raises(ValueError):
         DDParams(gamma1=1.0, gamma2=1.0, theta=0.4, max_iter=0)
+    with pytest.raises(ValueError, match="integer"):
+        DDParams(gamma1=1.0, gamma2=1.0, theta=0.4, max_iter=2.5)
+    # an integral float is taken as the integer it is
+    assert DDParams(gamma1=1.0, gamma2=1.0, theta=0.4, max_iter=2.0).max_iter == 2
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             DDParams(gamma1=bad, gamma2=1.0, theta=0.4)
@@ -284,10 +288,11 @@ def test_error_norms_non_finite_input_gives_nan():
     u_h = np.zeros(grid.n_interface ** 2)
     u_h[4] = np.nan
     assert all(np.isnan(error_norms(grid, u_h, U_EXACT)))
-    # an infinite entry gives inf or, where inf - inf forms, nan
+    # an infinite entry, or finite entries whose forms overflow, give nan
+    # too, where np.maximum(form, 0) would read an H1 form of -inf as 0
     u_h[4] = np.inf
-    with np.errstate(invalid="ignore"):
-        assert not any(np.isfinite(error_norms(grid, u_h, U_EXACT)))
+    assert all(np.isnan(error_norms(grid, u_h, U_EXACT)))
+    assert all(np.isnan(error_norms(grid, np.full_like(u_h, 1e300), U_EXACT)))
 
 
 def test_error_norms_converged_runs():

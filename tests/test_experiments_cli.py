@@ -81,6 +81,13 @@ def test_config_defaults():
     assert cfg.gamma2(26) == pytest.approx(64.0 * 52.0)
 
 
+def test_config_takes_integral_floats():
+    cfg = ExperimentConfig(table="table1", n_list=(2.0, 6), max_iter=5.0)
+    assert cfg.n_list == (2, 6)
+    max_iter = cfg.params(2, THETA_STAR).max_iter
+    assert max_iter == 5 and type(max_iter) is int
+
+
 def test_config_theta_defaults_per_table():
     assert ExperimentConfig(table="table2").theta_list == SEVENTHS
     assert ExperimentConfig(table="table3").theta_list == DN_THETAS
@@ -130,6 +137,8 @@ def test_config_grids_dedup_and_deep():
         (dict(table="table1", stop_tol=float("nan")), "finite"),
         (dict(table="table1", stop_tol=float("inf")), "finite"),
         (dict(table="table1", theta_list=()), "nonempty"),
+        (dict(table="table1", n_list=(2.7,)), "integers"),
+        (dict(table="table1", n_list=(2,), max_iter=2.5), "max_iter"),
     ],
 )
 def test_config_rejects_bad_input(kwargs, match):
@@ -236,38 +245,49 @@ def test_relaxation_sweep_table_deep_mesh(capsys):
 
 
 def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
-    # no table assembles a stiffness matrix, and each strip solver is
-    # factored once per mesh and weight, not once per theta
-    calls = {"stiffness": 0, "solver": 0}
-    stiffness = robinlab.grid_fem.assemble_subdomain_stiffness
-    strip_solver = robinlab.grid_fem.StripSolver
+    # no table assembles a stiffness matrix, each strip solver is factored
+    # once per mesh and weight, not once per theta, and the zero-load
+    # tables build one strip, with one load and one trace map, per width
+    counted = {"stiffness": (robinlab.grid_fem, "assemble_subdomain_stiffness"),
+               "solver": (robinlab.grid_fem, "StripSolver"),
+               "load": (robinlab.grid_fem, "assemble_load"),
+               "schur": (robinlab.operator_analysis, "dtn_schur")}
+    calls = dict.fromkeys(counted, 0)
 
-    def counted_stiffness(*args, **kwargs):
-        calls["stiffness"] += 1
-        return stiffness(*args, **kwargs)
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
 
-    def counted_solver(*args, **kwargs):
-        calls["solver"] += 1
-        return strip_solver(*args, **kwargs)
+    for name, (module, attr) in counted.items():
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
 
-    monkeypatch.setattr(robinlab.grid_fem, "assemble_subdomain_stiffness", counted_stiffness)
-    monkeypatch.setattr(robinlab.grid_fem, "StripSolver", counted_solver)
-    run_table1(ExperimentConfig(table="table1", n_list=(2, 6, 10)))
-    assert calls == {"stiffness": 0, "solver": 6}
-    calls.update(stiffness=0, solver=0)
-    run_table2(ExperimentConfig(table="table2", n_list=(2, 6)))
-    assert calls == {"stiffness": 0, "solver": 4}
-    calls.update(stiffness=0, solver=0)
+    def run_counted(runner, **kwargs):
+        calls.update(dict.fromkeys(calls, 0))
+        runner(ExperimentConfig(**kwargs))
+        return calls
+
+    # two strips with their two loads per mesh
+    assert run_counted(run_table1, table="table1", n_list=(2, 6, 10)) == {
+        "stiffness": 0, "solver": 6, "load": 6, "schur": 0}
+    # one zero-load strip per mesh holds both the gamma1 and the gamma2 solver
+    assert run_counted(run_table2, table="table2", n_list=(2, 6)) == {
+        "stiffness": 0, "solver": 4, "load": 2, "schur": 0}
     # Dirichlet and right Neumann solvers, once per mesh; the left strip's
     # symbol is closed-form, so its Neumann solver is never factored
-    run_table3(ExperimentConfig(table="table3", n_list=(2, 6), max_iter=50))
-    assert calls == {"stiffness": 0, "solver": 4}
-    calls.update(stiffness=0, solver=0)
-    # two meshes, two splits, two strips: a Dirichlet solver each to
-    # eliminate the interior (with no column for the one-column left strip
-    # of n = 2's third split); the interface block needs no solver
-    run_operator(ExperimentConfig(table="operator", n_list=(2, 3)))
-    assert calls == {"stiffness": 0, "solver": 8}
+    assert run_counted(run_table3, table="table3", n_list=(2, 6), max_iter=50) == {
+        "stiffness": 0, "solver": 4, "load": 4, "schur": 0}
+    # one strip per distinct width, n, k and 2n - k for the off-center
+    # split (k, 2n - k): widths 2, 1, 3 at n = 2 and 3, 2, 4 at n = 3.
+    # Each strip factors one Dirichlet solver to eliminate its interior
+    # (with no column for the one-column strip); the interface block
+    # needs no solver
+    assert run_counted(run_operator, table="operator", n_list=(2, 3)) == {
+        "stiffness": 0, "solver": 6, "load": 6, "schur": 6}
+    # at n = 1 both splits are (1, 1): one strip serves all four sides
+    assert run_counted(run_operator, table="operator", n_list=(1, 2, 3)) == {
+        "stiffness": 0, "solver": 7, "load": 7, "schur": 7}
 
 
 def test_mode_table_single_mode():
@@ -459,6 +479,18 @@ def test_cli_diverged_runs_write_only_the_message():
         assert done.stderr == "robinlab: some runs did not converge (marked with *)\n"
 
 
+def test_cli_overflowing_error_norms_print_nan():
+    # gamma1 = 1e308 stops unconverged after 2 sweeps with a finite u_h of
+    # size 1e288, whose error forms overflow; the H1 form is -inf, which
+    # must print nan, not 0
+    done = subprocess.run([sys.executable, "-m", "robinlab", "table1", "--n", "2",
+                           "--gamma1", "1e308"],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stdout.splitlines()[1] == "1/4,nan,,nan,,2*"
+    assert done.stderr == "robinlab: some runs did not converge (marked with *)\n"
+
+
 def test_cli_short_unconverged_runs_marked(capsys):
     # fewer than 4 sweeps measure no rate, but a run cut at the cap is
     # still marked
@@ -619,6 +651,8 @@ def test_table1_refining_meshes_byte_identical():
     (["table2", "--n", "36,72"], "table2_n36_72.csv", 0),
     (["operator", "--n", "8,16,24"], "operator_n8_16_24.csv", 0),
     (["operator"], "operator_default.csv", 0),
+    (["operator", "--n", "1,2,3,4,5,6,7,32,40"], "operator_n1_to_7_32_40.csv", 0),
+    (["table2"], "table2_default.csv", 0),
 ])
 def test_mode_symbol_tables_byte_identical(args, name, code):
     """`spectrum`, `table3`, `table2` and `operator` print exactly the
@@ -635,7 +669,12 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     shared one driver.  The default `operator` meshes add n = 2, whose
     off-center split has a one-column strip with no interior; that file
     holds the output of the SuperLU elimination now kept in
-    schur_oracle.py.  They run as table1 does above (fresh interpreter,
+    schur_oracle.py.  The files of `operator --n 1,2,3,4,5,6,7,32,40` and
+    default `table2` hold the output from before the zero-load studies
+    built one strip per width: `operator` then built four strips per mesh,
+    which includes n = 1, where both splits are (1, 1), and the
+    one-column strips, and `table2` a left and a right strip per mesh.
+    They run as table1 does above (fresh interpreter,
     two BLAS threads); `table3` exits 3 by design, as its theta = 0 column
     does not converge.
     """

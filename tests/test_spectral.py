@@ -404,8 +404,6 @@ def test_advisor_rejects_bad_band():
         von_neumann_advisor(0.5, 1.0)
     with pytest.raises(ValueError):
         von_neumann_advisor(10.0, -1.0)
-    with pytest.raises(ValueError):
-        von_neumann_advisor(10.0, 1.0, gamma2_factor=1.0)
 
 
 def test_corollary_rate_piecewise():
