@@ -11,9 +11,8 @@ from .dd_solvers import (DDParams, DDReport, assemble_global_solution,
                          dirichlet_neumann_solve, error_norms,
                          measured_reduction_rate, robin_robin_solve)
 from .experiments import ExperimentConfig, TableResult, manufactured_solution, run
-from .grid_fem import (GridSpec, SubdomainSystem, Tridiagonal, assemble_a0,
-                       assemble_interface_mass, assemble_interface_stiffness,
-                       assemble_load, assemble_subdomain_stiffness, build_grid,
+from .grid_fem import (GridSpec, SubdomainSystem, Tridiagonal,
+                       assemble_interface_mass, assemble_load, build_grid,
                        build_subdomain_system)
 from .operator_analysis import (DtNOperator, EquivalenceBounds,
                                 build_iteration_operator, dtn_schur,

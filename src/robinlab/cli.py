@@ -76,13 +76,17 @@ def cli_main(argv=None) -> int:
             **{k: v for k, v in vars(args).items()
                if k in ExperimentConfig.__dataclass_fields__ and v is not None},
         )
+        if args.dump_matrices and config.table == "von_neumann":
+            raise ValueError("--dump-matrices needs meshes, and von-neumann reads --n as band limits")
     except (ValueError, TypeError) as exc:
         print(f"robinlab: {exc}", file=sys.stderr)
         return 2
     # output paths are checked before the table is computed
     try:
         if args.dump_matrices:
-            _dump_matrices(config, args.dump_matrices)
+            os.makedirs(args.dump_matrices, exist_ok=True)
+            for n in config.grids():
+                grid_fem.write_strip_matrices(grid_fem.build_grid(n), args.dump_matrices)
         out = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
         print(f"robinlab: {exc}", file=sys.stderr)
@@ -97,27 +101,6 @@ def cli_main(argv=None) -> int:
         print("robinlab: some runs did not converge (marked with *)", file=sys.stderr)
         return 3
     return 0
-
-
-def _dump_matrices(config, directory):
-    os.makedirs(directory, exist_ok=True)
-    for n in config.grids():
-        grid = grid_fem.build_grid(n)
-        tag = f"n{n}"
-        grid_fem.write_matrix_market(
-            os.path.join(directory, f"a0_{tag}.mtx"),
-            grid_fem.assemble_a0(grid), comment=f"clamped strip five-point matrix, n={n}")
-        grid_fem.write_matrix_market(
-            os.path.join(directory, f"stiffness_{tag}.mtx"),
-            grid_fem.assemble_subdomain_stiffness(grid), comment=f"free-interface strip stiffness, n={n}")
-        grid_fem.write_matrix_market(
-            os.path.join(directory, f"interface_mass_{tag}.mtx"),
-            grid_fem.strip_matrix(1, grid_fem.assemble_interface_mass(grid)),
-            comment=f"interface mass, n={n}")
-        grid_fem.write_matrix_market(
-            os.path.join(directory, f"interface_stiffness_{tag}.mtx"),
-            grid_fem.strip_matrix(1, grid_fem.assemble_interface_stiffness(grid)),
-            comment=f"interface coupling, n={n}")
 
 
 def main():

@@ -92,6 +92,8 @@ class ExperimentConfig:
         self.theta_list = tuple(float(t) for t in self.theta_list)
         if not self.theta_list:
             raise ValueError("theta_list must be a nonempty list")
+        if self.table == "table1" and len(self.theta_list) > 1:
+            raise ValueError(f"table1 runs one theta, got {len(self.theta_list)} in theta_list")
         if self.output_format not in ("csv", "markdown"):
             raise ValueError(f"output_format must be csv or markdown, got {self.output_format!r}")
         # DDParams checks the weights, damping and stopping controls

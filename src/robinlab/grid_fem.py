@@ -20,16 +20,16 @@ block structure lives here alone: interface_block is the interface
 column's block and dirichlet_flux the one elimination of the interior,
 through the -I coupling of the interface to the last interior column.
 strip_matrix builds the CSR of a strip with a given interface block, only
-for --dump-matrices and for the tests.
+for --dump-matrices and for the tests, and imports scipy.sparse when run.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg.lapack
-from scipy.sparse import csr_matrix
 
 from .spectral import sine_basis_matrix
 
@@ -43,15 +43,13 @@ class GridSpec:
     """Mesh resolution bookkeeping for one half of the square.
 
     n is the number of columns in each (symmetric) strip, h = 1/(2n) the
-    mesh width, n_interface = 2n - 1 the number of interior interface
-    nodes, and n_subdomain_unknowns = n * (2n - 1) the unknowns per strip
-    including its interface column.
+    mesh width and n_interface = 2n - 1 the number of interior interface
+    nodes.
     """
 
     n: int
     h: float
     n_interface: int
-    n_subdomain_unknowns: int
 
     def coord(self, i):
         """Coordinate of grid line i, computed as i / (2n) so that
@@ -63,8 +61,7 @@ def build_grid(n: int) -> GridSpec:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
     n = int(n)
-    return GridSpec(n=n, h=1.0 / (2 * n), n_interface=2 * n - 1,
-                    n_subdomain_unknowns=n * (2 * n - 1))
+    return GridSpec(n=n, h=1.0 / (2 * n), n_interface=2 * n - 1)
 
 
 def _check_side(side):
@@ -108,18 +105,14 @@ def assemble_interface_mass(grid: GridSpec) -> Tridiagonal:
     return Tridiagonal(grid.n_interface, 4.0 * grid.h / 6.0, grid.h / 6.0)
 
 
-def assemble_interface_stiffness(grid: GridSpec) -> Tridiagonal:
-    """Interface contribution (1/2) tridiag(-1, 4, -1) removed from the full
-    Dirichlet form to impose the natural condition on the trace column."""
-    return Tridiagonal(grid.n_interface, 2.0, -0.5)
-
-
-def strip_matrix(n_cols: int, last_block: Tridiagonal) -> csr_matrix:
+def strip_matrix(n_cols: int, last_block: Tridiagonal):
     """CSR of the n_cols-column strip operator, numbered column-major with
     the interface column last: every column carries the five-point block
     tridiag(-1, 4, -1) but the last, which carries last_block, and
     neighbouring columns couple by -I.  Every entry of last_block is
     stored, a zero one included, so strip_matrix(1, tri) is tri itself."""
+    from scipy.sparse import csr_matrix
+
     if n_cols < 1:
         raise ValueError("strip must have at least one column")
     m = last_block.size
@@ -134,23 +127,6 @@ def strip_matrix(n_cols: int, last_block: Tridiagonal) -> csr_matrix:
     v = np.concatenate([np.where(last, last_block.diag, 4.0), off, off,
                         np.full(2 * len(right), -1.0)])
     return csr_matrix((v, (i, j)), shape=(len(idx), len(idx)))
-
-
-def assemble_a0(grid: GridSpec, n_cols=None) -> csr_matrix:
-    """Strip matrix A0: the five-point form with the interface column still
-    clamped (diagonal 4 everywhere).  Used as the auxiliary operator in the
-    closed-form trace analysis."""
-    n_cols = grid.n if n_cols is None else int(n_cols)
-    return strip_matrix(n_cols, Tridiagonal(grid.n_interface, 4.0, -1.0))
-
-
-def assemble_subdomain_stiffness(grid: GridSpec, n_cols=None) -> csr_matrix:
-    """Subdomain stiffness with the natural (free) condition on the interface
-    column: A0 minus the interface correction on the trace block.  Both
-    sides share it, because the right strip is numbered mirror-image."""
-    n_cols = grid.n if n_cols is None else int(n_cols)
-    stiff = assemble_interface_stiffness(grid)
-    return strip_matrix(n_cols, Tridiagonal(stiff.size, 4.0 - stiff.diag, -1.0 - stiff.off))
 
 
 # The degree-six Dunavant rule on the reference triangle, in barycentric
@@ -199,9 +175,13 @@ def assemble_load(grid: GridSpec, f, side=LEFT, n_cols=None):
     per quadrature point and vertex slot, the lower then the upper
     triangles' shares are added to a zeroed lattice, which is added to the
     total.  That is the order of a scatter-add over the triangle list.
+    n_cols, the strip's width, must be an integer in 1..2n-1.
     """
     _check_side(side)
-    n_cols = grid.n if n_cols is None else int(n_cols)
+    n_cols = grid.n if n_cols is None else n_cols
+    if not (float(n_cols).is_integer() and 1 <= n_cols < 2 * grid.n):
+        raise ValueError(f"n_cols must be an integer in 1..{2 * grid.n - 1}, got {n_cols!r}")
+    n_cols = int(n_cols)
     bary, weights = TRI_DEGREE6
     two_n = 2 * grid.n
     x0 = 0 if side == LEFT else two_n - n_cols
@@ -305,25 +285,27 @@ class StripSolver:
 
 @dataclass
 class SubdomainSystem:
-    """One strip: the load, the interface mass and stiffness couplings,
-    and the strip solvers built from them.  Each solver is factored on
+    """One strip: its grid, width and load fix it, and its blocks and
+    interface mass follow from the grid.  Each strip solver is factored on
     first use and the same StripSolver is handed to every later caller."""
 
     grid: GridSpec
     n_cols: int
-    interface_mass: Tridiagonal
-    interface_stiffness: Tridiagonal
     load: np.ndarray
     _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @property
+    def interface_mass(self) -> Tridiagonal:
+        return assemble_interface_mass(self.grid)
+
     def interface_block(self, gamma: float = 0.0) -> Tridiagonal:
         """The interface column's block A_GG of the stiffness plus gamma
-        times the interface mass; gamma = 0 gives the Neumann block."""
+        times the interface mass; gamma = 0 gives the Neumann block, half
+        the five-point block."""
         if not 0.0 <= gamma < np.inf:
             raise ValueError("gamma must be non-negative and finite")
-        stiff, mass = self.interface_stiffness, self.interface_mass
-        return Tridiagonal(mass.size, 4.0 - stiff.diag + gamma * mass.diag,
-                           -1.0 - stiff.off + gamma * mass.off)
+        mass = self.interface_mass
+        return Tridiagonal(mass.size, 2.0 + gamma * mass.diag, -0.5 + gamma * mass.off)
 
     def solver(self, gamma: float) -> StripSolver:
         """Fast solver of the stiffness plus gamma times the interface mass
@@ -364,14 +346,24 @@ class SubdomainSystem:
 
 
 def build_subdomain_system(grid: GridSpec, f, side=LEFT, n_cols=None) -> SubdomainSystem:
-    n_cols = grid.n if n_cols is None else int(n_cols)
-    return SubdomainSystem(
-        grid=grid,
-        n_cols=n_cols,
-        interface_mass=assemble_interface_mass(grid),
-        interface_stiffness=assemble_interface_stiffness(grid),
-        load=assemble_load(grid, f, side, n_cols),
-    )
+    n_cols = grid.n if n_cols is None else n_cols
+    load = assemble_load(grid, f, side, n_cols)  # checks n_cols
+    return SubdomainSystem(grid, int(n_cols), load)
+
+
+def write_strip_matrices(grid: GridSpec, directory):
+    """Write into directory the n-column strip's matrix with the interface
+    column clamped (a0) and free, the interface mass, and the coupling a0
+    loses when freed, which is the Neumann block, as MatrixMarket files."""
+    n, m = grid.n, grid.n_interface
+    neumann = build_subdomain_system(grid, lambda x, y: 0.0).interface_block()
+    for name, A, what in (
+            ("a0", strip_matrix(n, Tridiagonal(m, 4.0, -1.0)), "clamped strip five-point matrix"),
+            ("stiffness", strip_matrix(n, neumann), "free-interface strip stiffness"),
+            ("interface_mass", strip_matrix(1, assemble_interface_mass(grid)), "interface mass"),
+            ("interface_stiffness", strip_matrix(1, neumann), "interface coupling")):
+        write_matrix_market(os.path.join(directory, f"{name}_n{n}.mtx"), A,
+                            comment=f"{what}, n={n}")
 
 
 def write_matrix_market(path, A, comment=""):

@@ -12,7 +12,8 @@ batched them.
 import numpy as np
 
 from robinlab.dd_solvers import DDParams, DDReport
-from robinlab.grid_fem import SubdomainSystem, assemble_subdomain_stiffness
+from robinlab.grid_fem import SubdomainSystem
+from robin_oracle import strip_stiffness
 
 
 def dirichlet_neumann_oracle(left: SubdomainSystem, right: SubdomainSystem,
@@ -30,7 +31,7 @@ def dirichlet_neumann_oracle(left: SubdomainSystem, right: SubdomainSystem,
     m = grid.n_interface
     base_l = left.n_cols * m - m
     base_r = right.n_cols * m - m
-    A1 = assemble_subdomain_stiffness(grid, left.n_cols)
+    A1 = strip_stiffness(grid, left.n_cols)
     A_IG = A1[:base_l, base_l:]
     A_GI = A1[base_l:, :base_l]
     A_GG = A1[base_l:, base_l:]

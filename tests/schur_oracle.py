@@ -11,14 +11,14 @@ by the interface mass's Cholesky factor and the same symmetrization.
 import scipy.linalg
 import scipy.sparse.linalg
 
-from robinlab.grid_fem import assemble_subdomain_stiffness
+from robin_oracle import strip_stiffness
 
 
 def splu_schur(system):
     """Dense symmetric trace map of one strip in mass-orthonormal coordinates."""
     m = system.grid.n_interface
     base = system.n_cols * m - m
-    A = assemble_subdomain_stiffness(system.grid, system.n_cols)
+    A = strip_stiffness(system.grid, system.n_cols)
     S = A[base:, base:].toarray()
     if base > 0:
         lu = scipy.sparse.linalg.splu(A[:base, :base].tocsc())

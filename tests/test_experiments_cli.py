@@ -13,14 +13,13 @@ import scipy.io
 import robinlab
 from robinlab import (
     DDParams,
-    assemble_a0,
     assemble_interface_mass,
-    assemble_subdomain_stiffness,
     build_grid,
     corollary_rate,
     reduction_spectrum,
 )
 from robinlab.cli import cli_main
+from robinlab.grid_fem import Tridiagonal
 from robinlab.experiments import (
     DEEP_N_LIST,
     DEFAULT_N_LIST,
@@ -39,6 +38,7 @@ from robinlab.experiments import (
     run_table3,
     run_von_neumann,
 )
+from robin_oracle import strip_stiffness
 
 THETA_STAR = 3.0 / 7.0
 
@@ -139,6 +139,7 @@ def test_config_grids_dedup_and_deep():
         (dict(table="table1", theta_list=()), "nonempty"),
         (dict(table="table1", n_list=(2.7,)), "integers"),
         (dict(table="table1", n_list=(2,), max_iter=2.5), "max_iter"),
+        (dict(table="table1", theta_list=(0.2, 0.4)), "one theta"),
     ],
 )
 def test_config_rejects_bad_input(kwargs, match):
@@ -248,7 +249,7 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     # no table assembles a stiffness matrix, each strip solver is factored
     # once per mesh and weight, not once per theta, and the zero-load
     # tables build one strip, with one load and one trace map, per width
-    counted = {"stiffness": (robinlab.grid_fem, "assemble_subdomain_stiffness"),
+    counted = {"stiffness": (robinlab.grid_fem, "strip_matrix"),
                "solver": (robinlab.grid_fem, "StripSolver"),
                "load": (robinlab.grid_fem, "assemble_load"),
                "schur": (robinlab.operator_analysis, "dtn_schur")}
@@ -431,17 +432,20 @@ def _cli_import_loads(module):
     return subprocess.run([sys.executable, "-c", code], env=_fresh_env()).returncode != 0
 
 
-def test_cli_import_leaves_scipy_fft_unloaded():
+@pytest.mark.parametrize("module", [
     # importing scipy.fft would add about 0.1 s to the start of every CLI
     # call; a sine transform by FFT has to come from numpy.fft, which numpy
     # loads anyway
-    assert not _cli_import_loads("scipy.fft")
-
-
-def test_cli_import_leaves_sparse_linalg_unloaded():
+    "scipy.fft",
     # every strip is solved by its fast solver, so no table factors a
     # sparse matrix; SuperLU stays with the test oracles
-    assert not _cli_import_loads("scipy.sparse.linalg")
+    "scipy.sparse.linalg",
+    # no table builds a CSR matrix either: strip_matrix imports it only
+    # for --dump-matrices and the tests
+    "scipy.sparse",
+])
+def test_cli_import_leaves_module_unloaded(module):
+    assert not _cli_import_loads(module)
 
 
 def test_cli_reports_nonconvergence(capsys):
@@ -560,8 +564,9 @@ def test_cli_matrix_dumps_load_back(tmp_path, capsys):
     grid = build_grid(2)
     for name, expected in (
         ("interface_mass_n2.mtx", assemble_interface_mass(grid).to_dense()),
-        ("a0_n2.mtx", assemble_a0(grid).toarray()),
-        ("stiffness_n2.mtx", assemble_subdomain_stiffness(grid).toarray()),
+        ("a0_n2.mtx", strip_stiffness(grid, clamped=True).toarray()),
+        ("stiffness_n2.mtx", strip_stiffness(grid).toarray()),
+        ("interface_stiffness_n2.mtx", Tridiagonal(3, 2.0, -0.5).to_dense()),
     ):
         back = scipy.io.mmread(dump_dir / name).toarray()
         np.testing.assert_allclose(back, expected, atol=1e-15)
@@ -605,6 +610,18 @@ def test_cli_bad_output_path_is_usage_error(tmp_path, monkeypatch, capsys, optio
     assert rc == 2
     assert captured.err.startswith("robinlab:")
     assert captured.out == ""
+
+
+def test_cli_von_neumann_rejects_matrix_dump(tmp_path, capsys):
+    # von-neumann reads --n as band limits K, which are no meshes to dump
+    dump_dir = tmp_path / "mm"
+    rc = cli_main(["von-neumann", "--n", "3", "--dump-matrices", str(dump_dir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("robinlab:") and captured.err.count("\n") == 1
+    assert "band limits" in captured.err
+    assert captured.out == ""
+    assert not dump_dir.exists()
 
 
 def test_cli_hyphenated_subcommand(capsys):

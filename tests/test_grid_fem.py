@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 import scipy.io
 
-from robinlab import (Tridiagonal, assemble_a0, assemble_interface_mass,
-                      assemble_interface_stiffness, assemble_load,
-                      assemble_subdomain_stiffness, build_grid, fd_eigenvalue)
+from robinlab import (Tridiagonal, assemble_interface_mass, assemble_load, build_grid,
+                      build_subdomain_system, fd_eigenvalue)
 from robinlab.experiments import manufactured_solution
 from robinlab.grid_fem import TRI_DEGREE6, strip_matrix, write_matrix_market
 from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import sine_basis_matrix
 from p1_oracle import (_quadrature_load, assemble_p1_forms, global_poisson_system,
                        global_triangles, strip_triangles)
-from robin_oracle import add_interface_tridiagonal
+from robin_oracle import add_interface_tridiagonal, strip_stiffness
 
 
 def element_loop_stiffness(vertices, ids, n_unknowns):
@@ -71,7 +70,6 @@ def test_grid_spec_fields():
     grid = build_grid(2)
     assert grid.h == 0.25
     assert grid.n_interface == 3
-    assert grid.n_subdomain_unknowns == 6
     assert grid.coord(4) == 1.0
     assert grid.coord(2) == 0.5
 
@@ -81,6 +79,21 @@ def test_build_grid_rejects_bad_n():
         build_grid(0)
     with pytest.raises(ValueError):
         build_grid(2.5)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_strip_width_must_fit_the_square(side):
+    # a strip has 1..2n-1 whole columns; a wider one would take its load
+    # from outside the unit square
+    grid = build_grid(2)
+    _, f = manufactured_solution()
+    for k in (1, 3):
+        system = build_subdomain_system(grid, f, side, n_cols=k)
+        assert system.n_cols == k
+        assert system.load.shape == (k * grid.n_interface,)
+    for k in (0, 4, 2.5):
+        with pytest.raises(ValueError, match="n_cols must be an integer in 1..3"):
+            build_subdomain_system(grid, f, side, n_cols=k)
 
 
 def test_tridiagonal_against_dense():
@@ -100,9 +113,14 @@ def test_interface_mass_entries():
     assert M.to_dense()[1].sum() == pytest.approx(0.25)
 
 
+def neumann_block(grid):
+    return build_subdomain_system(grid, lambda x, y: 0.0).interface_block()
+
+
 def test_interface_stiffness_entries():
-    assert np.array_equal(assemble_interface_stiffness(build_grid(1)).to_dense(), [[2.0]])
-    A = assemble_interface_stiffness(build_grid(2))
+    # the Neumann block is half the five-point block
+    assert np.array_equal(neumann_block(build_grid(1)).to_dense(), [[2.0]])
+    A = neumann_block(build_grid(2))
     assert A.diag == 2.0
     assert A.off == -0.5
     dense = A.to_dense()
@@ -116,13 +134,13 @@ def test_interface_matrices_diagonalized_by_sine_basis():
     lam = np.array([fd_eigenvalue(j, m) for j in range(1, m + 1)])
     phi = sine_basis_matrix(m).T  # modes as columns
     M = assemble_interface_mass(grid).to_dense()
-    A = assemble_interface_stiffness(grid).to_dense()
+    A = neumann_block(grid).to_dense()
     assert np.abs(phi.T @ M @ phi - np.diag(h - (h / 6.0) * lam)).max() < 1e-12
     assert np.abs(phi.T @ A @ phi - np.diag(1.0 + 0.5 * lam)).max() < 1e-12
 
 
 def test_a0_single_unknown():
-    assert np.array_equal(assemble_a0(build_grid(1)).toarray(), [[4.0]])
+    assert np.array_equal(strip_stiffness(build_grid(1), clamped=True).toarray(), [[4.0]])
 
 
 def test_a0_equals_clamped_element_loop():
@@ -139,14 +157,14 @@ def test_a0_equals_clamped_element_loop():
 
         vertices, ids = rectangle_triangles(n + 1, 2 * n, grid.h, node_id)
         want = element_loop_stiffness(vertices, ids, n * m)
-        assert np.abs(assemble_a0(grid).toarray() - want).max() < 1e-13
+        assert np.abs(strip_stiffness(grid, clamped=True).toarray() - want).max() < 1e-13
 
 
 def test_a0_eigenvector_identity():
     for n in (2, 3):
         grid = build_grid(n)
         m = grid.n_interface
-        A = assemble_a0(grid)
+        A = strip_stiffness(grid, clamped=True)
         for i in range(1, n + 1):
             for j in range(1, m + 1):
                 v = np.kron(sine_basis_matrix(n)[i - 1], sine_basis_matrix(m)[j - 1])
@@ -156,7 +174,7 @@ def test_a0_eigenvector_identity():
 
 def test_subdomain_stiffness_single_unknown():
     assert np.array_equal(
-        assemble_subdomain_stiffness(build_grid(1)).toarray(), [[2.0]])
+        strip_stiffness(build_grid(1)).toarray(), [[2.0]])
 
 
 def test_subdomain_stiffness_equals_free_interface_element_loop():
@@ -172,7 +190,7 @@ def test_subdomain_stiffness_equals_free_interface_element_loop():
 
         vertices, ids = rectangle_triangles(n, 2 * n, grid.h, node_id)
         want = element_loop_stiffness(vertices, ids, n * m)
-        got = assemble_subdomain_stiffness(grid).toarray()
+        got = strip_stiffness(grid).toarray()
         assert np.abs(got - want).max() < 1e-13
 
 
@@ -187,7 +205,7 @@ def test_one_column_strip_matrix_is_the_tridiagonal():
 
 def test_robin_matrix_positive_definite():
     grid = build_grid(2)
-    stiffness = assemble_subdomain_stiffness(grid)
+    stiffness = strip_stiffness(grid)
     rng = np.random.default_rng(1)
     for gamma in (1e-3, 1.0, 1e3):
         A = add_interface_tridiagonal(stiffness, assemble_interface_mass(grid), gamma)
@@ -307,7 +325,7 @@ def test_strip_triangles_cover_strip():
 def test_p1_forms_match_element_loop():
     grid = build_grid(2)
     tri_x, tri_y, ids = strip_triangles(grid, "left")
-    n_unknowns = grid.n_subdomain_unknowns
+    n_unknowns = grid.n * grid.n_interface
     mass, stiffness = assemble_p1_forms(grid, tri_x, tri_y, ids, n_unknowns)
     vertices = [[(grid.coord(tri_x[t, k]), grid.coord(tri_y[t, k]))
                  for k in range(3)] for t in range(len(tri_x))]
@@ -355,7 +373,7 @@ def test_global_triangles_tile_square():
 
 def test_matrix_market_round_trip(tmp_path):
     grid = build_grid(2)
-    A = assemble_subdomain_stiffness(grid)
+    A = strip_stiffness(grid)
     path = tmp_path / "a.mtx"
     write_matrix_market(path, A, comment="strip stiffness")
     back = scipy.io.mmread(str(path))

@@ -55,9 +55,9 @@ def test_jacobi_rejects_asymmetry():
 
 def test_spmv_single_node_strip():
     # n=1 has one unknown; the clamped five-point entry is 4, and the CSR
-    # product the sweeps use reproduces it
-    from robinlab import assemble_a0
-    A = assemble_a0(build_grid(1))
+    # product reproduces it
+    from robin_oracle import strip_stiffness
+    A = strip_stiffness(build_grid(1), clamped=True)
     assert np.array_equal(A.toarray(), [[4.0]])
     assert (A @ np.array([1.0]))[0] == 4.0
 

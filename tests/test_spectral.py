@@ -2,15 +2,13 @@
 import numpy as np
 import pytest
 
-from robinlab import (DDParams, assemble_interface_mass,
-                      assemble_subdomain_stiffness, bound_margins, build_grid,
+from robinlab import (DDParams, assemble_interface_mass, bound_margins, build_grid,
                       corollary_rate, fd_eigenvalue, omega, omega_max, reduction_spectrum,
                       strip_symbol, theta_star,
                       von_neumann_advisor, von_neumann_rho)
-from robinlab.grid_fem import assemble_a0
 from robinlab.spectral import (COTH_1, cj_values, mode_arrays, sine_basis_matrix,
                                z_bracket)
-from robin_oracle import add_interface_tridiagonal
+from robin_oracle import add_interface_tridiagonal, strip_stiffness
 from symbol_oracle import (longdouble_symbol, tilde_lambda, tilde_lambda_all,
                            von_neumann_rho_product)
 
@@ -180,7 +178,7 @@ def test_tilde_lambda_matches_dense_trace_inverse():
     n = 8
     grid = build_grid(n)
     m = grid.n_interface
-    A0 = assemble_a0(grid).toarray()
+    A0 = strip_stiffness(grid, clamped=True).toarray()
     rhs = np.zeros((n * m, m))
     rhs[-m:, :] = np.eye(m)
     B0 = np.linalg.solve(A0, rhs)[-m:, :]
@@ -259,7 +257,7 @@ def test_one_sweep_matrix_diagonalized_by_sine_basis():
         grid = build_grid(n)
         m = grid.n_interface
         mass = assemble_interface_mass(grid)
-        stiffness = assemble_subdomain_stiffness(grid)
+        stiffness = strip_stiffness(grid)
         Mg = mass.to_dense()
         for params in (canonical_params(n), DDParams(2.5, 40.0, 0.2)):
             gsum = params.gamma1 + params.gamma2

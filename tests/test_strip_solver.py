@@ -7,11 +7,11 @@ from robinlab import (DDParams, assemble_global_solution, build_grid,
                       build_subdomain_system, dirichlet_neumann_solve,
                       dtn_schur)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import StripSolver, Tridiagonal, assemble_subdomain_stiffness
+from robinlab.grid_fem import StripSolver, Tridiagonal
 from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import sine_basis_matrix, strip_symbol
 from p1_oracle import global_poisson_system
-from robin_oracle import add_interface_tridiagonal
+from robin_oracle import add_interface_tridiagonal, strip_stiffness
 from symbol_oracle import interface_symbol
 
 _, F_LOAD = manufactured_solution()
@@ -32,7 +32,7 @@ def oracle_cases(system):
     """(fast solver, assembled matrix) for the Neumann stiffness, both Robin
     weights and the Dirichlet interior block."""
     m = system.grid.n_interface
-    stiffness = assemble_subdomain_stiffness(system.grid, system.n_cols)
+    stiffness = strip_stiffness(system.grid, system.n_cols)
     cases = [(system.solver(0.0), stiffness)]
     for gamma in (1.0, 64.0 / system.grid.h):
         cases.append((system.solver(gamma),
@@ -69,7 +69,7 @@ def test_dirichlet_flux_matches_dense_block_elimination():
         k_left, k_right = offcenter_columns(grid)
         for side, k in (("left", n), ("right", n), ("left", k_left), ("right", k_right)):
             system = build_subdomain_system(grid, zero_field, side, n_cols=k)
-            A = assemble_subdomain_stiffness(grid, k).toarray()
+            A = strip_stiffness(grid, k).toarray()
             base = (k - 1) * m
             load_I = rng.standard_normal(base)
             trace = rng.standard_normal(m)
