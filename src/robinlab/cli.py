@@ -1,9 +1,11 @@
 """Command line front end for the reproduction drivers.
 
 Subcommands mirror the experiment tables: table1, table2, table3,
-spectrum, von-neumann, operator.  Exit codes: 0 on success, 2 on a
-configuration or usage error, 3 when a requested run failed to converge
-(the table is still written, with the offending cells marked).
+spectrum, von-neumann, operator.  Each takes only the options its table
+reads; any other option is a usage error.  Exit codes: 0 on success, 2 on
+a configuration or usage error or a failed write, 3 when a requested run
+failed to converge (the table is still written, with the offending cells
+marked).
 """
 
 from __future__ import annotations
@@ -25,40 +27,47 @@ def _parse_list(kind):
 
 
 def build_parser():
+    # one parent parser per option group; each subcommand takes only the
+    # groups its table reads, so any other option is a usage error
+    common, dump, gamma1, gamma2, theta, stop = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    common.add_argument("--n", dest="n_list", type=_parse_list(int), metavar="N1,N2,...",
+                        help="strip widths n (mesh h = 1/(2n)); default 2,6,10,14,18,22,26")
+    common.add_argument("--format", choices=("csv", "markdown", "md"), default="csv")
+    common.add_argument("--out", default=None, metavar="FILE",
+                        help="write the table to FILE instead of stdout")
+    common.add_argument("--deep", action="store_true",
+                        help="append the large meshes n = 36, 144, 576")
+    dump.add_argument("--dump-matrices", default=None, metavar="DIR",
+                      help="also write the assembled matrices in MatrixMarket format")
+    gamma1.add_argument("--gamma1", type=float)
+    gamma2.add_argument("--gamma2-coeff", dest="gamma2_coefficient", type=float,
+                        metavar="GAMMA2_COEFF",
+                        help="gamma2 = coeff/h (or the constant itself with --gamma2-rule constant)")
+    gamma2.add_argument("--gamma2-rule", choices=("constant", "scale_inv_h"))
+    theta.add_argument("--theta", dest="theta_list", type=_parse_list(float),
+                       metavar="T1,T2,...", help="damping values; default depends on the subcommand")
+    stop.add_argument("--tol", dest="stop_tol", type=float, metavar="TOL",
+                      help="sup-norm stopping tolerance of the sweeps")
+    stop.add_argument("--max-iter", type=int)
+    every = (common, dump, gamma1, gamma2, theta, stop)
+
     parser = argparse.ArgumentParser(
         prog="robinlab",
         description="Two-sided Robin domain decomposition laboratory on the unit square",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("table1", "discretization errors, observed orders, and sweep counts"),
-        ("table2", "measured contraction factors over a damping grid"),
-        ("table3", "Dirichlet-Neumann baseline sweep counts"),
-        ("spectrum", "per-mode coefficients and damped eigenvalues"),
-        ("von-neumann", "half-plane advisor and band check (--n gives band limits K)"),
-        ("operator", "trace-map equivalence constants and radius bounds"),
+    for name, groups, help_text in (
+        ("table1", every, "discretization errors, observed orders, and sweep counts"),
+        ("table2", every, "measured contraction factors over a damping grid"),
+        ("table3", (common, dump, theta, stop), "Dirichlet-Neumann baseline sweep counts"),
+        ("spectrum", (common, dump, gamma1, gamma2, theta),
+         "per-mode coefficients and damped eigenvalues"),
+        ("von-neumann", (common, gamma1),
+         "half-plane advisor and band check (--n gives band limits K)"),
+        ("operator", (common, dump), "trace-map equivalence constants and radius bounds"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", dest="n_list", type=_parse_list(int), metavar="N1,N2,...",
-                       help="strip widths n (mesh h = 1/(2n)); default 2,6,10,14,18,22,26")
-        p.add_argument("--gamma1", type=float)
-        p.add_argument("--gamma2-coeff", dest="gamma2_coefficient", type=float,
-                       metavar="GAMMA2_COEFF",
-                       help="gamma2 = coeff/h (or the constant itself with --gamma2-rule constant)")
-        p.add_argument("--gamma2-rule", choices=("constant", "scale_inv_h"))
-        p.add_argument("--theta", dest="theta_list", type=_parse_list(float),
-                       metavar="T1,T2,...", help="damping values; default depends on the subcommand")
-        p.add_argument("--tol", dest="stop_tol", type=float, metavar="TOL",
-                       help="sup-norm stopping tolerance of the sweeps")
-        p.add_argument("--max-iter", type=int)
-        p.add_argument("--format", choices=("csv", "markdown", "md"),
-                       default="csv")
-        p.add_argument("--out", default=None, metavar="FILE",
-                       help="write the table to FILE instead of stdout")
-        p.add_argument("--deep", action="store_true",
-                       help="append the large meshes n = 36, 144, 576")
-        p.add_argument("--dump-matrices", default=None, metavar="DIR",
-                       help="also write the assembled matrices in MatrixMarket format")
+        sub.add_parser(name, parents=groups, help=help_text)
     return parser
 
 
@@ -71,32 +80,36 @@ def cli_main(argv=None) -> int:
     try:
         config = ExperimentConfig(
             table=args.command.replace("-", "_"),
-            output_format="markdown" if args.format == "md" else args.format,
             # options left out keep the config's defaults
             **{k: v for k, v in vars(args).items()
                if k in ExperimentConfig.__dataclass_fields__ and v is not None},
         )
-        if args.dump_matrices and config.table == "von_neumann":
-            raise ValueError("--dump-matrices needs meshes, and von-neumann reads --n as band limits")
     except (ValueError, TypeError) as exc:
         print(f"robinlab: {exc}", file=sys.stderr)
         return 2
+    dump_dir = getattr(args, "dump_matrices", None)
     # output paths are checked before the table is computed
     try:
-        if args.dump_matrices:
-            os.makedirs(args.dump_matrices, exist_ok=True)
+        if dump_dir:
+            os.makedirs(dump_dir, exist_ok=True)
             for n in config.grids():
-                grid_fem.write_strip_matrices(grid_fem.build_grid(n), args.dump_matrices)
+                grid_fem.write_strip_matrices(grid_fem.build_grid(n), dump_dir)
         out = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
         print(f"robinlab: {exc}", file=sys.stderr)
         return 2
     try:
-        result = experiments.run(config)
-        out.write(experiments.render(result, config.output_format))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        try:
+            result = experiments.run(config)
+            out.write(experiments.render(result, args.format))
+            # a full device fails here, not at exit
+            out.flush()
+        finally:
+            if out is not sys.stdout:
+                out.close()
+    except OSError as exc:
+        print(f"robinlab: {exc}", file=sys.stderr)
+        return 2
     if not result.notes.get("all_converged", True):
         print("robinlab: some runs did not converge (marked with *)", file=sys.stderr)
         return 3

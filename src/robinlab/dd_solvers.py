@@ -92,6 +92,7 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     Stops when the sup-norm change of g1 drops below params.stop_tol, or
     unconverged once it is not finite.
     """
+    _check_split(left, right)
     m = left.grid.n_interface
     mass = left.interface_mass
     gsum = params.gamma1 + params.gamma2
@@ -142,6 +143,7 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     SubdomainSystem.dirichlet_flux; both strips share one Neumann interface
     block, so the right strip's interface rows carry minus that flux.
     """
+    _check_split(left, right)
     m = left.grid.n_interface
     neumann = right.solver(0.0)
     F1_I, F1_G = left.load[:-m], left.load[-m:]
@@ -169,6 +171,13 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
 
     return _iterate(sweep, np.zeros(m), lambda w_hat: V @ w_hat, params,
                     left.interface_mass, strips)
+
+
+def _check_split(left: SubdomainSystem, right: SubdomainSystem):
+    """The two strips must come from one grid and tile its square."""
+    if left.grid != right.grid or left.n_cols + right.n_cols != 2 * left.grid.n:
+        raise ValueError("the strips must share one grid, with widths summing to 2n; got "
+                         f"widths {left.n_cols}, {right.n_cols} on n = {left.grid.n}, {right.grid.n}")
 
 
 def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,

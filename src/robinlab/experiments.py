@@ -73,7 +73,6 @@ class ExperimentConfig:
     theta_list: Optional[tuple] = None
     stop_tol: float = DDParams.stop_tol
     max_iter: int = DDParams.max_iter
-    output_format: str = "csv"
     deep: bool = False
 
     def __post_init__(self):
@@ -94,8 +93,6 @@ class ExperimentConfig:
             raise ValueError("theta_list must be a nonempty list")
         if self.table == "table1" and len(self.theta_list) > 1:
             raise ValueError(f"table1 runs one theta, got {len(self.theta_list)} in theta_list")
-        if self.output_format not in ("csv", "markdown"):
-            raise ValueError(f"output_format must be csv or markdown, got {self.output_format!r}")
         # DDParams checks the weights, damping and stopping controls
         for n in self.grids():
             for theta in self.theta_list:
@@ -160,7 +157,7 @@ def format_markdown(result: TableResult) -> str:
 
 
 def render(result: TableResult, output_format: str) -> str:
-    if output_format == "markdown":
+    if output_format in ("markdown", "md"):
         return format_markdown(result)
     return format_csv(result)
 

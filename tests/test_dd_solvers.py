@@ -125,6 +125,18 @@ def test_bad_initial_trace_rejected():
         robin_robin_solve(left, right, canonical_params(2), g1_init=np.ones(5))
 
 
+@pytest.mark.parametrize("solve", [robin_robin_solve, dirichlet_neumann_solve])
+@pytest.mark.parametrize("left_n, left_cols, right_n, right_cols", [
+    (2, 2, 3, 3),  # strips of two grids: 3 and 5 interface nodes
+    (3, 2, 3, 2),  # one grid, but 2 + 2 columns leave a gap in its 6
+])
+def test_strips_that_do_not_split_one_grid_rejected(solve, left_n, left_cols, right_n, right_cols):
+    left = build_subdomain_system(build_grid(left_n), F_LOAD, "left", n_cols=left_cols)
+    right = build_subdomain_system(build_grid(right_n), F_LOAD, "right", n_cols=right_cols)
+    with pytest.raises(ValueError, match="widths summing to 2n"):
+        solve(left, right, DDParams(1.0, 1.0, 0.45))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf in the FFT
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_trace_stops_after_one_sweep(bad):

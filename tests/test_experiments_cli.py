@@ -1,5 +1,6 @@
 """Table drivers, config plumbing, and the command line front end."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -18,7 +19,7 @@ from robinlab import (
     corollary_rate,
     reduction_spectrum,
 )
-from robinlab.cli import cli_main
+from robinlab.cli import build_parser, cli_main
 from robinlab.grid_fem import Tridiagonal
 from robinlab.experiments import (
     DEEP_N_LIST,
@@ -130,7 +131,7 @@ def test_config_grids_dedup_and_deep():
         (dict(table="table1", theta_list=(-0.1,)), r"\[0, 1\)"),
         (dict(table="table1", stop_tol=0.0), "stop_tol"),
         (dict(table="table1", max_iter=0), "max_iter"),
-        (dict(table="table1", output_format="tsv"), "csv or markdown"),
+        (dict(table="table1", theta_list=(float("nan"),)), r"\[0, 1\)"),
         (dict(table="table1", gamma1=float("inf")), "finite"),
         (dict(table="table1", gamma1=float("nan")), "finite"),
         (dict(table="table1", gamma2_coefficient=float("inf")), "finite"),
@@ -618,10 +619,122 @@ def test_cli_von_neumann_rejects_matrix_dump(tmp_path, capsys):
     rc = cli_main(["von-neumann", "--n", "3", "--dump-matrices", str(dump_dir)])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith("robinlab:") and captured.err.count("\n") == 1
-    assert "band limits" in captured.err
+    assert "unrecognized arguments: --dump-matrices" in captured.err
     assert captured.out == ""
     assert not dump_dir.exists()
+
+
+# the options each subcommand reads; every other one is a usage error
+COMMON_OPTIONS = ("--n", "--format", "--out", "--deep")
+CONFIG_OPTIONS = ("--gamma1", "--gamma2-coeff", "--gamma2-rule", "--theta", "--tol", "--max-iter")
+SUBCOMMAND_OPTIONS = {
+    "table1": ("--dump-matrices",) + CONFIG_OPTIONS,
+    "table2": ("--dump-matrices",) + CONFIG_OPTIONS,
+    "table3": ("--dump-matrices", "--theta", "--tol", "--max-iter"),
+    "spectrum": ("--dump-matrices", "--gamma1", "--gamma2-coeff", "--gamma2-rule", "--theta"),
+    "von-neumann": ("--gamma1",),
+    "operator": ("--dump-matrices",),
+}
+# a valid value other than the default for each option that takes one
+OPTION_VALUES = {"--dump-matrices": "mm", "--gamma1": "2", "--gamma2-coeff": "4",
+                 "--gamma2-rule": "constant", "--theta": "0.5", "--tol": "0.1",
+                 "--max-iter": "3"}
+
+
+def test_cli_subcommands_parse_only_their_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {s for a in p._actions for s in a.option_strings if s != "-h" and s != "--help"}
+              for name, p in sub.choices.items()}
+    assert parsed == {name: set(COMMON_OPTIONS + options)
+                      for name, options in SUBCOMMAND_OPTIONS.items()}
+    assert sum(map(len, parsed.values())) == 49
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in SUBCOMMAND_OPTIONS.items()
+    for option in OPTION_VALUES if option not in options])
+def test_cli_unread_option_is_usage_error(tmp_path, monkeypatch, capsys, command, option):
+    monkeypatch.chdir(tmp_path)
+    rc = cli_main([command, "--n", "2", option, OPTION_VALUES[option]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option}" in captured.err
+    assert not (tmp_path / "mm").exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in SUBCOMMAND_OPTIONS.items()
+    for option in options if option in CONFIG_OPTIONS])
+def test_cli_read_option_changes_table(capsys, command, option):
+    cli_main([command, "--n", "2"])
+    default = capsys.readouterr().out
+    rc = cli_main([command, "--n", "2", option, OPTION_VALUES[option]])
+    captured = capsys.readouterr()
+    assert rc in (0, 3), captured.err
+    assert captured.out and captured.out != default
+
+
+def test_cli_rejects_unknown_format(capsys):
+    rc = cli_main(["table1", "--n", "2", "--format", "tsv"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "invalid choice: 'tsv'" in captured.err
+
+
+class FullFile:
+    """A text file on a full device: writes buffer, flushes fail."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+    def close(self):
+        self.flush()
+
+
+@pytest.mark.parametrize("args", [[], ["--out", "table.csv"]])
+def test_cli_failed_write_is_usage_error(monkeypatch, capsys, args):
+    monkeypatch.setattr("robinlab.cli.open", lambda *a, **k: FullFile(), raising=False)
+    monkeypatch.setattr(sys, "stdout", FullFile())
+    rc = cli_main(["table1", "--n", "2", *args])
+    monkeypatch.undo()
+    assert rc == 2
+    assert capsys.readouterr().err == "robinlab: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to_out", [False, True])
+def test_cli_write_to_full_device_exits_2(to_out):
+    # a fresh interpreter, so that stdout's flush at exit is seen too
+    args = ["table1", "--n", "2"] + (["--out", "/dev/full"] if to_out else [])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "robinlab", *args], stdout=full,
+                              env=_fresh_env(), stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "robinlab: [Errno 28] No space left on device\n"
+
+
+def _readme_commands():
+    """The robinlab command lines of README's "Command line" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split()[1:] for line in section.splitlines()
+            if line.startswith("    robinlab ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)  # for --out
+    for argv in commands:
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == (3 if argv[0] == "table3" else 0), (argv, captured.err)
 
 
 def test_cli_hyphenated_subcommand(capsys):
