@@ -24,8 +24,7 @@ for n in (2, 6, 10):
     counts = []
     for theta in (0.25, 0.4, 0.5, 0.55, 0.75):
         p = DDParams(1.0, 128.0 * n, theta, max_iter=500)
-        rep = dirichlet_neumann_solve(left, right, p,
-                                      include_left_interface_load=True)
+        rep = dirichlet_neumann_solve(left, right, p)
         counts.append(f"{rep.iterations:5d}" if rep.converged
                       else f"{rep.iterations:4d}*")
     robin = robin_robin_solve(left, right, DDParams(1.0, 128.0 * n, 3.0 / 7.0))

@@ -7,14 +7,13 @@ traces of the transmission data are the iteration's state; everything else
 is recomputed each sweep.
 
 dirichlet_neumann_solve is the classical damped Dirichlet-Neumann sweep on
-the same split, kept as a baseline.  Its update rule is taken literally
-from the reference description, where the Neumann-side right-hand side
-carries only the right-strip load; the include_left_interface_load switch
-(off by default) adds the left-strip interface load so the limit solves
-the assembled global system.  Both strips' interface Schur complements are
-diagonal in the sine basis of the interface, so its sweep runs on one
-scalar per sine mode and needs strip solves only before the first sweep
-and to recover the strip solutions after the last.
+the same split, kept as a baseline.  Its Neumann-side right-hand side
+carries the interface loads of both strips, so its limit solves the
+assembled global system, as the Robin sweep's does.  Both strips'
+interface Schur complements are diagonal in the sine basis of the
+interface, so its sweep runs on one scalar per sine mode and needs strip
+solves only before the first sweep and to recover the strip solutions
+after the last.
 
 Every strip solve runs through grid_fem.StripSolver: a sine transform in
 y splits the strip into independent tridiagonal systems in x, factored
@@ -78,7 +77,6 @@ class DDReport:
     solution_w: np.ndarray
     reduction_rate: Optional[float]
     converged: bool
-    interface_mass: Tridiagonal
 
 
 def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
@@ -119,29 +117,29 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
 
 
 def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
-                            params: DDParams,
-                            include_left_interface_load=False) -> DDReport:
+                            params: DDParams) -> DDReport:
     """Damped Dirichlet-Neumann sweep with interface values w as the state.
 
     One sweep: a Dirichlet solve on the left strip with trace w, then a
     Neumann-coupled solve on the right strip whose interface rows carry
-    minus the left residual flux, then w <- theta w + (1 - theta) w~|_G.
+    the left interface load less the left residual flux, then
+    w <- theta w + (1 - theta) w~|_G; the limit solves the global system.
     The start is w = 0.  Only theta and the stopping controls of params
     are used; the stopping rule is that of robin_robin_solve.
 
     The sweep runs in the sine basis V of the interface, where both strips'
     interface Schur complements S_i = V diag(sigma_i) V are diagonal, with
     sigma_i the closed-form spectral.strip_symbol of strip i's width.  With
-    c0 the left flux of the Dirichlet solve of the load (less the left
-    interface load when it is included) and t2 the trace of the Neumann
-    solve of the right load, the new trace is w~|_G = t2 - S_2^-1 (c0 + S_1 w),
-    so one sweep is a per-mode affine map of w^ = V w and runs no strip
-    solve.  The history holds the physical traces V w^; the strip solutions
-    of the last sweep are recovered by one Dirichlet and one Neumann solve.
+    c0 the left flux of the Dirichlet solve of the load less the left
+    interface load, and t2 the trace of the Neumann solve of the right load,
+    the new trace is w~|_G = t2 - S_2^-1 (c0 + S_1 w), so one sweep is a
+    per-mode affine map of w^ = V w and runs no strip solve.  The history
+    holds the physical traces V w^; the strip solutions of the last sweep
+    are recovered by one Dirichlet and one Neumann solve.
 
     The left strip's Dirichlet solves and fluxes come from
     SubdomainSystem.dirichlet_flux; both strips share one Neumann interface
-    block, so the right strip's interface rows carry minus that flux.
+    block, so the right strip's interface rows carry F1_G minus that flux.
     """
     _check_split(left, right)
     m = left.grid.n_interface
@@ -149,9 +147,7 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     F1_I, F1_G = left.load[:-m], left.load[-m:]
 
     V = sine_basis_matrix(m)
-    c0 = left.dirichlet_flux(F1_I, np.zeros(m))[1]
-    if include_left_interface_load:
-        c0 -= F1_G
+    c0 = left.dirichlet_flux(F1_I, np.zeros(m))[1] - F1_G
     t2 = neumann.solve(right.load)[-m:]
     sigma2 = strip_symbol(m, right.n_cols)
     alpha = V @ t2 - (V @ c0) / sigma2
@@ -164,9 +160,7 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
         # the last sweep's strip solves, from the state it started with
         u_I, flux = left.dirichlet_flux(F1_I, history[-2])
         rhs = right.load.copy()
-        rhs[-m:] -= flux
-        if include_left_interface_load:
-            rhs[-m:] += F1_G
+        rhs[-m:] += F1_G - flux
         return np.concatenate([u_I, history[-1]]), neumann.solve(rhs)
 
     return _iterate(sweep, np.zeros(m), lambda w_hat: V @ w_hat, params,
@@ -202,35 +196,33 @@ def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,
                 converged = True
                 break
         u, w = strips(history)
-    report = DDReport(
-        iterations=len(history) - 1,
-        interface_trace_history=np.asarray(history),
+    history = np.asarray(history)
+    iterations = len(history) - 1
+    return DDReport(
+        iterations=iterations,
+        interface_trace_history=history,
         solution_u=u,
         solution_w=w,
-        reduction_rate=None,
+        reduction_rate=measured_reduction_rate(history, mass) if iterations >= 4 else None,
         converged=converged,
-        interface_mass=mass,
     )
-    if report.iterations >= 4:
-        report.reduction_rate = measured_reduction_rate(report)
-    return report
 
 
-def measured_reduction_rate(report: DDReport) -> float:
-    """Geometric-mean contraction factor of the interface updates.
+def measured_reduction_rate(history, mass: Tridiagonal) -> float:
+    """Geometric-mean contraction factor of a trace history's updates.
 
-    Uses the interface-mass norm of successive trace differences and
-    averages the ratios over the last half of the history, where the
-    dominant mode has taken over.  A non-finite norm there (a diverged
-    run) reports nan; ratios spoilt by a zero norm (an exactly converged
-    tail) are dropped, and an all-zero tail reports 0.
+    Uses the mass norm of the differences of successive rows and averages
+    the ratios over the last half of the history, where the dominant mode
+    has taken over.  A non-finite norm there (a diverged run) reports nan;
+    ratios spoilt by a zero norm (an exactly converged tail) are dropped,
+    and an all-zero tail reports 0.
     """
-    if report.iterations < 4:
-        raise ValueError("need at least 4 iterations to measure a rate")
-    H = np.asarray(report.interface_trace_history, dtype=float)
+    H = np.asarray(history, dtype=float)
+    if len(H) < 5:
+        raise ValueError("need at least 4 sweeps (5 traces) to measure a rate")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diffs = H[1:] - H[:-1]
-        squares = np.einsum("ij,ij->i", diffs, report.interface_mass.matvec(diffs))
+        squares = np.einsum("ij,ij->i", diffs, mass.matvec(diffs))
         norms = np.sqrt(np.maximum(squares, 0.0))
         ratios = norms[1:] / norms[:-1]
     start = (len(norms) - 1) // 2

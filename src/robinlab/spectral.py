@@ -115,12 +115,12 @@ def omega(z, gamma1, gamma2):
 
 def omega_max(gamma1, gamma2):
     """Maximizer z0 = sqrt(gamma1 gamma2) of omega and the maximum value
-    (eta - 1)^2 / (eta + 1)^2 with eta = sqrt(gamma2 / gamma1)."""
+    ((s2 - s1) / (s2 + s1))^2, s_i = sqrt(gamma_i); gamma2 / gamma1 may overflow."""
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("Robin weights must be positive")
     z0 = math.sqrt(gamma1 * gamma2)
-    eta = math.sqrt(gamma2 / gamma1)
-    return z0, ((eta - 1.0) / (eta + 1.0)) ** 2
+    s1, s2 = math.sqrt(gamma1), math.sqrt(gamma2)
+    return z0, ((s2 - s1) / (s2 + s1)) ** 2
 
 
 def theta_star(a, b):

@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from robinlab import (DDParams, DDReport, Tridiagonal,
+from robinlab import (DDParams, Tridiagonal,
                       assemble_global_solution, build_grid,
                       build_subdomain_system, corollary_rate,
                       dirichlet_neumann_solve, error_norms,
                       measured_reduction_rate, reduction_spectrum,
-                      robin_robin_solve)
+                      robin_robin_solve, strip_symbol)
 from robinlab.experiments import manufactured_solution
+from robinlab.grid_fem import StripSolver
 from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import sine_basis_matrix
 from dn_oracle import dirichlet_neumann_oracle, per_row_reduction_rate
@@ -189,7 +190,7 @@ def test_contraction_every_iteration_up_to_n64():
         grid, left, right = strip_pair(n, f=zero_field)
         report = robin_robin_solve(left, right, canonical_params(n),
                                    g1_init=rng.standard_normal(grid.n_interface))
-        M = report.interface_mass
+        M = left.interface_mass
         norms = np.array([np.sqrt(max(0.0, e @ M.matvec(e)))
                           for e in report.interface_trace_history])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -208,8 +209,7 @@ def test_measured_rate_within_corollary_envelope():
         report = robin_robin_solve(left, right, canonical_params(4, theta=theta),
                                    g1_init=g0)
         assert report.iterations >= 4
-        rate = measured_reduction_rate(report)
-        assert rate <= corollary_rate(theta) + 0.01
+        assert report.reduction_rate <= corollary_rate(theta) + 0.01
 
 
 def test_measured_rates_on_manufactured_problem():
@@ -224,32 +224,21 @@ def test_measured_rates_on_manufactured_problem():
 def test_measured_rate_synthetic_histories():
     mass = Tridiagonal(1, 1.0 / 3.0, 0.0)
     geometric = np.array([[0.5 ** m] for m in range(7)])
-    report = DDReport(iterations=6, interface_trace_history=geometric,
-                      solution_u=np.zeros(1), solution_w=np.zeros(1),
-                      reduction_rate=None, converged=True, interface_mass=mass)
-    assert measured_reduction_rate(report) == pytest.approx(0.5, abs=1e-12)
+    assert measured_reduction_rate(geometric, mass) == pytest.approx(0.5, abs=1e-12)
     # an exactly converged tail leaves no usable ratios
     flat = np.array([[1.0], [0.5], [0.25], [0.25], [0.25]])
-    report = DDReport(iterations=4, interface_trace_history=flat,
-                      solution_u=np.zeros(1), solution_w=np.zeros(1),
-                      reduction_rate=None, converged=True, interface_mass=mass)
-    assert measured_reduction_rate(report) == 0.0
-    short = DDReport(iterations=3, interface_trace_history=geometric[:4],
-                     solution_u=np.zeros(1), solution_w=np.zeros(1),
-                     reduction_rate=None, converged=True, interface_mass=mass)
+    assert measured_reduction_rate(flat, mass) == 0.0
+    # three sweeps (four traces) are too few
     with pytest.raises(ValueError):
-        measured_reduction_rate(short)
+        measured_reduction_rate(geometric[:4], mass)
 
 
 def test_measured_rate_non_finite_tail_is_nan():
     mass = Tridiagonal(1, 1.0 / 3.0, 0.0)
     for bad in (np.nan, np.inf):
         history = np.array([[1.0], [0.5], [0.25], [0.125], [bad]])
-        report = DDReport(iterations=4, interface_trace_history=history,
-                          solution_u=np.zeros(1), solution_w=np.zeros(1),
-                          reduction_rate=None, converged=False, interface_mass=mass)
         with np.errstate(invalid="ignore"):
-            assert np.isnan(measured_reduction_rate(report))
+            assert np.isnan(measured_reduction_rate(history, mass))
 
 
 def test_converged_solution_solves_global_system():
@@ -338,36 +327,34 @@ def test_dirichlet_neumann_matches_physical_oracle(n):
         left = build_subdomain_system(grid, F_LOAD, "left", n_cols=k_left)
         right = build_subdomain_system(grid, F_LOAD, "right", n_cols=k_right)
         for theta in (0.0, 0.25, 0.45, 0.5, 0.75):
-            for flag in (False, True):
-                params = DDParams(1.0, 1.0, theta, max_iter=300)
-                got = dirichlet_neumann_solve(left, right, params,
-                                              include_left_interface_load=flag)
-                want = dirichlet_neumann_oracle(left, right, params,
-                                                include_left_interface_load=flag)
-                assert got.iterations == want.iterations
-                assert got.converged == want.converged
-                H, R = got.interface_trace_history, want.interface_trace_history
-                tol = np.full(len(R), 1e-12)
-                if split == "third" and theta == 0.0:
-                    # the iteration grows like the largest sigma_1/sigma_2,
-                    # whose roundoff (3.7e-14 relative at n = 36) each
-                    # sweep compounds
-                    tol += 1e-13 * np.arange(len(R))
-                scale = np.maximum.accumulate(np.abs(R).max(axis=1))
-                assert np.all(np.abs(H - R).max(axis=1) <= tol * scale)
-                if want.converged:
-                    for x, ref in ((got.solution_u, want.solution_u),
-                                   (got.solution_w, want.solution_w)):
-                        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-                if want.reduction_rate is None:
-                    assert got.reduction_rate is None
-                    continue
-                assert got.reduction_rate == pytest.approx(
-                    per_row_reduction_rate(got), rel=1e-12)
-                # a converged tail ends with steps near stop_tol, where the
-                # histories' roundoff is 1e-4 of a step
-                assert got.reduction_rate == pytest.approx(want.reduction_rate,
-                                                           rel=2e-3)
+            params = DDParams(1.0, 1.0, theta, max_iter=300)
+            got = dirichlet_neumann_solve(left, right, params)
+            want = dirichlet_neumann_oracle(left, right, params,
+                                            include_left_interface_load=True)
+            assert got.iterations == want.iterations
+            assert got.converged == want.converged
+            H, R = got.interface_trace_history, want.interface_trace_history
+            tol = np.full(len(R), 1e-12)
+            if split == "third" and theta == 0.0:
+                # the iteration grows like the largest sigma_1/sigma_2,
+                # whose roundoff (3.7e-14 relative at n = 36) each
+                # sweep compounds
+                tol += 1e-13 * np.arange(len(R))
+            scale = np.maximum.accumulate(np.abs(R).max(axis=1))
+            assert np.all(np.abs(H - R).max(axis=1) <= tol * scale)
+            if want.converged:
+                for x, ref in ((got.solution_u, want.solution_u),
+                               (got.solution_w, want.solution_w)):
+                    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+            if want.reduction_rate is None:
+                assert got.reduction_rate is None
+                continue
+            assert got.reduction_rate == pytest.approx(
+                per_row_reduction_rate(H, left.interface_mass), rel=1e-12)
+            # a converged tail ends with steps near stop_tol, where the
+            # histories' roundoff is 1e-4 of a step
+            assert got.reduction_rate == pytest.approx(want.reduction_rate,
+                                                       rel=2e-3)
 
 
 def test_dirichlet_neumann_zero_data():
@@ -411,15 +398,88 @@ def test_dirichlet_neumann_interface_load_flag():
     grid, left, right = strip_pair(n)
     K, load = global_poisson_system(grid, F_LOAD)
     x_global = np.linalg.solve(K.toarray(), load)
-    with_flag = dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45),
-                                        include_left_interface_load=True)
-    x = assemble_global_solution(grid, with_flag.solution_u, with_flag.solution_w)
+    params = DDParams(1.0, 1.0, 0.45)
+    report = dirichlet_neumann_solve(left, right, params)
+    x = assemble_global_solution(grid, report.solution_u, report.solution_w)
     assert np.abs(x - x_global).max() < 1e-10
-    # as written, the Neumann step drops the left interface load and the
-    # limit misses the global solution by an O(1) interface defect
-    without = dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45))
-    x0 = assemble_global_solution(grid, without.solution_u, without.solution_w)
+    # read literally, the Neumann step drops the left interface load and
+    # the limit misses the global solution by an O(h) interface defect
+    literal = dirichlet_neumann_oracle(left, right, params,
+                                       include_left_interface_load=False)
+    x0 = assemble_global_solution(grid, literal.solution_u, literal.solution_w)
     assert np.abs(x0 - x_global).max() > 1e-3
+
+
+def whole_square_solution(left, right):
+    """The discrete solution on the whole square, by one fast solve.
+
+    The square's interior lattice is one strip of 2n - 1 five-point
+    columns with zero Dirichlet values past its last column.  Its load is
+    the left strip's interior columns, the sum of both strips' interface
+    loads, and the right strip's interior columns mirrored back in x.
+    """
+    m = left.grid.n_interface
+    load = np.concatenate([left.load[:-m], left.load[-m:] + right.load[-m:],
+                           right.load[:-m].reshape(-1, m)[::-1].ravel()])
+    return StripSolver(2 * left.grid.n - 1, Tridiagonal(m, 4.0, -1.0)).solve(load)
+
+
+def strips_to_square(m, u, w):
+    """assemble_global_solution for strips of any widths summing to 2n."""
+    return np.concatenate([u[:-m], w.reshape(-1, m)[::-1].ravel()])
+
+
+def limit_gap_bound(report, rho, gain, x_star):
+    """Sup-norm bound on the gap between a converged sweep's strip
+    solutions and the discrete solution x_star.
+
+    Both sweeps are per-mode affine maps with factors of modulus at most
+    rho in the orthonormal sine basis of the interface, and recover their
+    strip solutions from the state history[-2] that the last sweep started
+    from.  Its error e obeys |e|_2 <= |d|_2 / (1 - rho) with d the last
+    step, and |d|_2 < sqrt(m) stop_tol by the stopping rule.  Each strip's
+    interface error is at most gain |e|_2 (mode by mode), and the discrete
+    maximum principle carries it into the strip's interior.  The last term
+    allows for the roundoff of the strip and whole-square solves.
+    """
+    d = np.diff(report.interface_trace_history[-2:], axis=0)
+    assert report.converged
+    assert np.abs(d).max() < DDParams.stop_tol
+    e = np.sqrt(len(d[0])) * DDParams.stop_tol / (1.0 - rho)
+    return gain * e + 1e-12 * np.abs(x_star).max()
+
+
+@pytest.mark.parametrize("n", [36, 72, 144])
+def test_sweep_limits_are_the_whole_square_solution(n):
+    grid, left, right = strip_pair(n)
+    m = grid.n_interface
+    x_star = whole_square_solution(left, right)
+    # the Robin sweep at the table1 weights; a Robin solve maps a datum
+    # error e_j to an interface error of at most e_j / gamma1 on either strip
+    params = canonical_params(n)
+    report = robin_robin_solve(left, right, params)
+    x = assemble_global_solution(grid, report.solution_u, report.solution_w)
+    rho = reduction_spectrum(n, params)[1]
+    assert np.abs(x - x_star).max() <= limit_gap_bound(report, rho, 1.0 / params.gamma1, x_star)
+    for k_left, k_right in ((n, n), offcenter_columns(grid)):
+        left = build_subdomain_system(grid, F_LOAD, "left", n_cols=k_left)
+        right = build_subdomain_system(grid, F_LOAD, "right", n_cols=k_right)
+        # the strips' interface loads sum to the square's up to roundoff
+        assert np.abs(whole_square_solution(left, right) - x_star).max() <= 1e-14 * np.abs(x_star).max()
+        # the Dirichlet-Neumann sweep: a trace error e leaves e on the left
+        # strip and -(sigma_1 / sigma_2) e, mode by mode, on the right
+        params = DDParams(1.0, 1.0, 0.45)
+        beta = strip_symbol(m, k_left) / strip_symbol(m, k_right)
+        rho = np.abs(params.theta - (1.0 - params.theta) * beta).max()
+        report = dirichlet_neumann_solve(left, right, params)
+        x = strips_to_square(m, report.solution_u, report.solution_w)
+        assert np.abs(x - x_star).max() <= limit_gap_bound(report, rho, max(1.0, beta.max()), x_star)
+        # read literally, the Neumann step drops the left interface load;
+        # its limit misses the solution by O(h)
+        literal = dirichlet_neumann_oracle(left, right, params,
+                                           include_left_interface_load=False)
+        x0 = strips_to_square(m, literal.solution_u, literal.solution_w)
+        assert np.abs(x0 - x_star).max() > 0.25 * grid.h
 
 
 def test_assemble_global_solution_layout():

@@ -613,17 +613,6 @@ def test_cli_bad_output_path_is_usage_error(tmp_path, monkeypatch, capsys, optio
     assert captured.out == ""
 
 
-def test_cli_von_neumann_rejects_matrix_dump(tmp_path, capsys):
-    # von-neumann reads --n as band limits K, which are no meshes to dump
-    dump_dir = tmp_path / "mm"
-    rc = cli_main(["von-neumann", "--n", "3", "--dump-matrices", str(dump_dir)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "unrecognized arguments: --dump-matrices" in captured.err
-    assert captured.out == ""
-    assert not dump_dir.exists()
-
-
 # the options each subcommand reads; every other one is a usage error
 COMMON_OPTIONS = ("--n", "--format", "--out", "--deep")
 CONFIG_OPTIONS = ("--gamma1", "--gamma2-coeff", "--gamma2-rule", "--theta", "--tol", "--max-iter")
@@ -737,6 +726,19 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         assert rc == (3 if argv[0] == "table3" else 0), (argv, captured.err)
 
 
+def test_cli_von_neumann_tiny_gamma1(capsys):
+    # gamma2 / gamma1 overflows for a subnormal gamma1; the advisor's
+    # theta and bound must stay finite and the band check must pass
+    rc = cli_main(["von-neumann", "--n", "2,100", "--gamma1", "5e-324"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.splitlines() == [
+        "K,gamma1,gamma2,theta,bound,max|rho|,within_bound",
+        "2,4.940656458e-324,2.282092386,0.3333333333,0.3333333333,0.3015873016,yes",
+        "100,4.940656458e-324,110,0.3333333333,0.3333333333,0.3176054924,yes",
+    ]
+
+
 def test_cli_hyphenated_subcommand(capsys):
     rc = cli_main(["von-neumann", "--n", "10"])
     captured = capsys.readouterr()
@@ -783,6 +785,7 @@ def test_table1_refining_meshes_byte_identical():
     (["operator"], "operator_default.csv", 0),
     (["operator", "--n", "1,2,3,4,5,6,7,32,40"], "operator_n1_to_7_32_40.csv", 0),
     (["table2"], "table2_default.csv", 0),
+    (["table3", "--n", "1,2,5", "--theta", "0.25,0.3,0.45"], "table3_n1_2_5_theta.csv", 0),
 ])
 def test_mode_symbol_tables_byte_identical(args, name, code):
     """`spectrum`, `table3`, `table2` and `operator` print exactly the
@@ -804,9 +807,13 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     built one strip per width: `operator` then built four strips per mesh,
     which includes n = 1, where both splits are (1, 1), and the
     one-column strips, and `table2` a left and a right strip per mesh.
-    They run as table1 does above (fresh interpreter,
-    two BLAS threads); `table3` exits 3 by design, as its theta = 0 column
-    does not converge.
+    The file of `table3 --n 1,2,5 --theta 0.25,0.3,0.45` pins the reading
+    of the Neumann step that the sweep runs: the one that solves the
+    assembled global system takes one sweep fewer at n = 1 (theta = 0.25
+    and 0.45) and one more at n = 5 (theta = 0.3) than the literal
+    reading kept in dn_oracle.py.  They run as table1 does above (fresh
+    interpreter, two BLAS threads); the default-theta `table3` exits 3 by
+    design, as its theta = 0 column does not converge.
     """
     done, want = _pinned_run(args, name)
     assert done.returncode == code, done.stderr

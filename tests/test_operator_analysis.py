@@ -8,7 +8,7 @@ from schur_oracle import splu_schur
 from robinlab import (DDParams, DtNOperator, build_grid,
                       build_iteration_operator, build_subdomain_system,
                       dtn_schur, equivalence_bounds, iteration_spectral_radius,
-                      measured_reduction_rate, omega, params_from_bounds,
+                      omega, params_from_bounds,
                       reduction_spectrum, robin_robin_solve, symmetrized_T)
 from robinlab.grid_fem import Tridiagonal
 from robinlab.operator_analysis import offcenter_columns
@@ -351,4 +351,4 @@ def test_radius_matches_measured_rate():
     rng = np.random.default_rng(29)
     report = robin_robin_solve(left, right, params,
                                g1_init=rng.standard_normal(grid.n_interface))
-    assert abs(radius - measured_reduction_rate(report)) <= 0.02
+    assert abs(radius - report.reduction_rate) <= 0.02

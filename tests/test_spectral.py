@@ -1,4 +1,5 @@
 """Closed-form mode analysis checked against exact rationals and dense oracles."""
+import math
 import numpy as np
 import pytest
 
@@ -288,6 +289,12 @@ def test_omega_zeros_and_maximum():
     assert omega(4.0, 1.0, 4.0) == 0.0
     with pytest.raises(ValueError):
         omega_max(0.0, 1.0)
+    # gamma2 / gamma1 overflows here, but the maximum needs no such ratio:
+    # it is the square of (sqrt(gamma2) - sqrt(gamma1)) / (sqrt(gamma2) + sqrt(gamma1))
+    for gamma1, gamma2 in ((5e-324, 2.0), (1e-300, 1e300), (5e-324, 1.7e308)):
+        z0, w0 = omega_max(gamma1, gamma2)
+        assert z0 == math.sqrt(gamma1 * gamma2)
+        assert w0 == 1.0
 
 
 def test_omega_sampled_maximizer_and_monotonicity():

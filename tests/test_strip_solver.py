@@ -135,8 +135,7 @@ def test_dirichlet_neumann_with_empty_interior():
     left = build_subdomain_system(grid, F_LOAD, "left")
     right = build_subdomain_system(grid, F_LOAD, "right")
     assert left.dirichlet_solver().solve(np.zeros(0)).shape == (0,)
-    report = dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45),
-                                     include_left_interface_load=True)
+    report = dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45))
     assert report.converged
     K, load = global_poisson_system(grid, F_LOAD)
     x_global = scipy.sparse.linalg.spsolve(K, load)
