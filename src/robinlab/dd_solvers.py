@@ -2,30 +2,24 @@
 
 robin_robin_solve runs the damped two-sided Robin sweep: a Robin solve on
 the left strip, a nodal update of the transmission datum, a Robin solve on
-the right strip, and a damped update of the left datum.  The interface
-traces of the transmission data are the iteration's state; everything else
-is recomputed each sweep.
-
+the right strip, and a damped update of the left datum.
 dirichlet_neumann_solve is the classical damped Dirichlet-Neumann sweep on
 the same split, kept as a baseline.  Its Neumann-side right-hand side
 carries the interface loads of both strips, so its limit solves the
 assembled global system, as the Robin sweep's does.  Both strips'
 interface Schur complements are diagonal in the sine basis of the
-interface, so its sweep runs on one scalar per sine mode and needs strip
-solves only before the first sweep and to recover the strip solutions
-after the last.
+interface, so either sweep is a per-mode affine map of the sine
+coefficients of its state and runs no strip solve: two solves before the
+first sweep set up the map, and two after the last recover the strips.
+robin_robin_physical_solve runs the Robin sweep with its two strip solves
+in every sweep; only table1 runs it, for the reason its docstring gives.
 
-Every strip solve runs through grid_fem.StripSolver: a sine transform in
-y splits the strip into independent tridiagonal systems in x, factored
-once per system by banded LAPACK, and one step of iterative refinement
-keeps the result as accurate as a sparse direct solve.  The sweeps read
-no assembled matrix and no block offsets: the interface couplings come
-from the strips' interface blocks and SubdomainSystem.dirichlet_flux.
-SuperLU (splu/spsolve) on the assembled matrices is kept only as the test
-oracle.  Both sweeps run through one driver, _iterate, which owns the
-loop, the stop on the sup-norm change of the interface trace (converged
-below stop_tol, not converged once non-finite, with numpy's overflow
-warnings silenced), the trace history and the report.
+Every strip solve runs through grid_fem.StripSolver, a refined fast
+sine-transform solver.  Every sweep runs through one driver, _iterate,
+which owns the loop, the stop on the sup-norm change of the interface
+trace (converged below stop_tol, not converged once non-finite, with
+numpy's overflow warnings silenced), the trace history and the report;
+the per-mode sweeps reach it through _mode_iterate.
 """
 
 from __future__ import annotations
@@ -89,31 +83,72 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     g1 <- theta g1 + (1 - theta)(-g2 + (gamma1 + gamma2) w|_G).
     Stops when the sup-norm change of g1 drops below params.stop_tol, or
     unconverged once it is not finite.
+
+    The sweep runs on the sine coefficients g1^ = V g1, where strip i's
+    Robin Schur complement is sigma_i + gamma_i mu per mode (sigma_i its
+    strip_symbol, mu the interface-mass eigenvalue): g2^ = A_1 g1^ + B_1 and
+    g1^ <- A_2 g2^ + B_2 before damping, with B_i = (gamma1 + gamma2) V t_i,
+    t_i the trace of the Robin solve of strip i's load, and
+    A_i = (gamma_j mu - sigma_i) / (sigma_i + gamma_i mu), j the other strip.
     """
     _check_split(left, right)
     m = left.grid.n_interface
-    mass = left.interface_mass
-    gsum = params.gamma1 + params.gamma2
-    solve1 = left.solver(params.gamma1).solve
-    solve2 = right.solver(params.gamma2).solve
-
-    g1 = np.zeros(m) if g1_init is None else np.asarray(g1_init, dtype=float).copy()
+    g1 = np.zeros(m) if g1_init is None else np.asarray(g1_init, dtype=float)
     if g1.shape != (m,):
         raise ValueError("g1_init has wrong length")
-    u = w = None
+    V = sine_basis_matrix(m)
+    mu = left.interface_mass.eigenvalues()
+    A, B = [], []
+    # an overflowing gamma1 + gamma2 makes the map non-finite; _iterate reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for strip, gamma, other in ((left, params.gamma1, params.gamma2),
+                                    (right, params.gamma2, params.gamma1)):
+            symbol = strip_symbol(m, strip.n_cols)
+            A.append((other * mu - symbol) / (symbol + gamma * mu))
+            t = strip.solver(gamma).solve(strip.load)[-m:]
+            B.append((params.gamma1 + params.gamma2) * (V @ t))
+    return _mode_iterate(A[1] * B[0] + B[1], -A[0] * A[1], V @ g1, params, left.interface_mass,
+                         lambda history: _robin_solves(left, right, params)(history[-2])[:2])
+
+
+def robin_robin_physical_solve(left: SubdomainSystem, right: SubdomainSystem,
+                               params: DDParams) -> DDReport:
+    """robin_robin_solve from g1 = 0, with both strip solves in every sweep.
+
+    Only experiments.run_table1 runs it: the benchmark checks the h = 1/288
+    row of table1 --n 36,72,108,144 at 1e-8, and this loop's roundoff sets
+    that row's count and error cells.  Once ROADMAP item 1a re-derives the
+    row, the loop moves to the tests, where it is the mode sweep's reference.
+    """
+    _check_split(left, right)
+    solves = _robin_solves(left, right, params)
+    last = None
 
     def sweep(g1):
-        nonlocal u, w
+        nonlocal last
+        last = solves(g1)
+        return last[2]
+
+    return _iterate(sweep, np.zeros(left.grid.n_interface), lambda g: g, params,
+                    left.interface_mass, lambda history: last[:2])
+
+
+def _robin_solves(left: SubdomainSystem, right: SubdomainSystem, params: DDParams):
+    """One Robin sweep in physical space: datum g1 -> (u, w, new g1)."""
+    m, mass = left.grid.n_interface, left.interface_mass
+    gsum = params.gamma1 + params.gamma2
+
+    def solves(g1):
         rhs1 = left.load.copy()
         rhs1[-m:] += mass.matvec(g1)
-        u = solve1(rhs1)
+        u = left.solver(params.gamma1).solve(rhs1)
         g2 = -g1 + gsum * u[-m:]
         rhs2 = right.load.copy()
         rhs2[-m:] += mass.matvec(g2)
-        w = solve2(rhs2)
-        return params.theta * g1 + (1.0 - params.theta) * (-g2 + gsum * w[-m:])
+        w = right.solver(params.gamma2).solve(rhs2)
+        return u, w, params.theta * g1 + (1.0 - params.theta) * (-g2 + gsum * w[-m:])
 
-    return _iterate(sweep, g1, lambda g: g, params, mass, lambda history: (u, w))
+    return solves
 
 
 def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
@@ -127,15 +162,13 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     The start is w = 0.  Only theta and the stopping controls of params
     are used; the stopping rule is that of robin_robin_solve.
 
-    The sweep runs in the sine basis V of the interface, where both strips'
-    interface Schur complements S_i = V diag(sigma_i) V are diagonal, with
-    sigma_i the closed-form spectral.strip_symbol of strip i's width.  With
-    c0 the left flux of the Dirichlet solve of the load less the left
-    interface load, and t2 the trace of the Neumann solve of the right load,
-    the new trace is w~|_G = t2 - S_2^-1 (c0 + S_1 w), so one sweep is a
-    per-mode affine map of w^ = V w and runs no strip solve.  The history
-    holds the physical traces V w^; the strip solutions of the last sweep
-    are recovered by one Dirichlet and one Neumann solve.
+    The sweep runs on w^ = V w, V the sine basis of the interface, where
+    strip i's interface Schur complement is V diag(sigma_i) V, sigma_i its
+    strip_symbol.  With c0 the left flux of the Dirichlet solve of the load
+    less the left interface load, and t2 the trace of the Neumann solve of
+    the right load, the new trace is w~|_G = t2 - S_2^-1 (c0 + S_1 w).  The
+    history holds V w^; one Dirichlet and one Neumann solve recover the
+    last sweep's strip solutions.
 
     The left strip's Dirichlet solves and fluxes come from
     SubdomainSystem.dirichlet_flux; both strips share one Neumann interface
@@ -153,9 +186,6 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     alpha = V @ t2 - (V @ c0) / sigma2
     beta = strip_symbol(m, left.n_cols) / sigma2
 
-    def sweep(w_hat):
-        return params.theta * w_hat + (1.0 - params.theta) * (alpha - beta * w_hat)
-
     def strips(history):
         # the last sweep's strip solves, from the state it started with
         u_I, flux = left.dirichlet_flux(F1_I, history[-2])
@@ -163,8 +193,7 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
         rhs[-m:] += F1_G - flux
         return np.concatenate([u_I, history[-1]]), neumann.solve(rhs)
 
-    return _iterate(sweep, np.zeros(m), lambda w_hat: V @ w_hat, params,
-                    left.interface_mass, strips)
+    return _mode_iterate(alpha, beta, np.zeros(m), params, left.interface_mass, strips)
 
 
 def _check_split(left: SubdomainSystem, right: SubdomainSystem):
@@ -172,6 +201,15 @@ def _check_split(left: SubdomainSystem, right: SubdomainSystem):
     if left.grid != right.grid or left.n_cols + right.n_cols != 2 * left.grid.n:
         raise ValueError("the strips must share one grid, with widths summing to 2n; got "
                          f"widths {left.n_cols}, {right.n_cols} on n = {left.grid.n}, {right.grid.n}")
+
+
+def _mode_iterate(alpha, beta, state, params: DDParams, mass: Tridiagonal,
+                  strips) -> DDReport:
+    """_iterate on sine coefficients c with the sweep
+    c <- theta c + (1 - theta)(alpha - beta c) and the traces V c."""
+    V = sine_basis_matrix(len(state))
+    return _iterate(lambda c: params.theta * c + (1.0 - params.theta) * (alpha - beta * c),
+                    state, lambda c: V @ c, params, mass, strips)
 
 
 def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,

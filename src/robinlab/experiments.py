@@ -20,7 +20,7 @@ import numpy as np
 from . import operator_analysis, spectral
 from .dd_solvers import (DDParams, assemble_global_solution,
                          dirichlet_neumann_solve, error_norms,
-                         robin_robin_solve)
+                         robin_robin_physical_solve, robin_robin_solve)
 from .grid_fem import build_grid, build_subdomain_system
 
 TABLES = ("table1", "table2", "table3", "spectrum", "von_neumann", "operator")
@@ -167,7 +167,7 @@ def _solve_pair(config, n, theta):
     _, f = manufactured_solution()
     left = build_subdomain_system(grid, f, "left")
     right = build_subdomain_system(grid, f, "right")
-    report = robin_robin_solve(left, right, config.params(n, theta))
+    report = robin_robin_physical_solve(left, right, config.params(n, theta))
     return grid, report
 
 

@@ -115,11 +115,13 @@ def omega(z, gamma1, gamma2):
 
 def omega_max(gamma1, gamma2):
     """Maximizer z0 = sqrt(gamma1 gamma2) of omega and the maximum value
-    ((s2 - s1) / (s2 + s1))^2, s_i = sqrt(gamma_i); gamma2 / gamma1 may overflow."""
+    ((s2 - s1) / (s2 + s1))^2, s_i = sqrt(gamma_i); gamma2 / gamma1 may
+    overflow, and z0 is s1 s2 where gamma1 gamma2 overflows or underflows."""
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("Robin weights must be positive")
-    z0 = math.sqrt(gamma1 * gamma2)
     s1, s2 = math.sqrt(gamma1), math.sqrt(gamma2)
+    product = gamma1 * gamma2
+    z0 = math.sqrt(product) if 0.0 < product < math.inf else s1 * s2
     return z0, ((s2 - s1) / (s2 + s1)) ** 2
 
 

@@ -8,6 +8,7 @@ from robinlab import (DDParams, Tridiagonal,
                       dirichlet_neumann_solve, error_norms,
                       measured_reduction_rate, reduction_spectrum,
                       robin_robin_solve, strip_symbol)
+from robinlab.dd_solvers import robin_robin_physical_solve
 from robinlab.experiments import manufactured_solution
 from robinlab.grid_fem import StripSolver
 from robinlab.operator_analysis import offcenter_columns
@@ -98,6 +99,23 @@ def test_sweep_count_at_fine_mesh():
     report = robin_robin_solve(left, right, canonical_params(144))
     assert report.converged
     assert report.iterations <= 16
+
+
+@pytest.mark.parametrize("n", [2, 6, 26, 36, 72])
+def test_robin_mode_sweep_matches_physical_loop(n):
+    # the sine-mode sweep against the loop that runs both strip solves in
+    # every sweep, on the symmetric and the off-center split
+    grid = build_grid(n)
+    params = canonical_params(n)
+    for k_left, k_right in ((n, n), offcenter_columns(grid)):
+        left = build_subdomain_system(grid, F_LOAD, "left", n_cols=k_left)
+        right = build_subdomain_system(grid, F_LOAD, "right", n_cols=k_right)
+        got = robin_robin_solve(left, right, params)
+        want = robin_robin_physical_solve(left, right, params)
+        assert got.converged and want.converged
+        assert got.iterations == want.iterations
+        for x, ref in ((got.solution_u, want.solution_u), (got.solution_w, want.solution_w)):
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_history_length_and_rate_presence():

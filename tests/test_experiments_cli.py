@@ -457,8 +457,14 @@ def test_cli_reports_nonconvergence(capsys):
     assert "20*" in captured.out
 
 
+# weights whose sum gamma1 + gamma2 overflows, so that the datum every
+# sweep forms from it does too
+OVERFLOWING_WEIGHTS = ["--gamma1", "1e308", "--gamma2-rule", "constant", "--gamma2-coeff", "1e308"]
+
+
 def test_cli_diverged_runs_print_nan(capsys):
-    # gamma2 = 1e306/h overflows the sweeps' datum, so every run stops
+    # gamma2 = 1e306/h overflows table1's physical sweep, and an overflowing
+    # gamma1 + gamma2 the sine-mode sweep of table2, so every run stops
     # non-finite; no error or rate may read 0
     with np.errstate(all="ignore"):
         rc = cli_main(["table1", "--n", "2,3", "--gamma2-coeff", "1e306"])
@@ -466,19 +472,31 @@ def test_cli_diverged_runs_print_nan(capsys):
         assert rc == 3
         assert captured.out.splitlines()[1:] == ["1/4,nan,,nan,,2*",
                                                  "1/6,nan,nan,nan,nan,2*"]
-        rc = cli_main(["table2", "--n", "2", "--gamma2-coeff", "1e306"])
+        rc = cli_main(["table2", "--n", "2"] + OVERFLOWING_WEIGHTS)
         captured = capsys.readouterr()
     assert rc == 3
-    assert captured.out.splitlines()[1] == "1/4," + ",".join(["n/a*"] * 6 + ["nan*"])
+    assert captured.out.splitlines()[1] == "1/4," + ",".join(["n/a*"] * 7)
+
+
+def test_cli_table2_large_gamma2_reads_closed_form_rates(capsys):
+    # the sine-mode sweep forms no datum of size gamma2, so at
+    # gamma2 = 1e306/h every rate is the closed-form one-sweep radius
+    rc = cli_main(["table2", "--n", "2", "--gamma2-coeff", "1e306"])
+    assert rc == 0
+    rates = [float(c) for c in capsys.readouterr().out.splitlines()[1].split(",")[1:]]
+    config = ExperimentConfig("table2", n_list=(2,), gamma2_coefficient=1e306)
+    for rate, theta in zip(rates, SEVENTHS, strict=True):
+        assert rate == pytest.approx(reduction_spectrum(2, config.params(2, theta))[1],
+                                     rel=1e-9)
 
 
 def test_cli_diverged_runs_write_only_the_message():
     # the sweeps report a non-finite state themselves, so no numpy warning
     # (with the package's file paths) reaches stderr; a fresh interpreter,
     # as numpy warns once per code line and process
-    for table in ("table1", "table2"):
-        done = subprocess.run([sys.executable, "-m", "robinlab", table, "--n", "2",
-                               "--gamma2-coeff", "1e306"],
+    for args in (["table1", "--n", "2", "--gamma2-coeff", "1e306"],
+                 ["table2", "--n", "2"] + OVERFLOWING_WEIGHTS):
+        done = subprocess.run([sys.executable, "-m", "robinlab"] + args,
                               env=_fresh_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 3
         assert done.stderr == "robinlab: some runs did not converge (marked with *)\n"
@@ -746,12 +764,12 @@ def test_cli_hyphenated_subcommand(capsys):
     assert captured.out.startswith("K,")
 
 
-def _pinned_run(args, name):
+def _pinned_run(args, name, threads="2"):
     """stdout of `python -m robinlab args` in a fresh interpreter with
-    OPENBLAS_NUM_THREADS=2, with the return code, and the stored output."""
+    OPENBLAS_NUM_THREADS=threads, with the return code, and the stored output."""
     want = (Path(__file__).resolve().parent / "data" / name).read_text()
     done = subprocess.run([sys.executable, "-m", "robinlab", *args],
-                          env=_fresh_env(OPENBLAS_NUM_THREADS="2"),
+                          env=_fresh_env(OPENBLAS_NUM_THREADS=threads),
                           capture_output=True, text=True, timeout=120)
     return done, want
 
@@ -763,8 +781,10 @@ def test_table1_refining_meshes_byte_identical():
     line on the mesh_refine h = 1/288 row): a last-bit change in a strip
     load moves that row's sweep count and its L2 cell by about 1e-8.  So a
     change to the table1 path keeps these bytes, or it lists every moved
-    cell.  ROADMAP item 3, the mode-space Robin sweep, will move cells and
-    update this file, listing each of them.
+    cell.  table1 therefore runs the physical Robin loop
+    (robin_robin_physical_solve), not the sine-mode sweep of the other
+    tables, which stops that row at 14 sweeps; moving table1 onto it
+    (ROADMAP item 2) will update this file, listing every moved cell.
 
     The strip solver's transform back to physical space is a BLAS product
     whose last bits depend on the BLAS thread count; with one thread the
@@ -818,3 +838,23 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     done, want = _pinned_run(args, name)
     assert done.returncode == code, done.stderr
     assert done.stdout == want
+
+
+def test_table2_bytes_independent_of_blas_threads():
+    """`table2 --n 36,72` prints the stored CSV under one BLAS thread as
+    test_mode_symbol_tables_byte_identical checks it does under two
+    (ROADMAP item 4 asks this of every table)."""
+    done, want = _pinned_run(["table2", "--n", "36,72"], "table2_n36_72.csv", threads="1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
+
+
+def test_table2_fine_mesh_within_envelope():
+    # h = 1/288: every run converges, under its column's envelope, and
+    # theta = 3/7 contracts by at least 7x per sweep
+    result = run_table2(ExperimentConfig("table2", n_list=(144,)))
+    assert result.notes["all_converged"]
+    rates = result.rows[0][1:]
+    for rate, theta in zip(rates, SEVENTHS, strict=True):
+        assert rate <= corollary_rate(theta)
+    assert rates[SEVENTHS.index(3.0 / 7.0)] <= 1.0 / 7.0

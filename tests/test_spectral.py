@@ -1,5 +1,6 @@
 """Closed-form mode analysis checked against exact rationals and dense oracles."""
 import math
+from decimal import Decimal
 import numpy as np
 import pytest
 
@@ -295,6 +296,11 @@ def test_omega_zeros_and_maximum():
         z0, w0 = omega_max(gamma1, gamma2)
         assert z0 == math.sqrt(gamma1 * gamma2)
         assert w0 == 1.0
+    # gamma1 gamma2 overflows, or underflows to 0, here, but z0 does not
+    for gamma1, gamma2, w0_want in ((1e200, 1e200, 0.0), (5e-324, 1e-10, 1.0)):
+        z0, w0 = omega_max(gamma1, gamma2)
+        assert z0 == pytest.approx(float((Decimal(gamma1) * Decimal(gamma2)).sqrt()), rel=1e-15)
+        assert w0 == w0_want
 
 
 def test_omega_sampled_maximizer_and_monotonicity():
