@@ -110,7 +110,7 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"robinlab: {exc}", file=sys.stderr)
         return 2
-    if not result.notes.get("all_converged", True):
+    if not result.all_converged:
         print("robinlab: some runs did not converge (marked with *)", file=sys.stderr)
         return 3
     return 0

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .grid_fem import GridSpec, SubdomainSystem, Tridiagonal
-from .spectral import sine_basis_matrix, strip_symbol
+from .spectral import robin_factor, sine_basis_matrix, strip_symbol
 
 
 @dataclass
@@ -89,7 +89,7 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     strip_symbol, mu the interface-mass eigenvalue): g2^ = A_1 g1^ + B_1 and
     g1^ <- A_2 g2^ + B_2 before damping, with B_i = (gamma1 + gamma2) V t_i,
     t_i the trace of the Robin solve of strip i's load, and
-    A_i = (gamma_j mu - sigma_i) / (sigma_i + gamma_i mu), j the other strip.
+    A_i = robin_factor(sigma_i, mu, gamma_i, gamma_j), j the other strip.
     """
     _check_split(left, right)
     m = left.grid.n_interface
@@ -103,8 +103,7 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     with np.errstate(over="ignore", invalid="ignore"):
         for strip, gamma, other in ((left, params.gamma1, params.gamma2),
                                     (right, params.gamma2, params.gamma1)):
-            symbol = strip_symbol(m, strip.n_cols)
-            A.append((other * mu - symbol) / (symbol + gamma * mu))
+            A.append(robin_factor(strip_symbol(m, strip.n_cols), mu, gamma, other))
             t = strip.solver(gamma).solve(strip.load)[-m:]
             B.append((params.gamma1 + params.gamma2) * (V @ t))
     return _mode_iterate(A[1] * B[0] + B[1], -A[0] * A[1], V @ g1, params, left.interface_mass,

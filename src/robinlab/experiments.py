@@ -12,7 +12,7 @@ so repeated runs produce byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,12 +115,13 @@ class ExperimentConfig:
 @dataclass
 class TableResult:
     """Formatted-table payload: header names, raw-value rows, printf-style
-    pretty formats per column (None means str), and free-form notes."""
+    pretty formats per column (None means str), and whether every run
+    converged (the CLI exits 3 when one did not)."""
 
     columns: list
     rows: list
     pretty: list
-    notes: dict = field(default_factory=dict)
+    all_converged: bool = True
 
 
 def _fmt(value, spec):
@@ -196,7 +197,7 @@ def run_table1(config: ExperimentConfig) -> TableResult:
         columns=["h", "||u_I-u_h||_L2", "h^n", "|u_I-u_h|_H1", "h^n", "#DD"],
         rows=rows,
         pretty=[None, "%.7f", "%.2f", "%.6f", "%.2f", None],
-        notes={"all_converged": all_converged, "theta": theta},
+        all_converged=all_converged,
     )
 
 
@@ -239,7 +240,7 @@ def run_table2(config: ExperimentConfig) -> TableResult:
         columns=["h"] + [f"theta={t:.4g}" for t in thetas],
         rows=rows,
         pretty=[None] + ["%.3f"] * len(thetas),
-        notes={"all_converged": all_converged},
+        all_converged=all_converged,
     )
 
 
@@ -264,33 +265,26 @@ def run_table3(config: ExperimentConfig) -> TableResult:
         columns=["h"] + [f"theta={t:.4g}" for t in config.theta_list],
         rows=rows,
         pretty=[None] + [None] * len(config.theta_list),
-        notes={"all_converged": all_converged},
+        all_converged=all_converged,
     )
 
 
 def run_spectrum(config: ExperimentConfig) -> TableResult:
-    """Per-mode coefficients and damped eigenvalues of the double sweep.
-
-    Each (mesh, theta) pair contributes one block of per-mode rows; the
-    radius summaries in the notes are keyed by (n, theta)."""
+    """Per-mode coefficients and damped eigenvalues of the double sweep,
+    one block of per-mode rows for each (mesh, theta) pair."""
     rows = []
-    radii = {}
     for n in config.grids():
         _, _, a, b = spectral.mode_arrays(n)
         for theta in config.theta_list:
             params = config.params(n, theta)
             c = spectral.cj_values(a, b, params.gamma1, params.gamma2)
-            damped = theta + (1.0 - theta) * c
+            damped, _ = spectral.reduction_spectrum(n, params)
             for j in range(1, 2 * n):
                 rows.append([n, j, a[j - 1], b[j - 1], c[j - 1], damped[j - 1]])
-            radius = float(np.abs(damped).max())
-            radii[(n, theta)] = {"radius": radius,
-                                 "within_bound": radius <= 1.0 / 7.0 + 1e-12}
     return TableResult(
         columns=["n", "j", "a_j", "b_j", "c_j", "damped"],
         rows=rows,
         pretty=["%d", "%d", "%.12g", "%.12g", "%.12g", "%.12g"],
-        notes={"radii": radii, "all_converged": True},
     )
 
 
@@ -308,7 +302,6 @@ def run_von_neumann(config: ExperimentConfig) -> TableResult:
         columns=["K", "gamma1", "gamma2", "theta", "bound", "max|rho|", "within_bound"],
         rows=rows,
         pretty=["%d", "%.6g", "%.6g", "%.6g", "%.6g", "%.6g", None],
-        notes={"all_converged": True},
     )
 
 
@@ -341,7 +334,7 @@ def run_operator(config: ExperimentConfig) -> TableResult:
         rows=rows,
         pretty=["%d", None, "%.6g", "%.6g", "%.6g", "%.6g", "%.6g",
                 "%.6g", "%.6g", None],
-        notes={"all_converged": ok},
+        all_converged=ok,
     )
 
 

@@ -9,12 +9,13 @@ with respect to the trace inner product becomes plain matrix symmetry.
 In those coordinates one damped double sweep is
 
     R = theta I - (1 - theta) T,
-    T = (S2 - g1)(g2 + S2)^-1 (g2 - S1)(g1 + S1)^-1,
+    T = (S2 - g1)(g2 + S2)^-1 (g2 - S1)(g1 + S1)^-1 = -r(S2; g2, g1) r(S1; g1, g2),
 
-and T is similar to a symmetric positive matrix whenever the weights
-bracket both spectra (g1 at or below the smallest eigenvalue, g2 at or
-above three times the largest).  That similarity transform bounds the
-spectral radius of R by (2t - 1)/(2t + 1) with t the upper spectral
+with r(S; g, g') = spectral.robin_factor(S, 1, g, g') each map's one-sided
+factor at unit mass.  T is similar to a symmetric positive matrix whenever
+the weights bracket both spectra (g1 at or below the smallest eigenvalue,
+g2 at or above three times the largest).  That similarity transform bounds
+the spectral radius of R by (2t - 1)/(2t + 1) with t the upper spectral
 equivalence constant of the two maps.  The radius itself is read off one
 LAPACK eigensolve of R; power iteration survives only as a test oracle.
 """
@@ -28,6 +29,7 @@ import scipy.linalg
 
 from .dd_solvers import DDParams
 from .grid_fem import GridSpec, SubdomainSystem
+from .spectral import robin_factor
 
 
 @dataclass
@@ -120,13 +122,12 @@ def _check_pair(S1, S2):
 
 def build_iteration_operator(S1: DtNOperator, S2: DtNOperator, params: DDParams) -> np.ndarray:
     """Dense one-sweep error operator R = theta I - (1 - theta) T on the
-    transformed transmission datum."""
+    transformed transmission datum; 0.0 - r keeps a vanishing factor +0.0."""
     _check_pair(S1, S2)
     g1, g2 = params.gamma1, params.gamma2
-    T = (S2.function(lambda x: (x - g1) / (g2 + x))
-         @ S1.function(lambda x: (g2 - x) / (g1 + x)))
-    dim = T.shape[0]
-    return params.theta * np.eye(dim) - (1.0 - params.theta) * T
+    T = (S2.function(lambda x: 0.0 - robin_factor(x, 1.0, g2, g1))
+         @ S1.function(lambda x: robin_factor(x, 1.0, g1, g2)))
+    return params.theta * np.eye(len(T)) - (1.0 - params.theta) * T
 
 
 def symmetrized_T(S1: DtNOperator, S2: DtNOperator, params: DDParams) -> np.ndarray:
@@ -150,8 +151,8 @@ def symmetrized_T(S1: DtNOperator, S2: DtNOperator, params: DDParams) -> np.ndar
         raise ValueError(
             f"weight bracket violated: gamma2 = {g2:.6g} is below three times "
             f"the largest trace eigenvalue, 3 max(lam1, lam2) = {3.0 * hi:.6g}")
-    F = S1.function(lambda x: np.sqrt(np.maximum(g2 - x, 0.0) / (g1 + x)))
-    out = F @ S2.function(lambda x: (x - g1) / (g2 + x)) @ F
+    F = S1.function(lambda x: np.sqrt(np.maximum(robin_factor(x, 1.0, g1, g2), 0.0)))
+    out = F @ S2.function(lambda x: 0.0 - robin_factor(x, 1.0, g2, g1)) @ F
     return 0.5 * (out + out.T)
 
 

@@ -12,8 +12,8 @@ with theta_j = j pi / (m+1),
 
 govern one sweep: with Robin weights g1, g2 the damped error factor is
 
-    theta + (1 - theta) * c_j,
-    c_j = ((g1 a_j - b_j) / (g1 a_j + b_j)) * ((g2 a_j - b_j) / (g2 a_j + b_j)).
+    theta + (1 - theta) * c_j,   c_j = r_j(g1, g2) r_j(g2, g1),
+    r_j(g, g') = (g' a_j - b_j) / (b_j + g a_j)     (one strip's robin_factor).
 
 sigma_j is the Neumann Schur symbol of an n-column strip (strip_symbol), the
 discrete counterpart of the half-strip symbol k coth(k L), and tlam_j the
@@ -84,10 +84,16 @@ def mode_arrays(n):
     return lam, tlam, a, b
 
 
+def robin_factor(sigma, mu, gamma, gamma_other):
+    """Per-mode factor of one Robin solve (weight gamma, strip symbol sigma,
+    interface-mass eigenvalue mu) and the update with the other weight."""
+    return (gamma_other * mu - sigma) / (sigma + gamma * mu)
+
+
 def cj_values(a, b, gamma1, gamma2):
-    """Two-sided damping factors c_j of modes with coefficients (a_j, b_j);
-    a and b may be scalars or arrays."""
-    return ((gamma1 * a - b) / (gamma1 * a + b)) * ((gamma2 * a - b) / (gamma2 * a + b))
+    """Two-sided damping factors c_j of modes with coefficients (a_j, b_j),
+    the product of both strips' robin_factor; scalars or arrays."""
+    return robin_factor(b, a, gamma1, gamma2) * robin_factor(b, a, gamma2, gamma1)
 
 
 def reduction_spectrum(n, params):

@@ -186,7 +186,8 @@ def test_renders_are_deterministic():
 
 
 def test_error_table_rows():
-    r = run_table1(ExperimentConfig(table="table1", n_list=(2, 6)))
+    config = ExperimentConfig(table="table1", n_list=(2, 6))
+    r = run_table1(config)
     assert r.columns[0] == "h" and r.columns[-1] == "#DD"
     coarse, fine = r.rows
     assert coarse[0] == "1/4" and fine[0] == "1/12"
@@ -199,8 +200,8 @@ def test_error_table_rows():
     # observed orders from the single 1/4 -> 1/12 pair are still preasymptotic
     assert fine[2] == pytest.approx(1.7298, abs=1e-3)
     assert fine[4] == pytest.approx(1.7582, abs=1e-3)
-    assert r.notes["all_converged"] is True
-    assert r.notes["theta"] == pytest.approx(THETA_STAR)
+    assert r.all_converged is True
+    assert config.theta_list == (pytest.approx(THETA_STAR),)
 
 
 def test_error_table_orders_approach_two():
@@ -224,17 +225,30 @@ def test_rate_table_matches_mode_radii():
     assert measured[1] == pytest.approx(0.764223, abs=1e-5)
 
 
+def test_rate_table_equals_closed_form_radius():
+    # seeded with the slowest sine mode, the mode sweep stays in it, so every
+    # converged rate is reduction_spectrum's radius up to roundoff (at most
+    # 1.6e-15 relative here)
+    config = ExperimentConfig(table="table2", n_list=(2, 6, 10, 26, 72))
+    r = run_table2(config)
+    assert r.all_converged
+    for n, row in zip(config.n_list, r.rows):
+        for theta, rate in zip(SEVENTHS, row[1:], strict=True):
+            _, radius = reduction_spectrum(n, config.params(n, theta))
+            assert rate == pytest.approx(radius, rel=1e-13, abs=0.0)
+
+
 def test_relaxation_sweep_table_rows():
     r = run_table3(ExperimentConfig(table="table3", n_list=(2,)))
     assert r.rows[0] == ["1/4", "2000*", "39", "23", "17", "13", "2", "12", "37"]
-    assert r.notes["all_converged"] is False
+    assert r.all_converged is False
 
 
 def test_relaxation_sweep_converged_subset():
     r = run_table3(ExperimentConfig(table="table3", n_list=(2,),
                                     theta_list=(0.5, 0.75)))
     assert r.rows[0] == ["1/4", "2", "37"]
-    assert r.notes["all_converged"] is True
+    assert r.all_converged is True
 
 
 def test_relaxation_sweep_table_deep_mesh(capsys):
@@ -292,22 +306,28 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
         "stiffness": 0, "solver": 7, "load": 7, "schur": 7}
 
 
+def _spectrum_radii(result, thetas):
+    """max|damped| of each theta's block of spectrum rows, keyed by theta;
+    the rows hold one mesh, its blocks in theta_list order."""
+    blocks = np.array([row[5] for row in result.rows]).reshape(len(thetas), -1)
+    return dict(zip(thetas, np.abs(blocks).max(axis=1)))
+
+
 def test_mode_table_single_mode():
     r = run_spectrum(ExperimentConfig(table="spectrum", n_list=(1,)))
     assert r.columns == ["n", "j", "a_j", "b_j", "c_j", "damped"]
     assert len(r.rows) == 1
-    info = r.notes["radii"][(1, THETA_STAR)]
-    assert info["radius"] == pytest.approx(187.0 / 3283.0, rel=1e-12)
-    assert info["within_bound"]
+    radius = _spectrum_radii(r, (THETA_STAR,))[THETA_STAR]
+    assert radius == pytest.approx(187.0 / 3283.0, rel=1e-12)
+    assert radius <= 1.0 / 7.0 + 1e-12
 
 
 def test_mode_table_radius_flag_large_grid():
     r = run_spectrum(ExperimentConfig(table="spectrum", n_list=(256,)))
     assert len(r.rows) == 511
-    info = r.notes["radii"][(256, THETA_STAR)]
-    assert info["radius"] <= 1.0 / 7.0 + 1e-12
-    assert info["radius"] == pytest.approx(0.13036859, abs=1e-6)
-    assert info["within_bound"]
+    radius = _spectrum_radii(r, (THETA_STAR,))[THETA_STAR]
+    assert radius <= 1.0 / 7.0 + 1e-12
+    assert radius == pytest.approx(0.13036859, abs=1e-6)
 
 
 def test_mode_table_theta_sweep_against_envelope():
@@ -315,7 +335,7 @@ def test_mode_table_theta_sweep_against_envelope():
     r = run_spectrum(ExperimentConfig(table="spectrum", n_list=(64,),
                                       theta_list=thetas))
     assert len(r.rows) == 3 * 127
-    radii = {t: r.notes["radii"][(64, t)]["radius"] for t in thetas}
+    radii = _spectrum_radii(r, thetas)
     # spot check against the independent radius routine
     for t in thetas:
         _, rad = reduction_spectrum(64, DDParams(1.0, 64.0 * 128.0, t))
@@ -330,8 +350,8 @@ def test_mode_table_theta_sweep_against_envelope():
     assert corollary_rate(0.0) - radii[0.0] > 0.04
     assert corollary_rate(3.0 / 7.0) - radii[3.0 / 7.0] > 0.02
     assert corollary_rate(6.0 / 7.0) - radii[6.0 / 7.0] < 0.01
-    assert not r.notes["radii"][(64, 0.0)]["within_bound"]
-    assert r.notes["radii"][(64, 3.0 / 7.0)]["within_bound"]
+    assert not radii[0.0] <= 1.0 / 7.0 + 1e-12
+    assert radii[3.0 / 7.0] <= 1.0 / 7.0 + 1e-12
 
 
 def test_half_plane_advisor_table():
@@ -368,7 +388,7 @@ def test_interface_operator_table():
     for row in r.rows:
         assert row[7] <= row[8] + 1e-9
         assert row[9] == "yes"
-    assert r.notes["all_converged"]
+    assert r.all_converged
 
 
 def test_dispatcher_routes_by_table_name():
@@ -840,12 +860,19 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     assert done.stdout == want
 
 
-def test_table2_bytes_independent_of_blas_threads():
-    """`table2 --n 36,72` prints the stored CSV under one BLAS thread as
-    test_mode_symbol_tables_byte_identical checks it does under two
+@pytest.mark.parametrize("args, name, code", [
+    (["table2", "--n", "36,72"], "table2_n36_72.csv", 0),
+    (["spectrum", "--n", "36,144"], "spectrum_n36_144.csv", 0),
+    (["table3", "--n", "18,36,54"], "table3_n18_36_54.csv", 3),
+    (["operator"], "operator_default.csv", 0),
+    (["operator", "--n", "8,16,24"], "operator_n8_16_24.csv", 0),
+])
+def test_pinned_bytes_independent_of_blas_threads(args, name, code):
+    """These pins print the stored output under one BLAS thread as
+    test_mode_symbol_tables_byte_identical checks they do under two
     (ROADMAP item 4 asks this of every table)."""
-    done, want = _pinned_run(["table2", "--n", "36,72"], "table2_n36_72.csv", threads="1")
-    assert done.returncode == 0, done.stderr
+    done, want = _pinned_run(args, name, threads="1")
+    assert done.returncode == code, done.stderr
     assert done.stdout == want
 
 
@@ -853,7 +880,7 @@ def test_table2_fine_mesh_within_envelope():
     # h = 1/288: every run converges, under its column's envelope, and
     # theta = 3/7 contracts by at least 7x per sweep
     result = run_table2(ExperimentConfig("table2", n_list=(144,)))
-    assert result.notes["all_converged"]
+    assert result.all_converged
     rates = result.rows[0][1:]
     for rate, theta in zip(rates, SEVENTHS, strict=True):
         assert rate <= corollary_rate(theta)

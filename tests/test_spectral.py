@@ -1,6 +1,7 @@
 """Closed-form mode analysis checked against exact rationals and dense oracles."""
 import math
 from decimal import Decimal
+from fractions import Fraction
 import numpy as np
 import pytest
 
@@ -8,8 +9,9 @@ from robinlab import (DDParams, assemble_interface_mass, bound_margins, build_gr
                       corollary_rate, fd_eigenvalue, omega, omega_max, reduction_spectrum,
                       strip_symbol, theta_star,
                       von_neumann_advisor, von_neumann_rho)
-from robinlab.spectral import (COTH_1, cj_values, mode_arrays, sine_basis_matrix,
-                               z_bracket)
+from robinlab.experiments import ExperimentConfig
+from robinlab.spectral import (COTH_1, cj_values, mode_arrays, robin_factor,
+                               sine_basis_matrix, z_bracket)
 from robin_oracle import add_interface_tridiagonal, strip_stiffness
 from symbol_oracle import (longdouble_symbol, tilde_lambda, tilde_lambda_all,
                            von_neumann_rho_product)
@@ -223,6 +225,33 @@ def test_cj_zero_when_first_factor_vanishes():
     _, _, a, b = mode_arrays(2)
     gamma1 = b[0] / a[0]
     assert float(cj_values(a[0], b[0], gamma1, 7.0)) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_robin_factor_exact_on_small_integers():
+    # numerator and denominator are exact, so one correctly rounded division
+    for sigma in range(1, 6):
+        for mu in range(1, 4):
+            for gamma in range(0, 5):
+                for other in range(0, 5):
+                    want = Fraction(other * mu - sigma, sigma + gamma * mu)
+                    got = robin_factor(float(sigma), float(mu), float(gamma), float(other))
+                    assert got == float(want)
+
+
+@pytest.mark.parametrize("rule, coefficient", [("scale_inv_h", 64.0), ("constant", 30.0)])
+@pytest.mark.parametrize("n", [2, 6, 36, 144])
+def test_cj_from_strip_symbol_and_interface_mass(n, rule, coefficient):
+    # the sweep's (sigma, mu) and mode_arrays' (a_j, b_j) give one c_j: each
+    # robin_factor has the same value in either, a_j, b_j being mu, sigma
+    # scaled by one tlam_j
+    params = ExperimentConfig(table="spectrum", n_list=(n,), gamma2_rule=rule,
+                              gamma2_coefficient=coefficient).params(n, 3.0 / 7.0)
+    g1, g2 = params.gamma1, params.gamma2
+    sigma = strip_symbol(2 * n - 1, n)
+    mu = assemble_interface_mass(build_grid(n)).eigenvalues()
+    _, _, a, b = mode_arrays(n)
+    np.testing.assert_allclose(robin_factor(sigma, mu, g1, g2) * robin_factor(sigma, mu, g2, g1),
+                               cj_values(a, b, g1, g2), rtol=1e-14, atol=0.0)
 
 
 def test_cj_interval_canonical_weights():
