@@ -14,12 +14,13 @@ first sweep set up the map, and two after the last recover the strips.
 robin_robin_physical_solve runs the Robin sweep with its two strip solves
 in every sweep; only table1 runs it, for the reason its docstring gives.
 
-Every strip solve runs through grid_fem.StripSolver, a refined fast
-sine-transform solver.  Every sweep runs through one driver, _iterate,
-which owns the loop, the stop on the sup-norm change of the interface
-trace (converged below stop_tol, not converged once non-finite, with
-numpy's overflow warnings silenced), the trace history and the report;
-the per-mode sweeps reach it through _mode_iterate.
+Every strip solve, the Dirichlet-Neumann sweep's included, is a Robin or
+Neumann solve by SubdomainSystem.solver (grid_fem.StripSolver).  Every
+sweep runs through one driver, _iterate, which owns the loop, the stop on
+the sup-norm change of the interface trace (converged below stop_tol, not
+converged once non-finite, with numpy's overflow warnings silenced), the
+trace history and the report; the per-mode sweeps reach it through
+_mode_iterate.
 """
 
 from __future__ import annotations
@@ -161,38 +162,34 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     The start is w = 0.  Only theta and the stopping controls of params
     are used; the stopping rule is that of robin_robin_solve.
 
-    The sweep runs on w^ = V w, V the sine basis of the interface, where
-    strip i's interface Schur complement is V diag(sigma_i) V, sigma_i its
-    strip_symbol.  With c0 the left flux of the Dirichlet solve of the load
-    less the left interface load, and t2 the trace of the Neumann solve of
-    the right load, the new trace is w~|_G = t2 - S_2^-1 (c0 + S_1 w).  The
-    history holds V w^; one Dirichlet and one Neumann solve recover the
-    last sweep's strip solutions.
-
-    The left strip's Dirichlet solves and fluxes come from
-    SubdomainSystem.dirichlet_flux; both strips share one Neumann interface
-    block, so the right strip's interface rows carry F1_G minus that flux.
+    The sweep runs on w^ = V w, V the sine basis of the interface.  Strip
+    i's Schur complement is S_i = V diag(sigma_i) V (sigma_i its
+    strip_symbol), and its solves are Neumann solves N_i.  With t_i the
+    trace of N_i F_i, the left residual flux less F1_G is
+    r = S_1 (w - t_1), so per mode w^ <- alpha - beta w^ with
+    beta = sigma_1 / sigma_2 and alpha = t^_2 + beta t^_1.  The history
+    holds V w^.  From the last sweep's start w, the left strip is N_1 of
+    F1 plus r on the interface rows (its trace is w and its interior the
+    Dirichlet solve), and the right one N_2 of F2 minus r on them.
     """
     _check_split(left, right)
     m = left.grid.n_interface
-    neumann = right.solver(0.0)
-    F1_I, F1_G = left.load[:-m], left.load[-m:]
-
     V = sine_basis_matrix(m)
-    c0 = left.dirichlet_flux(F1_I, np.zeros(m))[1] - F1_G
-    t2 = neumann.solve(right.load)[-m:]
-    sigma2 = strip_symbol(m, right.n_cols)
-    alpha = V @ t2 - (V @ c0) / sigma2
-    beta = strip_symbol(m, left.n_cols) / sigma2
+    sigma1 = strip_symbol(m, left.n_cols)
+    t1, t2 = (V @ strip.solver(0.0).solve(strip.load)[-m:] for strip in (left, right))
+    beta = sigma1 / strip_symbol(m, right.n_cols)
 
     def strips(history):
         # the last sweep's strip solves, from the state it started with
-        u_I, flux = left.dirichlet_flux(F1_I, history[-2])
-        rhs = right.load.copy()
-        rhs[-m:] += F1_G - flux
-        return np.concatenate([u_I, history[-1]]), neumann.solve(rhs)
+        r = V @ (sigma1 * (V @ history[-2] - t1))
+        u, w = left.load.copy(), right.load.copy()
+        u[-m:] += r
+        w[-m:] -= r
+        u = left.solver(0.0).solve(u)
+        u[-m:] = history[-1]
+        return u, right.solver(0.0).solve(w)
 
-    return _mode_iterate(alpha, beta, np.zeros(m), params, left.interface_mass, strips)
+    return _mode_iterate(t2 + beta * t1, beta, np.zeros(m), params, left.interface_mass, strips)
 
 
 def _check_split(left: SubdomainSystem, right: SubdomainSystem):

@@ -3,7 +3,8 @@
 Each run_* function sweeps a mesh family and returns a TableResult that
 the CLI renders as CSV or markdown.  The canonical weights throughout are
 gamma1 = 1 and gamma2 = 64/h, for which the damped double sweep contracts
-at a grid-independent rate (at theta = 3/7 the rate stays below 1/7).
+at a grid-independent rate: at theta = 3/7 it stays below 1/7, the
+symmetric split's envelope (a fixed off-center split has its own).
 
 Everything here is deterministic: no randomness, fixed summation orders,
 so repeated runs produce byte-identical output.
@@ -203,7 +204,8 @@ def run_table1(config: ExperimentConfig) -> TableResult:
 
 def run_table2(config: ExperimentConfig) -> TableResult:
     """Measured contraction factors over a theta grid, one row per mesh,
-    with the grid-independent envelope as the last row.
+    with the grid-independent envelope as the last row; the runs and the
+    envelope are those of the symmetric split.
 
     Rates are measured on homogeneous runs (f = 0, exact limit 0) started
     from the slowest interface sine mode, picked per (n, theta) from the

@@ -15,12 +15,14 @@ entry by entry.
 Strip loads are summed on the node lattice by shifted slice adds, from
 O(n_cols + n) load values per quadrature point.  A SubdomainSystem holds
 no assembled matrix: its strip solvers apply and factor the stencil, each
-once, for the sweeps and the trace-operator analysis alike.  The strip's
-block structure lives here alone: interface_block is the interface
-column's block and dirichlet_flux the one elimination of the interior,
-through the -I coupling of the interface to the last interior column.
-strip_matrix builds the CSR of a strip with a given interface block, only
-for --dump-matrices and for the tests, and imports scipy.sparse when run.
+once, for the sweeps and the trace-operator analysis alike.  A strip has
+one solver family, solver(gamma) for gamma >= 0, whose interface column
+carries interface_block(gamma).  No solver clamps the interface: a
+Dirichlet solve is a Neumann solve whose interface load is corrected
+through the Schur complement (the capacitance method of Buzbee, Dorr,
+George and Golub).  strip_matrix builds the CSR of a strip with a given
+interface block, only for --dump-matrices and for the tests, and imports
+scipy.sparse when run.
 """
 
 from __future__ import annotations
@@ -235,12 +237,10 @@ class StripSolver:
     """
 
     def __init__(self, n_cols: int, last_block: Tridiagonal):
-        if n_cols < 0:
-            raise ValueError("strip cannot have a negative column count")
+        if n_cols < 1:
+            raise ValueError("strip must have at least one column")
         self.n_cols = k = int(n_cols)
         self.m = m = last_block.size
-        if k == 0:
-            return
         # last column: the stencil adds last_block - tridiag(-1, 4, -1)
         self._last_correction = Tridiagonal(m, last_block.diag - 4.0, last_block.off + 1.0)
         self._basis = sine_basis_matrix(m)
@@ -275,8 +275,6 @@ class StripSolver:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (k * m,):
             raise ValueError("right-hand side has wrong length")
-        if k == 0:
-            return rhs.copy()
         b = rhs.reshape(k, m)
         x = self._solve_modes(b)
         x += self._solve_modes(b - self._apply(x))
@@ -314,36 +312,6 @@ class SubdomainSystem:
             self._solvers[gamma] = StripSolver(self.n_cols, self.interface_block(gamma))
         return self._solvers[gamma]
 
-    def dirichlet_solver(self) -> StripSolver:
-        """Fast solver of the interior block: the stiffness with the
-        interface column removed (n_cols - 1 five-point columns)."""
-        if "dirichlet" not in self._solvers:
-            self._solvers["dirichlet"] = StripSolver(
-                self.n_cols - 1, Tridiagonal(self.grid.n_interface, 4.0, -1.0))
-        return self._solvers["dirichlet"]
-
-    def dirichlet_flux(self, load_I, trace):
-        """Dirichlet solve with interface values trace, and its flux.
-
-        Returns u_I solving A_II u_I = load_I - A_IG trace, and the flux
-        A_GG trace + A_GI u_I onto the interface, with A_GG the Neumann
-        block.  load_I is broadcast over the interior, so a scalar 0 stands
-        for no load.
-        """
-        m = self.grid.n_interface
-        solver = self.dirichlet_solver()
-        rhs = np.empty(solver.n_cols * m)
-        rhs[:] = load_I
-        flux = self.interface_block().matvec(trace)
-        if solver.n_cols == 0:  # a one-column strip has no interior
-            return rhs, flux
-        # the stencil couples the interface to the last interior column by
-        # A_GI = A_IG^T = -I
-        rhs[-m:] += trace
-        u_I = solver.solve(rhs)
-        flux -= u_I[-m:]
-        return u_I, flux
-
 
 def build_subdomain_system(grid: GridSpec, f, side=LEFT, n_cols=None) -> SubdomainSystem:
     n_cols = grid.n if n_cols is None else n_cols
@@ -356,7 +324,7 @@ def write_strip_matrices(grid: GridSpec, directory):
     column clamped (a0) and free, the interface mass, and the coupling a0
     loses when freed, which is the Neumann block, as MatrixMarket files."""
     n, m = grid.n, grid.n_interface
-    neumann = build_subdomain_system(grid, lambda x, y: 0.0).interface_block()
+    neumann = Tridiagonal(m, 2.0, -0.5)  # SubdomainSystem.interface_block(0.0)
     for name, A, what in (
             ("a0", strip_matrix(n, Tridiagonal(m, 4.0, -1.0)), "clamped strip five-point matrix"),
             ("stiffness", strip_matrix(n, neumann), "free-interface strip stiffness"),

@@ -1,11 +1,13 @@
 """Trace-operator view of the two-sided Robin sweep.
 
 The interface response of each strip is condensed into its
-Dirichlet-to-Neumann map, realized as the Schur complement of the strip
-stiffness on the interface block, eliminated by the strip's own fast
-solvers.  The map is expressed in coordinates where the interface mass
-matrix is the identity (congruence by its Cholesky factor), so adjointness
-with respect to the trace inner product becomes plain matrix symmetry.
+Dirichlet-to-Neumann map, the Schur complement of the strip stiffness on
+the interface block.  It is realized as the inverse of the
+Neumann-to-Dirichlet map, whose columns are interface traces of the
+strip's own Neumann solver, so no interior block is factored.  The map
+is expressed in coordinates where the interface mass matrix is the
+identity (congruence by its Cholesky factor), so adjointness with respect
+to the trace inner product becomes plain matrix symmetry.
 In those coordinates one damped double sweep is
 
     R = theta I - (1 - theta) T,
@@ -83,13 +85,16 @@ class EquivalenceBounds:
 def dtn_schur(system: SubdomainSystem) -> DtNOperator:
     """Interface Schur complement of one strip, as a DtNOperator.
 
-    S = A_GG - A_GI A_II^-1 A_IG is symmetric, so its row j is the flux of
-    the Dirichlet solve with no load and the unit trace e_j
-    (SubdomainSystem.dirichlet_flux).  S is then congruenced by the inverse
-    Cholesky factor of the interface mass.
+    The trace of the Neumann solve with load e_j on the interface rows and
+    none inside is column j of S^-1, with S = A_GG - A_GI A_II^-1 A_IG, so
+    S is the inverse of the m x m matrix of those traces, one solve by
+    SubdomainSystem.solver(0.0) per interface node.  S is then congruenced
+    by the inverse Cholesky factor of the interface mass.
     """
     m = system.grid.n_interface
-    S = np.array([system.dirichlet_flux(0.0, e)[1] for e in np.eye(m)])
+    solve, interior = system.solver(0.0).solve, np.zeros((system.n_cols - 1) * m)
+    S = scipy.linalg.inv(np.array([solve(np.concatenate([interior, e]))[-m:]
+                                   for e in np.eye(m)]).T)
     L = scipy.linalg.cholesky(system.interface_mass.to_dense(), lower=True)
     S = scipy.linalg.solve_triangular(L, S, lower=True)
     S = scipy.linalg.solve_triangular(L, S.T, lower=True).T

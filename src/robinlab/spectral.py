@@ -19,7 +19,9 @@ sigma_j is the Neumann Schur symbol of an n-column strip (strip_symbol), the
 discrete counterpart of the half-strip symbol k coth(k L), and tlam_j the
 diagonal of the clamped strip's trace inverse.  tlam_j stays inside
 (1/8, 1) for every n, so b_j / a_j lives in [3 + 7h/16, 21/(2h)] and c_j in
-(-1, -1/2).  The module also carries the continuous (half-plane Fourier)
+(-1, -1/2), and the radius at theta = 3/7 is at most 1/7.  That 1/7 is the
+symmetric split's envelope; a fixed off-center split has its own (0.33 at
+x = 5/6).  The module also carries the continuous (half-plane Fourier)
 counterpart where the trace symbol is k coth k, and tuning helpers built on
 both.
 """

@@ -866,6 +866,8 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     (["table3", "--n", "18,36,54"], "table3_n18_36_54.csv", 3),
     (["operator"], "operator_default.csv", 0),
     (["operator", "--n", "8,16,24"], "operator_n8_16_24.csv", 0),
+    (["operator", "--n", "1,2,3,4,5,6,7,32,40"], "operator_n1_to_7_32_40.csv", 0),
+    (["table3", "--n", "1,2,5", "--theta", "0.25,0.3,0.45"], "table3_n1_2_5_theta.csv", 0),
 ])
 def test_pinned_bytes_independent_of_blas_threads(args, name, code):
     """These pins print the stored output under one BLAS thread as

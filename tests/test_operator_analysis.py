@@ -119,12 +119,11 @@ def test_schur_spectrum_bracket():
 
 def test_schur_rejects_indefinite_input(monkeypatch):
     # a one-column strip has no interior, so its map is its interface
-    # block; a negative block factors nothing and reaches dtn_schur's own
-    # check
+    # block; the Neumann solver's factorization rejects a negative block
     system = build_subdomain_system(build_grid(1), zero_field, "left")
     monkeypatch.setattr(system, "interface_block",
                         lambda gamma=0.0: Tridiagonal(1, -2.0, 0.0))
-    with pytest.raises(ValueError, match="interface response map is not positive definite"):
+    with pytest.raises(ValueError, match="strip operator is not positive definite"):
         dtn_schur(system)
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from robinlab import (DDParams, assemble_interface_mass, bound_margins, build_grid,
-                      corollary_rate, fd_eigenvalue, omega, omega_max, reduction_spectrum,
-                      strip_symbol, theta_star,
-                      von_neumann_advisor, von_neumann_rho)
+                      build_subdomain_system, corollary_rate, fd_eigenvalue, omega,
+                      omega_max, reduction_spectrum, robin_robin_solve, strip_symbol,
+                      theta_star, von_neumann_advisor, von_neumann_rho)
 from robinlab.experiments import ExperimentConfig
 from robinlab.spectral import (COTH_1, cj_values, mode_arrays, robin_factor,
                                sine_basis_matrix, z_bracket)
@@ -261,6 +261,55 @@ def test_cj_interval_canonical_weights():
         c = ((g1 * a - b) / (g1 * a + b)) * ((g2 * a - b) / (g2 * a + b))
         assert c.max() < -0.5
         assert c.min() > -1.0
+
+
+def canonical_split_radii(n, k_left):
+    """|theta + (1 - theta) c_j| per mode at theta = 3/7 on the split with
+    k_left columns on the left, gamma1 = 1 there and gamma2 = 128n on the
+    right, with c_j the product of both strips' robin_factor."""
+    m = 2 * n - 1
+    mu = assemble_interface_mass(build_grid(n)).eigenvalues()
+    g1, g2 = 1.0, 128.0 * n
+    c = (robin_factor(strip_symbol(m, k_left), mu, g1, g2)
+         * robin_factor(strip_symbol(m, 2 * n - k_left), mu, g2, g1))
+    theta = 3.0 / 7.0
+    return np.abs(theta + (1.0 - theta) * c)
+
+
+FIXED_SPLIT_MESHES = (6, 12, 24, 48, 96, 192, 384, 768, 1152, 2304)
+
+
+@pytest.mark.parametrize("x_star, flat", [
+    (Fraction(1, 6), True), (Fraction(1, 4), True), (Fraction(1, 3), True),
+    (Fraction(1, 2), False), (Fraction(2, 3), False), (Fraction(3, 4), False),
+    (Fraction(5, 6), True)])
+def test_canonical_radius_on_fixed_splits(x_star, flat):
+    # the left strip spans [0, x*] at every n.  The radius at theta = 3/7
+    # is flat in h at x* = 1/6, 1/4, 1/3 and 5/6 (0.264, 0.212, 0.174 and
+    # 0.329), above 1/7; at x* = 1/2, 2/3 and 3/4 it rises toward 1/7
+    # (0.139 at n = 2304) and stays below it.  So 1/7 is the envelope of
+    # the symmetric split, not of every fixed split
+    radii = np.array([canonical_split_radii(n, int(x_star * 2 * n)).max()
+                      for n in FIXED_SPLIT_MESHES])
+    if flat:
+        assert radii.max() - radii.min() < 0.01 * radii.min()
+        assert radii.min() > 1.0 / 7.0
+    else:
+        assert radii.max() < 1.0 / 7.0
+
+
+def test_off_center_sweep_measures_closed_form_radius():
+    # the mode sweep on the x* = 1/3 split, seeded with the slowest mode
+    # and no load, contracts at the closed-form radius
+    n, k = 36, 24
+    rho = canonical_split_radii(n, k)
+    grid = build_grid(n)
+    left = build_subdomain_system(grid, lambda x, y: 0.0, "left", n_cols=k)
+    right = build_subdomain_system(grid, lambda x, y: 0.0, "right", n_cols=2 * n - k)
+    report = robin_robin_solve(left, right, canonical_params(n),
+                               g1_init=sine_basis_matrix(2 * n - 1)[np.argmax(rho)])
+    assert report.converged
+    assert abs(report.reduction_rate - rho.max()) <= 1e-12
 
 
 def test_reduction_spectrum_single_mode():

@@ -29,16 +29,13 @@ def strips(grid):
 
 
 def oracle_cases(system):
-    """(fast solver, assembled matrix) for the Neumann stiffness, both Robin
-    weights and the Dirichlet interior block."""
-    m = system.grid.n_interface
+    """(fast solver, assembled matrix) for the Neumann stiffness and both
+    Robin weights."""
     stiffness = strip_stiffness(system.grid, system.n_cols)
     cases = [(system.solver(0.0), stiffness)]
     for gamma in (1.0, 64.0 / system.grid.h):
         cases.append((system.solver(gamma),
                       add_interface_tridiagonal(stiffness, system.interface_mass, gamma)))
-    interior = (system.n_cols - 1) * m
-    cases.append((system.dirichlet_solver(), stiffness[:interior, :interior]))
     return cases
 
 
@@ -52,34 +49,8 @@ def test_strip_solver_matches_spsolve(n):
             b = rng.standard_normal(A.shape[0])
             x = solver.solve(b)
             assert x.shape == b.shape
-            if A.shape[0] == 0:  # the Dirichlet interior of a one-column strip
-                continue
             ref = scipy.sparse.linalg.spsolve(A.tocsc(), b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_dirichlet_flux_matches_dense_block_elimination():
-    # u_I = A_II^-1 (load_I - A_IG t) and the flux A_GG t + A_GI u_I from
-    # the dense blocks of the assembled stiffness, on all four strips of
-    # both splits (one-column strips included)
-    rng = np.random.default_rng(14)
-    for n in range(1, 9):
-        grid = build_grid(n)
-        m = grid.n_interface
-        k_left, k_right = offcenter_columns(grid)
-        for side, k in (("left", n), ("right", n), ("left", k_left), ("right", k_right)):
-            system = build_subdomain_system(grid, zero_field, side, n_cols=k)
-            A = strip_stiffness(grid, k).toarray()
-            base = (k - 1) * m
-            load_I = rng.standard_normal(base)
-            trace = rng.standard_normal(m)
-            want_u = np.linalg.solve(A[:base, :base], load_I - A[:base, base:] @ trace)
-            want_flux = A[base:, base:] @ trace + A[base:, :base] @ want_u
-            u_I, flux = system.dirichlet_flux(load_I, trace)
-            assert u_I.shape == (base,)
-            if base:
-                assert np.abs(u_I - want_u).max() <= 1e-13 * np.abs(want_u).max()
-            assert np.abs(flux - want_flux).max() <= 1e-13 * np.abs(want_flux).max()
 
 
 @pytest.mark.parametrize("n", [48, 64])
@@ -90,7 +61,7 @@ def test_strip_solver_accuracy_on_smooth_load(n):
     # (n = 64) of the solution, while SuperLU stays near 1e-15
     grid = build_grid(n)
     system = build_subdomain_system(grid, F_LOAD)
-    for solver, A in oracle_cases(system)[:3]:
+    for solver, A in oracle_cases(system):
         lu = scipy.sparse.linalg.splu(A.tocsc())
         ref = lu.solve(system.load)
         ref += lu.solve(system.load - A @ ref)
@@ -134,7 +105,6 @@ def test_dirichlet_neumann_with_empty_interior():
     grid = build_grid(1)
     left = build_subdomain_system(grid, F_LOAD, "left")
     right = build_subdomain_system(grid, F_LOAD, "right")
-    assert left.dirichlet_solver().solve(np.zeros(0)).shape == (0,)
     report = dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.45))
     assert report.converged
     K, load = global_poisson_system(grid, F_LOAD)
@@ -148,8 +118,6 @@ def test_solvers_built_once_per_gamma():
     assert system.solver(1.0) is system.solver(1.0)
     assert system.solver(0.0) is system.solver(0.0)
     assert system.solver(2.0) is not system.solver(1.0)
-    assert system.dirichlet_solver() is system.dirichlet_solver()
-    assert system.dirichlet_solver() is not system.solver(0.0)
     # a new system of the same strip factors its own solvers
     other = build_subdomain_system(build_grid(3), zero_field)
     assert other.solver(1.0) is not system.solver(1.0)
@@ -162,5 +130,6 @@ def test_strip_solver_input_checks():
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             system.solver(bad)
-    with pytest.raises(ValueError):
-        StripSolver(-1, Tridiagonal(3, 4.0, -1.0))
+    for bad_cols in (-1, 0):
+        with pytest.raises(ValueError, match="at least one column"):
+            StripSolver(bad_cols, Tridiagonal(3, 4.0, -1.0))
