@@ -9,8 +9,9 @@ carries the interface loads of both strips, so its limit solves the
 assembled global system, as the Robin sweep's does.  Both strips'
 interface Schur complements are diagonal in the sine basis of the
 interface, so either sweep is a per-mode affine map of the sine
-coefficients of its state and runs no strip solve: two solves before the
-first sweep set up the map, and two after the last recover the strips.
+coefficients of its state and runs no strip solve.  The map reads one
+load trace per strip and weight (SubdomainSystem.load_trace), and a
+report recovers the last sweep's strips when they are first read.
 robin_robin_physical_solve runs the Robin sweep with its two strip solves
 in every sweep; only table1 runs it, for the reason its docstring gives.
 
@@ -25,8 +26,9 @@ _mode_iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,14 +66,25 @@ class DDReport:
     interface_trace_history has iterations + 1 rows (initial datum plus
     one per sweep).  reduction_rate is the measured geometric-mean
     contraction factor, or None when fewer than 4 sweeps ran.
+    solution_u and solution_w are the left and right strip solutions of
+    the last sweep: strips(interface_trace_history) returns them, and runs
+    on their first read only, so a caller that reads neither pays no solve.
     """
 
     iterations: int
     interface_trace_history: np.ndarray
-    solution_u: np.ndarray
-    solution_w: np.ndarray
     reduction_rate: Optional[float]
     converged: bool
+    strips: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def _solutions(self):
+        # a diverged run's strips overflow as its sweeps did; its report says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.strips(self.interface_trace_history)
+
+    solution_u = property(lambda self: self._solutions[0])
+    solution_w = property(lambda self: self._solutions[1])
 
 
 def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
@@ -89,7 +102,7 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     Robin Schur complement is sigma_i + gamma_i mu per mode (sigma_i its
     strip_symbol, mu the interface-mass eigenvalue): g2^ = A_1 g1^ + B_1 and
     g1^ <- A_2 g2^ + B_2 before damping, with B_i = (gamma1 + gamma2) V t_i,
-    t_i the trace of the Robin solve of strip i's load, and
+    t_i = strip_i.load_trace(gamma_i) the trace of its load's Robin solve, and
     A_i = robin_factor(sigma_i, mu, gamma_i, gamma_j), j the other strip.
     """
     _check_split(left, right)
@@ -105,8 +118,7 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
         for strip, gamma, other in ((left, params.gamma1, params.gamma2),
                                     (right, params.gamma2, params.gamma1)):
             A.append(robin_factor(strip_symbol(m, strip.n_cols), mu, gamma, other))
-            t = strip.solver(gamma).solve(strip.load)[-m:]
-            B.append((params.gamma1 + params.gamma2) * (V @ t))
+            B.append((params.gamma1 + params.gamma2) * (V @ strip.load_trace(gamma)))
     return _mode_iterate(A[1] * B[0] + B[1], -A[0] * A[1], V @ g1, params, left.interface_mass,
                          lambda history: _robin_solves(left, right, params)(history[-2])[:2])
 
@@ -176,7 +188,7 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     m = left.grid.n_interface
     V = sine_basis_matrix(m)
     sigma1 = strip_symbol(m, left.n_cols)
-    t1, t2 = (V @ strip.solver(0.0).solve(strip.load)[-m:] for strip in (left, right))
+    t1, t2 = (V @ strip.load_trace(0.0) for strip in (left, right))
     beta = sigma1 / strip_symbol(m, right.n_cols)
 
     def strips(history):
@@ -213,8 +225,8 @@ def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,
     """Run state <- sweep(state) until the sup-norm of to_trace(new - old)
     drops below params.stop_tol (converged), turns non-finite, or
     params.max_iter sweeps have run.  The history holds to_trace of every
-    state, initial one included; strips(history) returns the strip
-    solutions of the last sweep."""
+    state, initial one included; the report reads the strip solutions of
+    the last sweep from strips(history) when they are first asked for."""
     history = [to_trace(state)]
     converged = False
     # a diverging state overflows; the non-finite stop below reports it
@@ -229,16 +241,14 @@ def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,
             if delta < params.stop_tol:
                 converged = True
                 break
-        u, w = strips(history)
     history = np.asarray(history)
     iterations = len(history) - 1
     return DDReport(
         iterations=iterations,
         interface_trace_history=history,
-        solution_u=u,
-        solution_w=w,
         reduction_rate=measured_reduction_rate(history, mass) if iterations >= 4 else None,
         converged=converged,
+        strips=strips,
     )
 
 

@@ -22,7 +22,7 @@ from . import operator_analysis, spectral
 from .dd_solvers import (DDParams, assemble_global_solution,
                          dirichlet_neumann_solve, error_norms,
                          robin_robin_physical_solve, robin_robin_solve)
-from .grid_fem import build_grid, build_subdomain_system
+from .grid_fem import SubdomainSystem, build_grid, build_subdomain_system
 
 TABLES = ("table1", "table2", "table3", "spectrum", "von_neumann", "operator")
 
@@ -48,12 +48,6 @@ def manufactured_solution():
                        + 2.0 * (x ** 3 - x ** 4))
 
     return u, f
-
-
-def zero_load(x, y):
-    """The zero right-hand side, for runs that read no load, such as the
-    operator study, whose Schur complements ignore it."""
-    return 0.0
 
 
 @dataclass
@@ -221,8 +215,8 @@ def run_table2(config: ExperimentConfig) -> TableResult:
     all_converged = True
     for n in config.grids():
         grid = build_grid(n)
-        # with no load the two strips are the same one
-        strip = build_subdomain_system(grid, zero_load)
+        # a zero load needs no quadrature, and the two strips are the same one
+        strip = SubdomainSystem(grid, n, np.zeros(n * grid.n_interface))
         cells = [f"1/{2 * n}"]
         for theta in thetas:
             params = config.params(n, theta)
@@ -317,7 +311,7 @@ def run_operator(config: ExperimentConfig) -> TableResult:
     for n in config.grids():
         grid = build_grid(n)
         third = operator_analysis.offcenter_columns(grid)
-        maps = {k: operator_analysis.dtn_schur(build_subdomain_system(grid, zero_load, n_cols=k))
+        maps = {k: operator_analysis.dtn_schur(SubdomainSystem(grid, k, np.zeros(k * grid.n_interface)))
                 for k in {n, *third}}
         for label, (ncl, ncr) in (("half", (n, n)), ("third", third)):
             S1, S2 = maps[ncl], maps[ncr]

@@ -284,13 +284,16 @@ class StripSolver:
 @dataclass
 class SubdomainSystem:
     """One strip: its grid, width and load fix it, and its blocks and
-    interface mass follow from the grid.  Each strip solver is factored on
-    first use and the same StripSolver is handed to every later caller."""
+    interface mass follow from the grid.  The load is fixed once the strip
+    is built.  Each strip solver is factored on first use and the same
+    StripSolver is handed to every later caller; load_trace keeps the
+    solve of the load per weight the same way."""
 
     grid: GridSpec
     n_cols: int
     load: np.ndarray
     _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _load_traces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def interface_mass(self) -> Tridiagonal:
@@ -311,6 +314,13 @@ class SubdomainSystem:
         if gamma not in self._solvers:
             self._solvers[gamma] = StripSolver(self.n_cols, self.interface_block(gamma))
         return self._solvers[gamma]
+
+    def load_trace(self, gamma: float) -> np.ndarray:
+        """Interface trace of solver(gamma).solve(load), solved once per gamma."""
+        if gamma not in self._load_traces:
+            self._load_traces[gamma] = self.solver(gamma).solve(self.load)[-self.grid.n_interface:]
+            self._load_traces[gamma].flags.writeable = False  # every caller shares it
+        return self._load_traces[gamma]
 
 
 def build_subdomain_system(grid: GridSpec, f, side=LEFT, n_cols=None) -> SubdomainSystem:

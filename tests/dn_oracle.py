@@ -89,11 +89,10 @@ def dirichlet_neumann_oracle(left: SubdomainSystem, right: SubdomainSystem,
     return DDReport(
         iterations=len(history) - 1,
         interface_trace_history=history,
-        solution_u=u,
-        solution_w=wt,
         reduction_rate=(per_row_reduction_rate(history, left.interface_mass)
                         if len(history) >= 5 else None),
         converged=converged,
+        strips=lambda _: (u, wt),
     )
 
 

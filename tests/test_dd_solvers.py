@@ -1,4 +1,6 @@
 """Robin-Robin and Dirichlet-Neumann sweep behavior on the two-strip split."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,33 @@ def test_non_finite_trace_stops_after_one_sweep(bad):
         assert report.iterations == 1
         assert not report.converged
         assert report.reduction_rate is None
+        # the strips, recovered on first read under the sweeps' errstate,
+        # are non-finite too, and reading them warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(report.solution_u).all()
+            assert not np.isfinite(report.solution_w).all()
+
+
+def test_load_trace_is_the_load_solve_kept_per_weight(monkeypatch):
+    # bit for bit the interface rows of the load's strip solve, solved once
+    # per weight and handed out read-only to every later caller
+    n = 6
+    grid, left, _ = strip_pair(n)
+    _, fresh, _ = strip_pair(n)
+    m = grid.n_interface
+    solves = []
+    solve = StripSolver.solve
+    monkeypatch.setattr(StripSolver, "solve", lambda self, rhs: solves.append(self) or solve(self, rhs))
+    for gamma in (0.0, 1.0, 128.0 * n):
+        want = fresh.solver(gamma).solve(fresh.load)[-m:]
+        solves.clear()
+        trace = left.load_trace(gamma)
+        assert solves == [left.solver(gamma)]
+        assert trace.tobytes() == want.tobytes()
+        assert left.load_trace(gamma) is trace
+        assert not trace.flags.writeable
+        assert len(solves) == 1
 
 
 def test_converged_trace_is_fixed_point():

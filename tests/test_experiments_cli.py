@@ -238,6 +238,19 @@ def test_rate_table_equals_closed_form_radius():
             assert rate == pytest.approx(radius, rel=1e-13, abs=0.0)
 
 
+def test_rate_table_on_deep_meshes():
+    # the paper's rate claim on the --deep meshes down to h = 1/1152: each
+    # theta = 3/7 run converges at the closed-form radius (0.1157556,
+    # 0.1262665 and 0.1345008), which stays under the symmetric split's 1/7
+    config = ExperimentConfig(table="table2", n_list=DEEP_N_LIST, theta_list=(THETA_STAR,))
+    r = run_table2(config)
+    assert r.all_converged
+    for n, (_, rate) in zip(DEEP_N_LIST, r.rows[:-1], strict=True):
+        _, radius = reduction_spectrum(n, config.params(n, THETA_STAR))
+        assert rate <= 1.0 / 7.0
+        assert rate == pytest.approx(radius, rel=1e-13, abs=0.0)
+
+
 def test_relaxation_sweep_table_rows():
     r = run_table3(ExperimentConfig(table="table3", n_list=(2,)))
     assert r.rows[0] == ["1/4", "2000*", "39", "23", "17", "13", "2", "12", "37"]
@@ -262,10 +275,12 @@ def test_relaxation_sweep_table_deep_mesh(capsys):
 
 def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     # no table assembles a stiffness matrix, each strip solver is factored
-    # once per mesh and weight, not once per theta, and the zero-load
-    # tables build one strip, with one load and one trace map, per width
+    # once per mesh and weight, not once per theta, the zero-load tables
+    # sum no load by quadrature and build one strip, with one trace map,
+    # per width, and no table solves a strip whose result it does not read
     counted = {"stiffness": (robinlab.grid_fem, "strip_matrix"),
                "solver": (robinlab.grid_fem, "StripSolver"),
+               "solve": (robinlab.grid_fem.StripSolver, "solve"),
                "load": (robinlab.grid_fem, "assemble_load"),
                "schur": (robinlab.operator_analysis, "dtn_schur")}
     calls = dict.fromkeys(counted, 0)
@@ -276,34 +291,52 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    for name, (module, attr) in counted.items():
-        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    for name, (owner, attr) in counted.items():
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
 
     def run_counted(runner, **kwargs):
         calls.update(dict.fromkeys(calls, 0))
-        runner(ExperimentConfig(**kwargs))
-        return calls
+        result = runner(ExperimentConfig(**kwargs))
+        return dict(calls), result
 
-    # two strips with their two loads per mesh
-    assert run_counted(run_table1, table="table1", n_list=(2, 6, 10)) == {
-        "stiffness": 0, "solver": 6, "load": 6, "schur": 0}
-    # one zero-load strip per mesh holds both the gamma1 and the gamma2 solver
-    assert run_counted(run_table2, table="table2", n_list=(2, 6)) == {
-        "stiffness": 0, "solver": 4, "load": 2, "schur": 0}
-    # Dirichlet and right Neumann solvers, once per mesh; the left strip's
-    # symbol is closed-form, so its Neumann solver is never factored
-    assert run_counted(run_table3, table="table3", n_list=(2, 6), max_iter=50) == {
-        "stiffness": 0, "solver": 4, "load": 4, "schur": 0}
+    # two strips with their two loads per mesh; the physical loop solves
+    # both strips in every sweep and hands back the last sweep's solves
+    got, result = run_counted(run_table1, table="table1", n_list=(2, 6, 10))
+    sweeps = sum(int(row[-1]) for row in result.rows)
+    assert sweeps == 13 + 14 + 14
+    assert got == {"stiffness": 0, "solver": 6, "solve": 2 * sweeps, "load": 6, "schur": 0}
+    # one zero-load strip per mesh holds both the gamma1 and the gamma2
+    # solver, and solves its load once per weight for all seven thetas
+    assert run_counted(run_table2, table="table2", n_list=(2, 6))[0] == {
+        "stiffness": 0, "solver": 4, "solve": 4, "load": 0, "schur": 0}
+    # one Neumann solver and one load trace per strip and mesh, shared by
+    # all eight thetas
+    assert run_counted(run_table3, table="table3", n_list=(2, 6), max_iter=50)[0] == {
+        "stiffness": 0, "solver": 4, "solve": 4, "load": 4, "schur": 0}
     # one strip per distinct width, n, k and 2n - k for the off-center
     # split (k, 2n - k): widths 2, 1, 3 at n = 2 and 3, 2, 4 at n = 3.
-    # Each strip factors one Dirichlet solver to eliminate its interior
-    # (with no column for the one-column strip); the interface block
-    # needs no solver
-    assert run_counted(run_operator, table="operator", n_list=(2, 3)) == {
-        "stiffness": 0, "solver": 6, "load": 6, "schur": 6}
-    # at n = 1 both splits are (1, 1): one strip serves all four sides
-    assert run_counted(run_operator, table="operator", n_list=(1, 2, 3)) == {
-        "stiffness": 0, "solver": 7, "load": 7, "schur": 7}
+    # Each trace map factors its strip's Neumann solver once and solves it
+    # once per interface node, 3 at n = 2 and 5 at n = 3
+    assert run_counted(run_operator, table="operator", n_list=(2, 3))[0] == {
+        "stiffness": 0, "solver": 6, "solve": 3 * 3 + 3 * 5, "load": 0, "schur": 6}
+    # at n = 1 both splits are (1, 1): one strip, with one interface node,
+    # serves all four sides
+    assert run_counted(run_operator, table="operator", n_list=(1, 2, 3))[0] == {
+        "stiffness": 0, "solver": 7, "solve": 1 + 3 * 3 + 3 * 5, "load": 0, "schur": 7}
+
+    # a mode-sweep report recovers its strips, one solve each, on the first
+    # read of solution_u or solution_w, and keeps them
+    _, f = manufactured_solution()
+    grid = build_grid(6)
+    left = robinlab.build_subdomain_system(grid, f, "left")
+    right = robinlab.build_subdomain_system(grid, f, "right")
+    for solve in (robinlab.robin_robin_solve, robinlab.dirichlet_neumann_solve):
+        report = solve(left, right, DDParams(1.0, 64.0 * 12, 3.0 / 7.0, max_iter=50))
+        calls["solve"] = 0
+        u = report.solution_u
+        assert calls["solve"] == 2
+        assert report.solution_w is report.solution_w and report.solution_u is u
+        assert calls["solve"] == 2
 
 
 def _spectrum_radii(result, thetas):
