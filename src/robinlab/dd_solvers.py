@@ -26,6 +26,8 @@ _mode_iterate.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -34,6 +36,15 @@ import numpy as np
 
 from .grid_fem import GridSpec, SubdomainSystem, Tridiagonal
 from .spectral import robin_factor, sine_basis_matrix, strip_symbol
+
+
+def is_integral(x) -> bool:
+    """Whether x is an integer, or an integral real, that a float can hold.
+    An integer is compared with the largest float, not converted to one,
+    which would raise OverflowError past it."""
+    if isinstance(x, numbers.Integral):
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, numbers.Real) and float(x).is_integer()
 
 
 @dataclass
@@ -54,8 +65,8 @@ class DDParams:
             raise ValueError("damping theta must lie in [0, 1)")
         if not 0.0 < self.stop_tol < np.inf:
             raise ValueError("stop_tol must be positive and finite")
-        if not (float(self.max_iter).is_integer() and self.max_iter >= 1):
-            raise ValueError("max_iter must be an integer of at least 1")
+        if not (is_integral(self.max_iter) and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer from 1 to the largest float")
         self.max_iter = int(self.max_iter)
 
 

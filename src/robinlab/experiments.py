@@ -20,7 +20,7 @@ import numpy as np
 
 from . import operator_analysis, spectral
 from .dd_solvers import (DDParams, assemble_global_solution,
-                         dirichlet_neumann_solve, error_norms,
+                         dirichlet_neumann_solve, error_norms, is_integral,
                          robin_robin_physical_solve, robin_robin_solve)
 from .grid_fem import SubdomainSystem, build_grid, build_subdomain_system
 
@@ -73,8 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.table not in TABLES:
             raise ValueError(f"table must be one of {TABLES}, got {self.table!r}")
-        if not all(float(n).is_integer() for n in self.n_list):
-            raise ValueError("n_list entries must be integers")
+        if not all(is_integral(n) for n in self.n_list):
+            raise ValueError("n_list entries must be integers no larger than the largest float")
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be a nonempty list of positive integers")
@@ -304,21 +304,17 @@ def run_von_neumann(config: ExperimentConfig) -> TableResult:
 def run_operator(config: ExperimentConfig) -> TableResult:
     """Trace-map study on the symmetric split and an off-center one:
     equivalence constants, recommended weights, and the sweep radius
-    against its (2t-1)/(2t+1) cap.  A trace map depends only on its
-    strip's width, so each mesh builds one map per distinct width."""
+    against its (2t-1)/(2t+1) cap.  Every row is built mode by mode from
+    the strip symbols (operator_analysis.mode_study), with no strip solve
+    and no eigensolve, so the --deep meshes take milliseconds.  The dense
+    Schur maps of operator_analysis give the same numbers; they are the
+    tests' reference and the view of demos/interface_operator.py."""
     rows = []
     ok = True
     for n in config.grids():
         grid = build_grid(n)
-        third = operator_analysis.offcenter_columns(grid)
-        maps = {k: operator_analysis.dtn_schur(SubdomainSystem(grid, k, np.zeros(k * grid.n_interface)))
-                for k in {n, *third}}
-        for label, (ncl, ncr) in (("half", (n, n)), ("third", third)):
-            S1, S2 = maps[ncl], maps[ncr]
-            bounds = operator_analysis.equivalence_bounds(S1, S2)
-            params = operator_analysis.params_from_bounds(S1, S2, bounds)
-            R = operator_analysis.build_iteration_operator(S1, S2, params)
-            radius = operator_analysis.iteration_spectral_radius(R)
+        for label, split in (("half", (n, n)), ("third", operator_analysis.offcenter_columns(grid))):
+            bounds, params, radius = operator_analysis.mode_study(grid, *split)
             bound = params.theta
             good = radius <= bound + 1e-9
             ok &= good

@@ -15,14 +15,15 @@ entry by entry.
 Strip loads are summed on the node lattice by shifted slice adds, from
 O(n_cols + n) load values per quadrature point.  A SubdomainSystem holds
 no assembled matrix: its strip solvers apply and factor the stencil, each
-once, for the sweeps and the trace-operator analysis alike.  A strip has
+once, for the sweeps and the dense trace maps alike.  A strip has
 one solver family, solver(gamma) for gamma >= 0, whose interface column
 carries interface_block(gamma).  No solver clamps the interface: a
 Dirichlet solve is a Neumann solve whose interface load is corrected
 through the Schur complement (the capacitance method of Buzbee, Dorr,
 George and Golub).  strip_matrix builds the CSR of a strip with a given
-interface block, only for --dump-matrices and for the tests, and imports
-scipy.sparse when run.
+interface block, only for --dump-matrices and for the tests.  Both import
+their scipy module when run (StripSolver its LAPACK routines, strip_matrix
+scipy.sparse), so a table that solves no strip loads no scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .spectral import sine_basis_matrix
 
@@ -237,6 +237,8 @@ class StripSolver:
     """
 
     def __init__(self, n_cols: int, last_block: Tridiagonal):
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
         if n_cols < 1:
             raise ValueError("strip must have at least one column")
         self.n_cols = k = int(n_cols)
@@ -249,10 +251,10 @@ class StripSolver:
         off = np.full((m, k), -1.0)
         off[:, -1] = 0.0  # no coupling across mode blocks
         # the LAPACK wrapper takes one off-diagonal entry even for a 1 x 1 system
-        d, e, info = scipy.linalg.lapack.dpttrf(d.ravel(), off.ravel()[:max(m * k - 1, 1)])
+        d, e, info = dpttrf(d.ravel(), off.ravel()[:max(m * k - 1, 1)])
         if info != 0:
             raise ValueError("strip operator is not positive definite")
-        self._d, self._e = d, e
+        self._d, self._e, self._dpttrs = d, e, dpttrs
 
     def _apply(self, x):
         """The strip operator applied by its stencil to x of shape (k, m)."""
@@ -267,7 +269,7 @@ class StripSolver:
     def _solve_modes(self, b):
         """Transform, mode solves and transform back, for b of shape (k, m)."""
         coef = self._basis @ b.T  # mode-major: row j holds mode j
-        y = scipy.linalg.lapack.dpttrs(self._d, self._e, coef.ravel())[0]
+        y = self._dpttrs(self._d, self._e, coef.ravel())[0]
         return y.reshape(self.m, self.n_cols).T @ self._basis
 
     def solve(self, rhs) -> np.ndarray:

@@ -2,13 +2,10 @@
 
 The interface response of each strip is condensed into its
 Dirichlet-to-Neumann map, the Schur complement of the strip stiffness on
-the interface block.  It is realized as the inverse of the
-Neumann-to-Dirichlet map, whose columns are interface traces of the
-strip's own Neumann solver, so no interior block is factored.  The map
-is expressed in coordinates where the interface mass matrix is the
-identity (congruence by its Cholesky factor), so adjointness with respect
-to the trace inner product becomes plain matrix symmetry.
-In those coordinates one damped double sweep is
+the interface block, expressed in coordinates where the interface mass
+matrix is the identity, so adjointness with respect to the trace inner
+product becomes plain matrix symmetry.  In those coordinates one damped
+double sweep is
 
     R = theta I - (1 - theta) T,
     T = (S2 - g1)(g2 + S2)^-1 (g2 - S1)(g1 + S1)^-1 = -r(S2; g2, g1) r(S1; g1, g2),
@@ -18,8 +15,24 @@ factor at unit mass.  T is similar to a symmetric positive matrix whenever
 the weights bracket both spectra (g1 at or below the smallest eigenvalue,
 g2 at or above three times the largest).  That similarity transform bounds
 the spectral radius of R by (2t - 1)/(2t + 1) with t the upper spectral
-equivalence constant of the two maps.  The radius itself is read off one
-LAPACK eigensolve of R; power iteration survives only as a test oracle.
+equivalence constant of the two maps.
+
+Both strips' maps are diagonal in one sine basis of the interface, on
+either split: the map of a k-column strip has the eigenvalue
+z_j = sigma_j / mu_j in mode j, its strip_symbol over the interface-mass
+eigenvalue (trace_eigenvalues).  So (s, t) are the extremes of z2_j / z1_j,
+T_j is a product of two scalars, and the radius is a maximum over the
+modes.  mode_study builds the operator table that way, with no strip
+solve and no eigensolve.
+
+The dense path (DtNOperator, dtn_schur, equivalence_bounds,
+build_iteration_operator, symmetrized_T and iteration_spectral_radius)
+builds the same quantities from the strips' own solvers, without the
+sine basis: each map is the inverse of its strip's Neumann-to-Dirichlet map,
+whose columns are interface traces of the strip's own Neumann solver, and
+the constants and the radius come from LAPACK eigensolves.  It is the
+tests' reference for the per-mode study and the view of
+demos/interface_operator.py, and it imports scipy only when it runs.
 """
 
 from __future__ import annotations
@@ -27,11 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dd_solvers import DDParams
-from .grid_fem import GridSpec, SubdomainSystem
-from .spectral import robin_factor
+from .grid_fem import GridSpec, SubdomainSystem, assemble_interface_mass
+from .spectral import robin_factor, strip_symbol
 
 
 @dataclass
@@ -54,6 +66,8 @@ class DtNOperator:
         # eigh reads one triangle only and would hide an asymmetric input
         if np.abs(A - A.T).max() > 1e-12 * max(1.0, np.abs(A).max()):
             raise ValueError("trace map is not symmetric to 1e-12")
+        import scipy.linalg
+
         self.eigvals, self.eigvecs = scipy.linalg.eigh(A)
 
     @property
@@ -91,6 +105,8 @@ def dtn_schur(system: SubdomainSystem) -> DtNOperator:
     SubdomainSystem.solver(0.0) per interface node.  S is then congruenced
     by the inverse Cholesky factor of the interface mass.
     """
+    import scipy.linalg
+
     m = system.grid.n_interface
     solve, interior = system.solver(0.0).solve, np.zeros((system.n_cols - 1) * m)
     S = scipy.linalg.inv(np.array([solve(np.concatenate([interior, e]))[-m:]
@@ -112,9 +128,33 @@ def offcenter_columns(grid: GridSpec):
     return k, 2 * grid.n - k
 
 
+def trace_eigenvalues(grid: GridSpec, n_cols: int) -> np.ndarray:
+    """Eigenvalues z_j = sigma_j / mu_j, in sine-mode order j = 1..m, of the
+    trace map of an n_cols-column strip: its strip_symbol over the
+    interface-mass eigenvalues (dtn_schur's eigvals, unsorted)."""
+    return strip_symbol(grid.n_interface, n_cols) / assemble_interface_mass(grid).eigenvalues()
+
+
+def mode_study(grid: GridSpec, left_cols: int, right_cols: int):
+    """(EquivalenceBounds, DDParams, radius) of the split into strips of
+    left_cols and right_cols columns, mode by mode: (s, t) are the extremes
+    of z2_j / z1_j, the weights and damping those of params_from_bounds,
+    and the radius max_j |theta - (1 - theta) T_j| with T_j the product of
+    the two one-sided factors, as in build_iteration_operator."""
+    z1, z2 = trace_eigenvalues(grid, left_cols), trace_eigenvalues(grid, right_cols)
+    ratio = z2 / z1
+    bounds = EquivalenceBounds(s=float(ratio.min()), t=float(ratio.max()))
+    params = _recommended_params(min(z1.min(), z2.min()), max(z1.max(), z2.max()), bounds.t)
+    g1, g2, theta = params.gamma1, params.gamma2, params.theta
+    T = (0.0 - robin_factor(z2, 1.0, g2, g1)) * robin_factor(z1, 1.0, g1, g2)
+    return bounds, params, float(np.abs(theta - (1.0 - theta) * T).max())
+
+
 def equivalence_bounds(S1: DtNOperator, S2: DtNOperator) -> EquivalenceBounds:
     """Spectral equivalence constants: the extreme eigenvalues of the
     generalized problem S2 x = lambda S1 x."""
+    import scipy.linalg
+
     _check_pair(S1, S2)
     w = scipy.linalg.eigh(S2.matrix, S1.matrix, eigvals_only=True)
     return EquivalenceBounds(s=float(w[0]), t=float(w[-1]))
@@ -166,15 +206,17 @@ def params_from_bounds(S1: DtNOperator, S2: DtNOperator,
     """Weights and damping from the spectral extremes: g1 at the smallest
     eigenvalue, g2 at three times the largest, theta = (2t-1)/(2t+1) with
     t = bounds.t, the upper equivalence constant of the pair."""
-    theta = (2.0 * bounds.t - 1.0) / (2.0 * bounds.t + 1.0)
-    return DDParams(
-        gamma1=min(S1.min_eig, S2.min_eig),
-        gamma2=3.0 * max(S1.max_eig, S2.max_eig),
-        theta=theta,
-    )
+    return _recommended_params(min(S1.min_eig, S2.min_eig), max(S1.max_eig, S2.max_eig), bounds.t)
+
+
+def _recommended_params(lo, hi, t) -> DDParams:
+    return DDParams(gamma1=float(lo), gamma2=3.0 * float(hi),
+                    theta=(2.0 * t - 1.0) / (2.0 * t + 1.0))
 
 
 def iteration_spectral_radius(R: np.ndarray) -> float:
     """Spectral radius of the sweep operator: the largest eigenvalue
     modulus from one general (LAPACK geev) eigensolve."""
+    import scipy.linalg
+
     return float(np.abs(scipy.linalg.eigvals(R)).max())

@@ -276,8 +276,8 @@ def test_relaxation_sweep_table_deep_mesh(capsys):
 def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     # no table assembles a stiffness matrix, each strip solver is factored
     # once per mesh and weight, not once per theta, the zero-load tables
-    # sum no load by quadrature and build one strip, with one trace map,
-    # per width, and no table solves a strip whose result it does not read
+    # sum no load by quadrature, and no table solves a strip whose result
+    # it does not read
     counted = {"stiffness": (robinlab.grid_fem, "strip_matrix"),
                "solver": (robinlab.grid_fem, "StripSolver"),
                "solve": (robinlab.grid_fem.StripSolver, "solve"),
@@ -313,16 +313,12 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     # all eight thetas
     assert run_counted(run_table3, table="table3", n_list=(2, 6), max_iter=50)[0] == {
         "stiffness": 0, "solver": 4, "solve": 4, "load": 4, "schur": 0}
-    # one strip per distinct width, n, k and 2n - k for the off-center
-    # split (k, 2n - k): widths 2, 1, 3 at n = 2 and 3, 2, 4 at n = 3.
-    # Each trace map factors its strip's Neumann solver once and solves it
-    # once per interface node, 3 at n = 2 and 5 at n = 3
+    # the operator study reads the strip symbols mode by mode: no strip,
+    # no solver and no dense trace map, at n = 1 (both splits (1, 1)) too
     assert run_counted(run_operator, table="operator", n_list=(2, 3))[0] == {
-        "stiffness": 0, "solver": 6, "solve": 3 * 3 + 3 * 5, "load": 0, "schur": 6}
-    # at n = 1 both splits are (1, 1): one strip, with one interface node,
-    # serves all four sides
+        "stiffness": 0, "solver": 0, "solve": 0, "load": 0, "schur": 0}
     assert run_counted(run_operator, table="operator", n_list=(1, 2, 3))[0] == {
-        "stiffness": 0, "solver": 7, "solve": 1 + 3 * 3 + 3 * 5, "load": 0, "schur": 7}
+        "stiffness": 0, "solver": 0, "solve": 0, "load": 0, "schur": 0}
 
     # a mode-sweep report recovers its strips, one solve each, on the first
     # read of solution_u or solution_w, and keeps them
@@ -424,6 +420,19 @@ def test_interface_operator_table():
     assert r.all_converged
 
 
+def test_operator_table_on_deep_meshes(capsys):
+    # the per-mode study reaches n = 576: both splits recommend theta = 1/3
+    # there, and the sweep radius meets it
+    rc = cli_main(["operator", "--n", "2", "--deep"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    half, third = (line.split(",") for line in lines[-2:])
+    assert half[:2] == ["576", "half"] and third[:2] == ["576", "third"]
+    for row in (half, third):
+        assert row[6:] == ["0.3333333333"] * 3 + ["yes"]
+    assert third[2] == "0.8047573169"
+
+
 def test_dispatcher_routes_by_table_name():
     direct = run_table3(ExperimentConfig(table="table3", n_list=(2,),
                                          theta_list=(0.5,)))
@@ -497,9 +506,42 @@ def _cli_import_loads(module):
     # no table builds a CSR matrix either: strip_matrix imports it only
     # for --dump-matrices and the tests
     "scipy.sparse",
+    # scipy itself, with its array-API shim (numpy.f2py, numpy.ma,
+    # numpy.testing), was about two thirds of the CLI's import time:
+    # StripSolver imports its LAPACK routines when first built, and the
+    # dense trace maps scipy.linalg when they run, so only a table that
+    # solves a strip loads it
+    "scipy.linalg",
 ])
 def test_cli_import_leaves_module_unloaded(module):
     assert not _cli_import_loads(module)
+
+
+@pytest.mark.parametrize("args", [["operator", "--n", "8,16,24"], ["spectrum"], ["von-neumann"]])
+def test_cli_tables_without_strip_solves_load_no_scipy(args):
+    # the closed-form tables finish in a fresh interpreter without scipy
+    code = ("import io, sys, contextlib, robinlab.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = robinlab.cli.cli_main(sys.argv[1:])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.stdout, done.stderr) == ("0 []\n", "")
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--n", "9" * 400],
+    ["von-neumann", "--n", "9" * 400],
+    ["table2", "--n", "2", "--max-iter", "9" * 400],
+])
+def test_cli_integer_past_largest_float_is_usage_error(capsys, args):
+    # an integer option is checked without converting it to float, which
+    # overflows; no grid is allocated
+    rc = cli_main(args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("robinlab:")
 
 
 def test_cli_reports_nonconvergence(capsys):
@@ -789,7 +831,7 @@ def _readme_commands():
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     commands = _readme_commands()
-    assert len(commands) == 7
+    assert len(commands) == 8
     monkeypatch.chdir(tmp_path)  # for --out
     for argv in commands:
         rc = cli_main(argv)
@@ -880,6 +922,8 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     built one strip per width: `operator` then built four strips per mesh,
     which includes n = 1, where both splits are (1, 1), and the
     one-column strips, and `table2` a left and a right strip per mesh.
+    The three `operator` files now come from the per-mode study
+    (operator_analysis.mode_study), which prints the dense path's bytes.
     The file of `table3 --n 1,2,5 --theta 0.25,0.3,0.45` pins the reading
     of the Neumann step that the sweep runs: the one that solves the
     assembled global system takes one sweep fewer at n = 1 (theta = 0.25

@@ -5,14 +5,14 @@ import pytest
 from jacobi_oracle import jacobi_symmetric_eigen, power_spectral_radius
 from robin_oracle import strip_stiffness
 from schur_oracle import splu_schur
-from robinlab import (DDParams, DtNOperator, build_grid,
+from robinlab import (DDParams, DtNOperator, SubdomainSystem, build_grid,
                       build_iteration_operator, build_subdomain_system,
                       dtn_schur, equivalence_bounds, iteration_spectral_radius,
                       omega, params_from_bounds,
                       reduction_spectrum, robin_robin_solve, symmetrized_T)
 from robinlab.grid_fem import Tridiagonal
-from robinlab.operator_analysis import offcenter_columns
-from robinlab.spectral import mode_arrays, strip_symbol
+from robinlab.operator_analysis import mode_study, offcenter_columns, trace_eigenvalues
+from robinlab.spectral import mode_arrays
 
 
 def zero_field(x, y):
@@ -149,14 +149,37 @@ def test_schur_matches_splu_oracle():
 def test_schur_eigenvalues_match_strip_symbol_large_mesh(n):
     # the operator view against the closed form at large n: in
     # mass-orthonormal coordinates the map of a k-column strip has the
-    # eigenvalues sigma_j / mu_j, with mu_j the interface-mass eigenvalues
+    # eigenvalues sigma_j / mu_j (trace_eigenvalues), with mu_j the
+    # interface-mass eigenvalues
     grid = build_grid(n)
     k_left, k_right = offcenter_columns(grid)
     for side, k in (("left", n), ("left", k_left), ("right", k_right)):
         system = build_subdomain_system(grid, zero_field, side, n_cols=k)
-        want = np.sort(strip_symbol(grid.n_interface, k) / system.interface_mass.eigenvalues())
+        want = np.sort(trace_eigenvalues(grid, k))
         got = dtn_schur(system).eigvals
         assert np.abs(got / want - 1.0).max() <= 1e-13, (side, k)
+
+
+def test_mode_study_matches_dense_path():
+    # the operator table's per-mode numbers against the dense Schur maps,
+    # their generalized and general eigensolves, on both splits; a map
+    # depends only on its strip's width, so each width is built once
+    for n in range(1, 65):
+        grid = build_grid(n)
+        third = offcenter_columns(grid)
+        maps = {k: dtn_schur(SubdomainSystem(grid, k, np.zeros(k * grid.n_interface)))
+                for k in {n, *third}}
+        for split in ((n, n), third):
+            S1, S2 = maps[split[0]], maps[split[1]]
+            bounds, params, radius = mode_study(grid, *split)
+            want_bounds = equivalence_bounds(S1, S2)
+            want = params_from_bounds(S1, S2, want_bounds)
+            want_radius = iteration_spectral_radius(build_iteration_operator(S1, S2, want))
+            for got_value, want_value in (
+                    (bounds.s, want_bounds.s), (bounds.t, want_bounds.t),
+                    (params.gamma1, want.gamma1), (params.gamma2, want.gamma2),
+                    (params.theta, want.theta), (radius, want_radius)):
+                assert got_value == pytest.approx(want_value, rel=1e-12, abs=0.0), (n, split)
 
 
 def test_offcenter_columns():
