@@ -17,15 +17,23 @@ in every sweep; only table1 runs it, for the reason its docstring gives.
 
 Every strip solve, the Dirichlet-Neumann sweep's included, is a Robin or
 Neumann solve by SubdomainSystem.solver (grid_fem.StripSolver).  Every
-sweep runs through one driver, _iterate, which owns the loop, the stop on
-the sup-norm change of the interface trace (converged below stop_tol, not
-converged once non-finite, with numpy's overflow warnings silenced), the
-trace history and the report; the per-mode sweeps reach it through
-_mode_iterate.
+sweep runs through one driver, _iterate, which owns the loop and the stop
+on the sup-norm change of the interface trace: converged ("tol") below
+stop_tol, stopped ("non_finite") once the change is not finite, with
+numpy's overflow warnings silenced, or capped ("cap") at max_iter.  It
+advances in blocks of sweeps, one sweep at a time within a block, and
+transforms each block's state differences to trace differences at once;
+the run stops at the first row that stops it, and the states past it are
+dropped.  The per-mode sweeps reach it through _mode_iterate, with blocks
+that double from 8 sweeps.  The physical loop runs one sweep per block,
+since a sweep past the stop would cost two strip solves and change the
+strips it returns.  The report keeps the states and builds the trace
+history and the measured rate from them when they are first read.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -74,25 +82,43 @@ class DDParams:
 class DDReport:
     """Outcome of one sweep iteration.
 
-    interface_trace_history has iterations + 1 rows (initial datum plus
-    one per sweep).  reduction_rate is the measured geometric-mean
-    contraction factor, or None when fewer than 4 sweeps ran.
-    solution_u and solution_w are the left and right strip solutions of
-    the last sweep: strips(interface_trace_history) returns them, and runs
-    on their first read only, so a caller that reads neither pays no solve.
+    states has iterations + 1 rows, the initial state plus one per sweep,
+    and stop_reason says why the run stopped: "tol" (converged), "cap"
+    (max_iter sweeps ran) or "non_finite".  The rest is built from the
+    states on its first read only, so a caller pays for what it reads:
+    interface_trace_history is to_trace(states), the interface trace of
+    every state; reduction_rate is its measured geometric-mean contraction
+    factor in the mass norm, or None when fewer than 4 sweeps ran; and
+    solution_u and solution_w, the left and right strip solutions of the
+    last sweep, are strips(states).
     """
 
-    iterations: int
-    interface_trace_history: np.ndarray
-    reduction_rate: Optional[float]
-    converged: bool
+    states: np.ndarray = field(repr=False, compare=False)
+    stop_reason: str
+    to_trace: Callable = field(repr=False, compare=False)
+    mass: Tridiagonal = field(repr=False, compare=False)
     strips: Callable = field(repr=False, compare=False)
+
+    iterations = property(lambda self: len(self.states) - 1)
+    converged = property(lambda self: self.stop_reason == "tol")
+
+    # a diverged run's traces and strips overflow as its sweeps did; its
+    # report says so
+    @cached_property
+    def interface_trace_history(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.to_trace(self.states)
+
+    @cached_property
+    def reduction_rate(self) -> Optional[float]:
+        if self.iterations < 4:
+            return None
+        return measured_reduction_rate(self.interface_trace_history, self.mass)
 
     @cached_property
     def _solutions(self):
-        # a diverged run's strips overflow as its sweeps did; its report says so
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.strips(self.interface_trace_history)
+            return self.strips(self.states)
 
     solution_u = property(lambda self: self._solutions[0])
     solution_w = property(lambda self: self._solutions[1])
@@ -131,7 +157,7 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
             A.append(robin_factor(strip_symbol(m, strip.n_cols), mu, gamma, other))
             B.append((params.gamma1 + params.gamma2) * (V @ strip.load_trace(gamma)))
     return _mode_iterate(A[1] * B[0] + B[1], -A[0] * A[1], V @ g1, params, left.interface_mass,
-                         lambda history: _robin_solves(left, right, params)(history[-2])[:2])
+                         lambda states: _robin_solves(left, right, params)(V @ states[-2])[:2])
 
 
 def robin_robin_physical_solve(left: SubdomainSystem, right: SubdomainSystem,
@@ -153,7 +179,7 @@ def robin_robin_physical_solve(left: SubdomainSystem, right: SubdomainSystem,
         return last[2]
 
     return _iterate(sweep, np.zeros(left.grid.n_interface), lambda g: g, params,
-                    left.interface_mass, lambda history: last[:2])
+                    left.interface_mass, lambda states: last[:2], itertools.repeat(1))
 
 
 def _robin_solves(left: SubdomainSystem, right: SubdomainSystem, params: DDParams):
@@ -202,14 +228,14 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     t1, t2 = (V @ strip.load_trace(0.0) for strip in (left, right))
     beta = sigma1 / strip_symbol(m, right.n_cols)
 
-    def strips(history):
+    def strips(states):
         # the last sweep's strip solves, from the state it started with
-        r = V @ (sigma1 * (V @ history[-2] - t1))
+        r = V @ (sigma1 * (states[-2] - t1))
         u, w = left.load.copy(), right.load.copy()
         u[-m:] += r
         w[-m:] -= r
         u = left.solver(0.0).solve(u)
-        u[-m:] = history[-1]
+        u[-m:] = V @ states[-1]
         return u, right.solver(0.0).solve(w)
 
     return _mode_iterate(t2 + beta * t1, beta, np.zeros(m), params, left.interface_mass, strips)
@@ -225,42 +251,50 @@ def _check_split(left: SubdomainSystem, right: SubdomainSystem):
 def _mode_iterate(alpha, beta, state, params: DDParams, mass: Tridiagonal,
                   strips) -> DDReport:
     """_iterate on sine coefficients c with the sweep
-    c <- theta c + (1 - theta)(alpha - beta c) and the traces V c."""
+    c <- theta c + (1 - theta)(alpha - beta c) and the traces V c, in
+    blocks of 8, 16, 32, ... sweeps."""
     V = sine_basis_matrix(len(state))
     return _iterate(lambda c: params.theta * c + (1.0 - params.theta) * (alpha - beta * c),
-                    state, lambda c: V @ c, params, mass, strips)
+                    state, lambda C: C @ V, params, mass, strips,
+                    (8 << k for k in itertools.count()))
 
 
 def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,
-             strips) -> DDReport:
+             strips, block_sizes) -> DDReport:
     """Run state <- sweep(state) until the sup-norm of to_trace(new - old)
     drops below params.stop_tol (converged), turns non-finite, or
-    params.max_iter sweeps have run.  The history holds to_trace of every
-    state, initial one included; the report reads the strip solutions of
-    the last sweep from strips(history) when they are first asked for."""
-    history = [to_trace(state)]
-    converged = False
+    params.max_iter sweeps have run.
+
+    The sweeps run one at a time in blocks of the sizes block_sizes
+    yields, the last one cut to max_iter; to_trace maps a block's state
+    differences, one per row, to trace differences at once, and the run
+    ends at the first row that stops it.  The report keeps every state,
+    initial one included, and maps them to traces with to_trace and to
+    the last sweep's strip solutions with strips when they are first read.
+    """
+    blocks = [state[None]]
+    done, reason = 0, "cap"
     # a diverging state overflows; the non-finite stop below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(params.max_iter):
-            new = sweep(state)
-            delta = np.abs(to_trace(new - state)).max()
-            history.append(to_trace(new))
-            state = new
-            if not np.isfinite(delta):
+        for size in block_sizes:
+            size = min(size, params.max_iter - done)
+            block = np.empty((size + 1, len(state)))
+            block[0] = blocks[-1][-1]
+            for k in range(size):
+                block[k + 1] = sweep(block[k])
+            deltas = np.abs(to_trace(block[1:] - block[:-1])).max(axis=1)
+            stops = ~np.isfinite(deltas) | (deltas < params.stop_tol)
+            if stops.any():
+                k = int(stops.argmax())
+                reason = "tol" if np.isfinite(deltas[k]) else "non_finite"
+                blocks.append(block[1:k + 2])
                 break
-            if delta < params.stop_tol:
-                converged = True
+            blocks.append(block[1:])
+            done += size
+            if done == params.max_iter:
                 break
-    history = np.asarray(history)
-    iterations = len(history) - 1
-    return DDReport(
-        iterations=iterations,
-        interface_trace_history=history,
-        reduction_rate=measured_reduction_rate(history, mass) if iterations >= 4 else None,
-        converged=converged,
-        strips=strips,
-    )
+    return DDReport(states=np.concatenate(blocks), stop_reason=reason, to_trace=to_trace,
+                    mass=mass, strips=strips)
 
 
 def measured_reduction_rate(history, mass: Tridiagonal) -> float:

@@ -17,6 +17,8 @@ factor the interior block of the assembled stiffness by SuperLU, so they
 share no code with the sweep they check.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse.linalg
 
@@ -66,7 +68,7 @@ def dirichlet_neumann_oracle(left: SubdomainSystem, right: SubdomainSystem,
     history = [w_state.copy()]
     u = np.zeros(left.n_cols * m)
     wt = np.zeros(right.n_cols * m)
-    converged = False
+    stop_reason = "cap"
     for _ in range(params.max_iter):
         u_I = solve_dirichlet(F1_I - A_IG @ w_state)
         flux = A_GI @ u_I + A_GG @ w_state
@@ -81,19 +83,24 @@ def dirichlet_neumann_oracle(left: SubdomainSystem, right: SubdomainSystem,
         u = np.concatenate([u_I, w_new])
         w_state = w_new
         if not np.isfinite(delta):
+            stop_reason = "non_finite"
             break
         if delta < params.stop_tol:
-            converged = True
+            stop_reason = "tol"
             break
-    history = np.asarray(history)
-    return DDReport(
-        iterations=len(history) - 1,
-        interface_trace_history=history,
-        reduction_rate=(per_row_reduction_rate(history, left.interface_mass)
-                        if len(history) >= 5 else None),
-        converged=converged,
-        strips=lambda _: (u, wt),
-    )
+    return OracleReport(states=np.asarray(history), stop_reason=stop_reason,
+                        to_trace=lambda H: H, mass=left.interface_mass,
+                        strips=lambda _: (u, wt))
+
+
+class OracleReport(DDReport):
+    """A DDReport on physical traces whose rate is per_row_reduction_rate's."""
+
+    @cached_property
+    def reduction_rate(self):
+        if self.iterations < 4:
+            return None
+        return per_row_reduction_rate(self.interface_trace_history, self.mass)
 
 
 def per_row_reduction_rate(history, mass) -> float:

@@ -10,6 +10,7 @@ from robinlab import (DDParams, Tridiagonal,
                       dirichlet_neumann_solve, error_norms,
                       measured_reduction_rate, reduction_spectrum,
                       robin_robin_solve, strip_symbol)
+from robinlab import dd_solvers
 from robinlab.dd_solvers import robin_robin_physical_solve
 from robinlab.experiments import manufactured_solution
 from robinlab.grid_fem import StripSolver
@@ -89,7 +90,7 @@ def test_iteration_counts_match_reference_band():
     _, left, right = strip_pair(26)
     report = robin_robin_solve(left, right, canonical_params(26))
     assert report.iterations == 14
-    assert report.converged
+    assert report.converged and report.stop_reason == "tol"
     assert 13 <= report.iterations <= 15
 
 
@@ -136,8 +137,104 @@ def test_non_convergence_reported_not_raised():
     # both sweeps need more than 3 sweeps here (13 each)
     _, left, right = strip_pair(2)
     for report in both_sweeps(left, right, max_iter=3):
-        assert not report.converged
+        assert not report.converged and report.stop_reason == "cap"
         assert report.iterations == 3
+
+
+def per_sweep_loop(sweep, state, to_trace, params):
+    """The sweep driver as it ran before it ran blocks: one sweep, one
+    transform of the state's change and one of the new state at a time.
+    Returns the states, the trace history and the stop reason."""
+    states, history, reason = [state], [to_trace(state)], "cap"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.max_iter):
+            new = sweep(state)
+            delta = np.abs(to_trace(new - state)).max()
+            states.append(new)
+            history.append(to_trace(new))
+            state = new
+            if not np.isfinite(delta):
+                reason = "non_finite"
+                break
+            if delta < params.stop_tol:
+                reason = "tol"
+                break
+    return np.array(states), np.array(history), reason
+
+
+def assert_same_run(got, want):
+    """A report against per_sweep_loop's run: the same stop, the same
+    states bit for bit, and each history row within 1e-14 of its largest
+    entry (a block's transform may round differently from one row's)."""
+    states, history, reason = want
+    assert (got.iterations, got.converged, got.stop_reason) == \
+        (len(states) - 1, reason == "tol", reason)
+    np.testing.assert_array_equal(got.states, states)
+    H = got.interface_trace_history
+    finite = np.isfinite(history).all(axis=1)
+    np.testing.assert_array_equal(np.isfinite(H).all(axis=1), finite)
+    H, R = H[finite], history[finite]
+    assert np.all(np.abs(H - R).max(axis=1) <= 1e-14 * np.abs(R).max(axis=1))
+
+
+# the overflowing weights' map is formed before the driver silences numpy
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 18, 36])
+def test_block_driver_matches_per_sweep_loop(n, monkeypatch):
+    # both mode sweeps against the per-sweep loop, at max_iter on and next
+    # to the block edges (blocks of 8, 16, 32, ... sweeps end at 8, 24, ...)
+    # and at the theta = 0 cap of the Dirichlet-Neumann sweep
+    runs = []
+    mode_iterate = dd_solvers._mode_iterate
+
+    def keep_args(alpha, beta, state, params, mass, strips):
+        runs.append((alpha, beta, state, params))
+        return mode_iterate(alpha, beta, state, params, mass, strips)
+
+    monkeypatch.setattr(dd_solvers, "_mode_iterate", keep_args)
+
+    def check(report):
+        alpha, beta, state, params = runs.pop()
+        V = sine_basis_matrix(len(state))
+        assert_same_run(report, per_sweep_loop(
+            lambda c: params.theta * c + (1.0 - params.theta) * (alpha - beta * c),
+            state, lambda c: V @ c, params))
+        return report
+
+    _, left, right = strip_pair(n)
+    capped = 0
+    for theta in (0.0, 0.3, 3.0 / 7.0, 0.75):
+        for max_iter in (1, 7, 8, 9, 24, 25, 2000):
+            check(robin_robin_solve(left, right, canonical_params(n, theta, max_iter=max_iter)))
+            report = check(dirichlet_neumann_solve(
+                left, right, DDParams(1.0, 1.0, theta, max_iter=max_iter)))
+            capped += report.stop_reason == "cap" and max_iter == 2000
+    assert capped == 1  # theta = 0
+    if n != 2:
+        return
+    # non-finite runs: overflowing weights stop the Robin sweep at once,
+    # and on the (1, 3) split the undamped Dirichlet-Neumann sweep grows
+    # until it overflows inside its last block
+    report = check(robin_robin_solve(left, right, DDParams(1e308, 1e308, 3.0 / 7.0)))
+    assert (report.stop_reason, report.iterations) == ("non_finite", 1)
+    grid = build_grid(2)
+    left = build_subdomain_system(grid, F_LOAD, "left", n_cols=1)
+    right = build_subdomain_system(grid, F_LOAD, "right", n_cols=3)
+    report = check(dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.0)))
+    assert report.stop_reason == "non_finite" and 1016 < report.iterations < 2000
+
+
+def test_physical_loop_matches_per_sweep_loop():
+    # the physical loop runs one sweep per block; at gamma2 = 1e306/h it
+    # overflows after two sweeps
+    _, left, right = strip_pair(2)
+    for params in (canonical_params(2), canonical_params(2, max_iter=5),
+                   DDParams(1.0, 1e306 * 4, 3.0 / 7.0)):
+        solves = dd_solvers._robin_solves(left, right, params)
+        report = robin_robin_physical_solve(left, right, params)
+        assert_same_run(report, per_sweep_loop(lambda g: solves(g)[2], np.zeros(3),
+                                               lambda g: g, params))
+    assert (report.stop_reason, report.iterations) == ("non_finite", 2)
 
 
 def test_bad_initial_trace_rejected():
@@ -166,7 +263,7 @@ def test_non_finite_trace_stops_after_one_sweep(bad):
     left.load[0] = bad
     for report in both_sweeps(left, right):
         assert report.iterations == 1
-        assert not report.converged
+        assert not report.converged and report.stop_reason == "non_finite"
         assert report.reduction_rate is None
         # the strips, recovered on first read under the sweeps' errstate,
         # are non-finite too, and reading them warns of nothing

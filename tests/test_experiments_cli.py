@@ -276,14 +276,16 @@ def test_relaxation_sweep_table_deep_mesh(capsys):
 def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     # no table assembles a stiffness matrix, each strip solver is factored
     # once per mesh and weight, not once per theta, the zero-load tables
-    # sum no load by quadrature, and no table solves a strip whose result
-    # it does not read
+    # sum no load by quadrature, no table solves a strip whose result it
+    # does not read, and no table transforms a trace history ("history")
+    # or measures a rate ("rate") that it does not print
     counted = {"stiffness": (robinlab.grid_fem, "strip_matrix"),
                "solver": (robinlab.grid_fem, "StripSolver"),
                "solve": (robinlab.grid_fem.StripSolver, "solve"),
                "load": (robinlab.grid_fem, "assemble_load"),
-               "schur": (robinlab.operator_analysis, "dtn_schur")}
-    calls = dict.fromkeys(counted, 0)
+               "schur": (robinlab.operator_analysis, "dtn_schur"),
+               "rate": (robinlab.dd_solvers, "measured_reduction_rate")}
+    calls = dict.fromkeys([*counted, "history"], 0)
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
@@ -293,6 +295,14 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
 
     for name, (owner, attr) in counted.items():
         monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+
+    class CountingReport(robinlab.dd_solvers.DDReport):
+        # a report whose states-to-traces map counts its calls
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.to_trace = counting("history", self.to_trace)
+
+    monkeypatch.setattr(robinlab.dd_solvers, "DDReport", CountingReport)
 
     def run_counted(runner, **kwargs):
         calls.update(dict.fromkeys(calls, 0))
@@ -304,35 +314,43 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     got, result = run_counted(run_table1, table="table1", n_list=(2, 6, 10))
     sweeps = sum(int(row[-1]) for row in result.rows)
     assert sweeps == 13 + 14 + 14
-    assert got == {"stiffness": 0, "solver": 6, "solve": 2 * sweeps, "load": 6, "schur": 0}
+    assert got == {"stiffness": 0, "solver": 6, "solve": 2 * sweeps, "load": 6, "schur": 0,
+                   "rate": 0, "history": 0}
     # one zero-load strip per mesh holds both the gamma1 and the gamma2
-    # solver, and solves its load once per weight for all seven thetas
+    # solver, and solves its load once per weight for all seven thetas;
+    # each of the 14 runs transforms its history once to measure its rate
     assert run_counted(run_table2, table="table2", n_list=(2, 6))[0] == {
-        "stiffness": 0, "solver": 4, "solve": 4, "load": 0, "schur": 0}
+        "stiffness": 0, "solver": 4, "solve": 4, "load": 0, "schur": 0,
+        "rate": 14, "history": 14}
     # one Neumann solver and one load trace per strip and mesh, shared by
-    # all eight thetas
+    # all eight thetas; the table prints sweep counts only
     assert run_counted(run_table3, table="table3", n_list=(2, 6), max_iter=50)[0] == {
-        "stiffness": 0, "solver": 4, "solve": 4, "load": 4, "schur": 0}
+        "stiffness": 0, "solver": 4, "solve": 4, "load": 4, "schur": 0,
+        "rate": 0, "history": 0}
     # the operator study reads the strip symbols mode by mode: no strip,
     # no solver and no dense trace map, at n = 1 (both splits (1, 1)) too
-    assert run_counted(run_operator, table="operator", n_list=(2, 3))[0] == {
-        "stiffness": 0, "solver": 0, "solve": 0, "load": 0, "schur": 0}
-    assert run_counted(run_operator, table="operator", n_list=(1, 2, 3))[0] == {
-        "stiffness": 0, "solver": 0, "solve": 0, "load": 0, "schur": 0}
+    nothing = dict.fromkeys(calls, 0)
+    assert run_counted(run_operator, table="operator", n_list=(2, 3))[0] == nothing
+    assert run_counted(run_operator, table="operator", n_list=(1, 2, 3))[0] == nothing
 
     # a mode-sweep report recovers its strips, one solve each, on the first
-    # read of solution_u or solution_w, and keeps them
+    # read of solution_u or solution_w, and keeps them; it transforms its
+    # history and measures its rate on their first read, and keeps them
     _, f = manufactured_solution()
     grid = build_grid(6)
     left = robinlab.build_subdomain_system(grid, f, "left")
     right = robinlab.build_subdomain_system(grid, f, "right")
     for solve in (robinlab.robin_robin_solve, robinlab.dirichlet_neumann_solve):
         report = solve(left, right, DDParams(1.0, 64.0 * 12, 3.0 / 7.0, max_iter=50))
-        calls["solve"] = 0
+        calls.update(solve=0, rate=0, history=0)
         u = report.solution_u
         assert calls["solve"] == 2
         assert report.solution_w is report.solution_w and report.solution_u is u
         assert calls["solve"] == 2
+        rate = report.reduction_rate
+        assert report.reduction_rate == rate and report.interface_trace_history is \
+            report.interface_trace_history
+        assert (calls["rate"], calls["history"]) == (1, 1)
 
 
 def _spectrum_radii(result, thetas):
@@ -945,11 +963,15 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     (["operator", "--n", "8,16,24"], "operator_n8_16_24.csv", 0),
     (["operator", "--n", "1,2,3,4,5,6,7,32,40"], "operator_n1_to_7_32_40.csv", 0),
     (["table3", "--n", "1,2,5", "--theta", "0.25,0.3,0.45"], "table3_n1_2_5_theta.csv", 0),
+    (["table3", "--deep"], "table3_deep.csv", 3),
 ])
 def test_pinned_bytes_independent_of_blas_threads(args, name, code):
     """These pins print the stored output under one BLAS thread as
     test_mode_symbol_tables_byte_identical checks they do under two
-    (ROADMAP item 4 asks this of every table)."""
+    (ROADMAP item 4 asks this of every table).  `table3 --deep` is pinned
+    here only: its file holds the counts of the per-sweep loop the sweeps
+    ran before they ran in blocks (two BLAS threads), the same on every
+    mesh from h = 1/4 to 1/1152, with the theta = 0 column capped."""
     done, want = _pinned_run(args, name, threads="1")
     assert done.returncode == code, done.stderr
     assert done.stdout == want
