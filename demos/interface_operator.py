@@ -1,48 +1,35 @@
-"""Trace-operator view of the sweep: Schur complements, equivalence
-constants, and the damped iteration radius with recommended weights.
+"""Trace-operator view of the sweep: equivalence constants, and the damped
+iteration radius with recommended weights.
 
-The interface response of each strip is eliminated down to a dense map on
-the interface, expressed in mass-orthonormal coordinates.  On the symmetric
-split the two maps coincide; on an off-center split they differ and the
-pair (s, t) measures how far apart they sit.  theta = (2t-1)/(2t+1) then
-bounds the damped radius.
+Each strip's Dirichlet-to-Neumann map, in mass-orthonormal coordinates, is
+diagonal in the sine basis of the interface, with eigenvalue z_j in mode j.
+On the symmetric split the two maps coincide; on an off-center split they
+differ and the pair (s, t), the extremes of z2_j / z1_j, measures how far
+apart they sit.  theta = (2t-1)/(2t+1) then bounds the damped radius.  The
+undamped double sweep T is diagonal in the same basis, its eigenvalue in
+mode j the product of the two strips' one-sided Robin factors.
 """
 
-import numpy as np
-
-from robinlab import build_grid, build_subdomain_system
-from robinlab.operator_analysis import (build_iteration_operator, dtn_schur,
-                                        equivalence_bounds,
-                                        iteration_spectral_radius,
-                                        offcenter_columns, params_from_bounds,
-                                        symmetrized_T)
-
-
-def zero(x, y):
-    return 0.0 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-
+from robinlab import build_grid
+from robinlab.operator_analysis import mode_study, offcenter_columns, trace_eigenvalues
+from robinlab.spectral import robin_factor
 
 for n in (4, 8, 16):
     grid = build_grid(n)
     print(f"n = {n}, interface nodes m = {grid.n_interface}")
     for label, (ncl, ncr) in (("half ", (n, n)),
                               ("third", offcenter_columns(grid))):
-        left = build_subdomain_system(grid, zero, "left", n_cols=ncl)
-        right = build_subdomain_system(grid, zero, "right", n_cols=ncr)
-        S1, S2 = dtn_schur(left), dtn_schur(right)
-        bounds = equivalence_bounds(S1, S2)
-        params = params_from_bounds(S1, S2, bounds)
-        R = build_iteration_operator(S1, S2, params)
-        tilde = symmetrized_T(S1, S2, params)
-        radius = iteration_spectral_radius(R)
-        w = np.linalg.eigvalsh(tilde)
+        z1, z2 = trace_eigenvalues(grid, ncl), trace_eigenvalues(grid, ncr)
+        bounds, params, radius = mode_study(grid, ncl, ncr)
+        g1, g2 = params.gamma1, params.gamma2
+        T = (0.0 - robin_factor(z2, 1.0, g2, g1)) * robin_factor(z1, 1.0, g1, g2)
         print(f"  {label} split ({ncl}+{ncr} columns):"
               f"  s={bounds.s:.6f}  t={bounds.t:.10f}")
-        print(f"        trace spectrum [{S1.min_eig:.3f}, {S1.max_eig:.3f}]"
-              f"  ->  gamma1={params.gamma1:.3f}  gamma2={params.gamma2:.1f}"
+        print(f"        trace spectrum [{z1.min():.3f}, {z1.max():.3f}]"
+              f"  ->  gamma1={g1:.3f}  gamma2={g2:.1f}"
               f"  theta={params.theta:.6f}")
         print(f"        radius {radius:.6f} <= theta bound {params.theta:.6f};"
-              f"  sym sweep spectrum in [{w[0]:.2e}, {w[-1]:.6f}]"
+              f"  sym sweep spectrum in [{T.min():.2e}, {T.max():.6f}]"
               f" (cap 2t-1 = {2*bounds.t-1:.6f})")
     print()
 

@@ -14,10 +14,7 @@ from .experiments import ExperimentConfig, TableResult, manufactured_solution, r
 from .grid_fem import (GridSpec, SubdomainSystem, Tridiagonal,
                        assemble_interface_mass, assemble_load, build_grid,
                        build_subdomain_system)
-from .operator_analysis import (DtNOperator, EquivalenceBounds,
-                                build_iteration_operator, dtn_schur,
-                                equivalence_bounds, iteration_spectral_radius,
-                                params_from_bounds, symmetrized_T)
+from .operator_analysis import EquivalenceBounds
 from .spectral import (BoundMargins, bound_margins, corollary_rate,
                        fd_eigenvalue, omega, omega_max, reduction_spectrum,
                        strip_symbol, theta_star, von_neumann_advisor,

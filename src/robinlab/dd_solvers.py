@@ -9,9 +9,10 @@ carries the interface loads of both strips, so its limit solves the
 assembled global system, as the Robin sweep's does.  Both strips'
 interface Schur complements are diagonal in the sine basis of the
 interface, so either sweep is a per-mode affine map of the sine
-coefficients of its state and runs no strip solve.  The map reads one
-load trace per strip and weight (SubdomainSystem.load_trace), and a
-report recovers the last sweep's strips when they are first read.
+coefficients of its state.  The map reads each strip's load through its
+closed-form sine coefficients (SubdomainSystem.load_modes), formed once
+per strip for every weight, so neither sweep solves a strip; a report
+solves for the last sweep's strips only when they are first read.
 robin_robin_physical_solve runs the Robin sweep with its two strip solves
 in every sweep; only table1 runs it, for the reason its docstring gives.
 
@@ -20,7 +21,8 @@ Neumann solve by SubdomainSystem.solver (grid_fem.StripSolver).  Every
 sweep runs through one driver, _iterate, which owns the loop and the stop
 on the sup-norm change of the interface trace: converged ("tol") below
 stop_tol, stopped ("non_finite") once the change is not finite, with
-numpy's overflow warnings silenced, or capped ("cap") at max_iter.  It
+numpy's overflow warnings silenced (the mode sweeps form their maps
+under the same silencing), or capped ("cap") at max_iter.  It
 advances in blocks of sweeps, one sweep at a time within a block, and
 transforms each block's state differences to trace differences at once;
 the run stops at the first row that stops it, and the states past it are
@@ -138,9 +140,11 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     The sweep runs on the sine coefficients g1^ = V g1, where strip i's
     Robin Schur complement is sigma_i + gamma_i mu per mode (sigma_i its
     strip_symbol, mu the interface-mass eigenvalue): g2^ = A_1 g1^ + B_1 and
-    g1^ <- A_2 g2^ + B_2 before damping, with B_i = (gamma1 + gamma2) V t_i,
-    t_i = strip_i.load_trace(gamma_i) the trace of its load's Robin solve, and
-    A_i = robin_factor(sigma_i, mu, gamma_i, gamma_j), j the other strip.
+    g1^ <- A_2 g2^ + B_2 before damping, with
+    B_i = (gamma1 + gamma2) strip_i.load_modes / (sigma_i + gamma_i mu), the
+    sine coefficients of the trace of its load's Robin solve times
+    gamma1 + gamma2, and A_i = robin_factor(sigma_i, mu, gamma_i, gamma_j),
+    j the other strip.
     """
     _check_split(left, right)
     m = left.grid.n_interface
@@ -150,13 +154,16 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     V = sine_basis_matrix(m)
     mu = left.interface_mass.eigenvalues()
     A, B = [], []
-    # an overflowing gamma1 + gamma2 makes the map non-finite; _iterate reports it
+    # an overflowing gamma1 + gamma2 or a non-finite load makes the map
+    # non-finite; _iterate reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for strip, gamma, other in ((left, params.gamma1, params.gamma2),
                                     (right, params.gamma2, params.gamma1)):
-            A.append(robin_factor(strip_symbol(m, strip.n_cols), mu, gamma, other))
-            B.append((params.gamma1 + params.gamma2) * (V @ strip.load_trace(gamma)))
-    return _mode_iterate(A[1] * B[0] + B[1], -A[0] * A[1], V @ g1, params, left.interface_mass,
+            sigma = strip_symbol(m, strip.n_cols)
+            A.append(robin_factor(sigma, mu, gamma, other))
+            B.append((params.gamma1 + params.gamma2) * (strip.load_modes / (sigma + gamma * mu)))
+        alpha, beta = A[1] * B[0] + B[1], -A[0] * A[1]
+    return _mode_iterate(alpha, beta, V @ g1, params, left.interface_mass,
                          lambda states: _robin_solves(left, right, params)(V @ states[-2])[:2])
 
 
@@ -214,8 +221,9 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     The sweep runs on w^ = V w, V the sine basis of the interface.  Strip
     i's Schur complement is S_i = V diag(sigma_i) V (sigma_i its
     strip_symbol), and its solves are Neumann solves N_i.  With t_i the
-    trace of N_i F_i, the left residual flux less F1_G is
-    r = S_1 (w - t_1), so per mode w^ <- alpha - beta w^ with
+    trace of N_i F_i, whose sine coefficients are
+    t^_i = strip_i.load_modes / sigma_i, the left residual flux less F1_G
+    is r = S_1 (w - t_1), so per mode w^ <- alpha - beta w^ with
     beta = sigma_1 / sigma_2 and alpha = t^_2 + beta t^_1.  The history
     holds V w^.  From the last sweep's start w, the left strip is N_1 of
     F1 plus r on the interface rows (its trace is w and its interior the
@@ -224,9 +232,12 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     _check_split(left, right)
     m = left.grid.n_interface
     V = sine_basis_matrix(m)
-    sigma1 = strip_symbol(m, left.n_cols)
-    t1, t2 = (V @ strip.load_trace(0.0) for strip in (left, right))
-    beta = sigma1 / strip_symbol(m, right.n_cols)
+    sigma1, sigma2 = strip_symbol(m, left.n_cols), strip_symbol(m, right.n_cols)
+    # a non-finite load makes the map non-finite; _iterate reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1, t2 = left.load_modes / sigma1, right.load_modes / sigma2
+        beta = sigma1 / sigma2
+        alpha = t2 + beta * t1
 
     def strips(states):
         # the last sweep's strip solves, from the state it started with
@@ -238,7 +249,7 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
         u[-m:] = V @ states[-1]
         return u, right.solver(0.0).solve(w)
 
-    return _mode_iterate(t2 + beta * t1, beta, np.zeros(m), params, left.interface_mass, strips)
+    return _mode_iterate(alpha, beta, np.zeros(m), params, left.interface_mass, strips)
 
 
 def _check_split(left: SubdomainSystem, right: SubdomainSystem):

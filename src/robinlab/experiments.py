@@ -274,7 +274,7 @@ def run_spectrum(config: ExperimentConfig) -> TableResult:
         for theta in config.theta_list:
             params = config.params(n, theta)
             c = spectral.cj_values(a, b, params.gamma1, params.gamma2)
-            damped, _ = spectral.reduction_spectrum(n, params)
+            damped = params.theta + (1.0 - params.theta) * c
             for j in range(1, 2 * n):
                 rows.append([n, j, a[j - 1], b[j - 1], c[j - 1], damped[j - 1]])
     return TableResult(
@@ -306,9 +306,9 @@ def run_operator(config: ExperimentConfig) -> TableResult:
     equivalence constants, recommended weights, and the sweep radius
     against its (2t-1)/(2t+1) cap.  Every row is built mode by mode from
     the strip symbols (operator_analysis.mode_study), with no strip solve
-    and no eigensolve, so the --deep meshes take milliseconds.  The dense
-    Schur maps of operator_analysis give the same numbers; they are the
-    tests' reference and the view of demos/interface_operator.py."""
+    and no eigensolve, so the --deep meshes take milliseconds.  Dense
+    Schur maps and LAPACK eigensolves give the same numbers; the tests
+    keep them as the reference."""
     rows = []
     ok = True
     for n in config.grids():

@@ -15,25 +15,29 @@ entry by entry.
 Strip loads are summed on the node lattice by shifted slice adds, from
 O(n_cols + n) load values per quadrature point.  A SubdomainSystem holds
 no assembled matrix: its strip solvers apply and factor the stencil, each
-once, for the sweeps and the dense trace maps alike.  A strip has
-one solver family, solver(gamma) for gamma >= 0, whose interface column
-carries interface_block(gamma).  No solver clamps the interface: a
-Dirichlet solve is a Neumann solve whose interface load is corrected
-through the Schur complement (the capacitance method of Buzbee, Dorr,
-George and Golub).  strip_matrix builds the CSR of a strip with a given
-interface block, only for --dump-matrices and for the tests.  Both import
-their scipy module when run (StripSolver its LAPACK routines, strip_matrix
-scipy.sparse), so a table that solves no strip loads no scipy.
+once, when a strip is solved.  A strip has one solver family,
+solver(gamma) for gamma >= 0, whose interface column carries
+interface_block(gamma).  No solver clamps the interface: a Dirichlet
+solve is a Neumann solve whose interface load is corrected through the
+Schur complement (the capacitance method of Buzbee, Dorr, George and
+Golub).  The sweeps solve no strip: they read the load's interface
+response in closed form per sine mode (load_modes, from
+spectral.strip_load_modes).  strip_matrix builds the CSR of a strip with
+a given interface block, only for --dump-matrices and for the tests.
+Both import their scipy module when run (StripSolver its LAPACK
+routines, strip_matrix scipy.sparse), so a table that solves no strip
+loads no scipy.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .spectral import sine_basis_matrix
+from .spectral import sine_basis_matrix, strip_load_modes
 
 LEFT = "left"
 RIGHT = "right"
@@ -288,14 +292,13 @@ class SubdomainSystem:
     """One strip: its grid, width and load fix it, and its blocks and
     interface mass follow from the grid.  The load is fixed once the strip
     is built.  Each strip solver is factored on first use and the same
-    StripSolver is handed to every later caller; load_trace keeps the
-    solve of the load per weight the same way."""
+    StripSolver is handed to every later caller; load_modes is formed on
+    first read and kept the same way."""
 
     grid: GridSpec
     n_cols: int
     load: np.ndarray
     _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _load_traces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def interface_mass(self) -> Tridiagonal:
@@ -317,12 +320,14 @@ class SubdomainSystem:
             self._solvers[gamma] = StripSolver(self.n_cols, self.interface_block(gamma))
         return self._solvers[gamma]
 
-    def load_trace(self, gamma: float) -> np.ndarray:
-        """Interface trace of solver(gamma).solve(load), solved once per gamma."""
-        if gamma not in self._load_traces:
-            self._load_traces[gamma] = self.solver(gamma).solve(self.load)[-self.grid.n_interface:]
-            self._load_traces[gamma].flags.writeable = False  # every caller shares it
-        return self._load_traces[gamma]
+    @cached_property
+    def load_modes(self) -> np.ndarray:
+        """spectral.strip_load_modes of the load: divided by sigma + gamma mu
+        per mode, the sine coefficients of the interface trace of
+        solver(gamma).solve(load), for every weight gamma."""
+        modes = strip_load_modes(self.load, self.grid.n_interface, self.n_cols)
+        modes.flags.writeable = False  # every caller shares it
+        return modes
 
 
 def build_subdomain_system(grid: GridSpec, f, side=LEFT, n_cols=None) -> SubdomainSystem:

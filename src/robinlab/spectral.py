@@ -17,7 +17,8 @@ govern one sweep: with Robin weights g1, g2 the damped error factor is
 
 sigma_j is the Neumann Schur symbol of an n-column strip (strip_symbol), the
 discrete counterpart of the half-strip symbol k coth(k L), and tlam_j the
-diagonal of the clamped strip's trace inverse.  tlam_j stays inside
+diagonal of the clamped strip's trace inverse; strip_load_modes gives a
+strip load's interface response per mode from the same kappa_j.  tlam_j stays inside
 (1/8, 1) for every n, so b_j / a_j lives in [3 + 7h/16, 21/(2h)] and c_j in
 (-1, -1/2), and the radius at theta = 3/7 is at most 1/7.  That 1/7 is the
 symmetric split's envelope; a fixed off-center split has its own (0.33 at
@@ -71,8 +72,38 @@ def strip_symbol(m, k):
     """
     if m < 1 or k < 1:
         raise ValueError("strip_symbol needs m >= 1 interface nodes and k >= 1 columns")
-    kappa = 2.0 * np.arcsinh(np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))))
+    kappa = _strip_kappa(m)
     return np.sinh(kappa) / np.tanh(k * kappa)
+
+
+def _strip_kappa(m):
+    """kappa_j = 2 asinh(sin(j pi / (2(m+1)))), j = 1..m."""
+    return 2.0 * np.arcsinh(np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))))
+
+
+def strip_load_modes(load, m, k):
+    """Weight-free sine coefficients of a k-column strip's load.
+
+    With the interior clamped, sine mode j of the strip is the tridiagonal
+    system of strip_symbol, whose Green's function at the last interior
+    column is sinh(i kappa_j) / sinh(k kappa_j) for column i (the interface
+    column is i = k).  Eliminating the interior leaves, per mode,
+
+        (sigma_j + gamma mu_j) t_j = sum_i w_ij (V b_i)_j,
+        w_ij = sinh(i kappa_j) / sinh(k kappa_j),
+
+    with b_i column i of the load (the load numbered as in StripSolver),
+    V the sine basis, t = V times the interface trace of the Robin solve of
+    weight gamma and mu the interface-mass eigenvalues; this returns the
+    right-hand side, which no weight enters (the capacitance method of
+    Buzbee, Golub and Nielson).  w_ij is formed as
+    exp(-(k-i) kappa_j) expm1(-2i kappa_j) / expm1(-2k kappa_j), which
+    neither overflows nor cancels.
+    """
+    kappa = _strip_kappa(m)
+    i = np.arange(1, k + 1)[:, None]
+    w = np.exp(-(k - i) * kappa) * np.expm1(-2.0 * i * kappa) / np.expm1(-2.0 * k * kappa)
+    return (w * (np.reshape(load, (k, m)) @ sine_basis_matrix(m))).sum(axis=0)
 
 
 def mode_arrays(n):

@@ -1,6 +1,6 @@
 """A strip's interface response map by sparse elimination, kept for the tests as an oracle.
 
-operator_analysis.dtn_schur eliminates the strip interior through the
+dense_oracle.dtn_schur eliminates the strip interior through the
 strip's own fast solvers.  This computes the same map the long way: it
 assembles the free-interface strip stiffness as a CSR matrix, slices it
 into interior and interface blocks, factors the interior block by SuperLU

@@ -5,9 +5,12 @@ spectral.strip_symbol, and builds the clamped strip's trace response from
 it.  These compute the same numbers by routes that share no code with it:
 the last dpttrf pivot of each mode system of a StripSolver, the pivot
 recursion in long double, and the lattice sum over the clamped strip's
-modes.  The half-plane sweep factor in its raw product form is the
-second form against which spectral.von_neumann_rho, written through the
-two-sided factor cj_values, is checked.
+modes.  The interface response to a strip's load, which
+spectral.strip_load_modes gives in closed form, is computed here by a
+40-digit elimination of each mode system.  The half-plane sweep factor in
+its raw product form is the second form against which
+spectral.von_neumann_rho, written through the two-sided factor cj_values,
+is checked.
 """
 
 import math
@@ -71,6 +74,39 @@ def tilde_lambda_all(n):
     lam_row = fd_eigenvalue(np.arange(1, m + 1), m)[None, :]
     s = np.sin(np.arange(1, n + 1) * np.pi / (n + 1))[:, None]
     return 2.0 / (n + 1) * np.sum(s * s / (lam_col + lam_row), axis=0)
+
+
+def mp_load_trace_modes(load, m, k, h, gammas):
+    """Sine coefficients of the interface trace of a k-column strip's Robin
+    solve with load `load` (numbered as in StripSolver), one float array
+    per weight in gammas, computed at 40 digits with mpmath.
+
+    The load is sine-transformed column by column; mode j is then the
+    tridiagonal system with diagonal 4 - 2 cos(theta_j) in the interior
+    columns, 2 - cos(theta_j) + gamma mu_j in the interface column and -1
+    off the diagonal, mu_j = (h/6)(4 + 2 cos(theta_j)), eliminated from the
+    far column toward the interface.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(40):
+        scale = mp.sqrt(mpf(2) / (m + 1))
+        basis = [[scale * mp.sin(mp.pi * p * j / (m + 1)) for p in range(1, m + 1)]
+                 for j in range(1, m + 1)]
+        cols = [[mpf(float(x)) for x in load[i * m:(i + 1) * m]] for i in range(k)]
+        out = {gamma: [] for gamma in gammas}
+        for j in range(m):
+            c = mp.cos(mp.pi * (j + 1) / (m + 1))
+            b = [mp.fdot(basis[j], col) for col in cols]
+            # column i eliminated: right side r and pivot 1/inv
+            inv, r = mpf(0), mpf(0)
+            for i in range(k - 1):
+                r, inv = b[i] + r * inv, 1 / (4 - 2 * c - inv)
+            r = b[k - 1] + r * inv
+            for gamma in gammas:
+                last = 2 - c + mpf(gamma) * (mpf(h) / 6) * (4 + 2 * c) - inv
+                out[gamma].append(float(r / last))
+    return {gamma: np.array(v) for gamma, v in out.items()}
 
 
 def von_neumann_rho_product(k, gamma1, gamma2, theta):

@@ -25,16 +25,16 @@ from robinlab import (
     robin_robin_solve,
 )
 from robinlab.experiments import ExperimentConfig, run_table1, run_table2, run_table3
-from jacobi_oracle import power_spectral_radius
-from robinlab.operator_analysis import (
+from dense_oracle import (
     build_iteration_operator,
     dtn_schur,
     equivalence_bounds,
     iteration_spectral_radius,
-    offcenter_columns,
     params_from_bounds,
     symmetrized_T,
 )
+from jacobi_oracle import power_spectral_radius
+from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import (
     COTH_1,
     bound_margins,

@@ -10,13 +10,14 @@ from robinlab import (DDParams, Tridiagonal,
                       dirichlet_neumann_solve, error_norms,
                       measured_reduction_rate, reduction_spectrum,
                       robin_robin_solve, strip_symbol)
-from robinlab import dd_solvers
+from robinlab import dd_solvers, grid_fem
 from robinlab.dd_solvers import robin_robin_physical_solve
 from robinlab.experiments import manufactured_solution
 from robinlab.grid_fem import StripSolver
 from robinlab.operator_analysis import offcenter_columns
 from robinlab.spectral import sine_basis_matrix
 from dn_oracle import dirichlet_neumann_oracle, per_row_reduction_rate
+from symbol_oracle import mp_load_trace_modes
 from p1_oracle import assemble_p1_forms, global_poisson_system, global_triangles
 
 U_EXACT, F_LOAD = manufactured_solution()
@@ -177,8 +178,6 @@ def assert_same_run(got, want):
     assert np.all(np.abs(H - R).max(axis=1) <= 1e-14 * np.abs(R).max(axis=1))
 
 
-# the overflowing weights' map is formed before the driver silences numpy
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2, 18, 36])
 def test_block_driver_matches_per_sweep_loop(n, monkeypatch):
     # both mode sweeps against the per-sweep loop, at max_iter on and next
@@ -255,13 +254,15 @@ def test_strips_that_do_not_split_one_grid_rejected(solve, left_n, left_cols, ri
         solve(left, right, DDParams(1.0, 1.0, 0.45))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf in the FFT
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_trace_stops_after_one_sweep(bad):
-    # a non-finite strip load makes the first sweep's trace non-finite
-    _, left, right = strip_pair(2)
-    left.load[0] = bad
-    for report in both_sweeps(left, right):
+    # a non-finite strip load makes the first sweep's trace non-finite;
+    # each sweep gets fresh strips, so it forms their load modes itself
+    for solve, params in ((robin_robin_solve, canonical_params(2)),
+                          (dirichlet_neumann_solve, DDParams(1.0, 1.0, 0.45))):
+        _, left, right = strip_pair(2)
+        left.load[0] = bad
+        report = solve(left, right, params)
         assert report.iterations == 1
         assert not report.converged and report.stop_reason == "non_finite"
         assert report.reduction_rate is None
@@ -273,25 +274,65 @@ def test_non_finite_trace_stops_after_one_sweep(bad):
             assert not np.isfinite(report.solution_w).all()
 
 
-def test_load_trace_is_the_load_solve_kept_per_weight(monkeypatch):
-    # bit for bit the interface rows of the load's strip solve, solved once
-    # per weight and handed out read-only to every later caller
-    n = 6
-    grid, left, _ = strip_pair(n)
-    _, fresh, _ = strip_pair(n)
+def load_mode_strips(n):
+    # a symmetric-split strip and an off-center one of about 2n/3 columns
+    grid = build_grid(n)
+    return grid, [build_subdomain_system(grid, F_LOAD, side, n_cols=k)
+                  for side, k in (("left", n), ("right", offcenter_columns(grid)[0]))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 36])
+def test_load_modes_match_40_digit_trace(n):
+    # the closed form over sigma + gamma mu against a 40-digit elimination
+    # of each mode system, at the weights the tables use; at n = 36 it is
+    # 1.3e-15 off, where the strip solve's trace is 3.2e-15 off
+    grid, strips = load_mode_strips(n)
     m = grid.n_interface
-    solves = []
-    solve = StripSolver.solve
-    monkeypatch.setattr(StripSolver, "solve", lambda self, rhs: solves.append(self) or solve(self, rhs))
-    for gamma in (0.0, 1.0, 128.0 * n):
-        want = fresh.solver(gamma).solve(fresh.load)[-m:]
-        solves.clear()
-        trace = left.load_trace(gamma)
-        assert solves == [left.solver(gamma)]
-        assert trace.tobytes() == want.tobytes()
-        assert left.load_trace(gamma) is trace
-        assert not trace.flags.writeable
-        assert len(solves) == 1
+    gammas = (0.0, 1.0, 128.0 * n)
+    for strip in strips:
+        sigma, mu = strip_symbol(m, strip.n_cols), strip.interface_mass.eigenvalues()
+        want = mp_load_trace_modes(strip.load, m, strip.n_cols, grid.h, gammas)
+        for gamma in gammas:
+            got = strip.load_modes / (sigma + gamma * mu)
+            assert np.abs(got - want[gamma]).max() <= 2e-15 * np.abs(want[gamma]).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 36, 144, 576])
+def test_load_modes_match_strip_solve(n):
+    # the closed form over sigma + gamma mu against the sine coefficients
+    # of the strip solve's trace: 1.8e-16 to 1.1e-13 (relative to the
+    # largest coefficient) from n = 1 to 576, most of it the strip solve's
+    # own roundoff (test_load_modes_match_40_digit_trace)
+    grid, strips = load_mode_strips(n)
+    m = grid.n_interface
+    V = sine_basis_matrix(m)
+    for strip in strips:
+        sigma, mu = strip_symbol(m, strip.n_cols), strip.interface_mass.eigenvalues()
+        for gamma in (0.0, 1.0, 128.0 * n):
+            want = V @ strip.solver(gamma).solve(strip.load)[-m:]
+            got = strip.load_modes / (sigma + gamma * mu)
+            assert np.abs(got - want).max() <= 3e-16 * n * np.abs(want).max()
+
+
+def test_load_modes_formed_once_per_strip(monkeypatch):
+    # both sweeps, at every weight, read one read-only array per strip,
+    # formed on first read, and solve no strip
+    formed = []
+    load_modes = grid_fem.strip_load_modes
+    monkeypatch.setattr(grid_fem, "strip_load_modes",
+                        lambda *args: formed.append(args) or load_modes(*args))
+    n = 6
+    _, left, right = strip_pair(n)
+    modes = {}
+    for params in (canonical_params(n), canonical_params(n, theta=0.3),
+                   DDParams(2.0, 5.0, 0.4)):
+        robin_robin_solve(left, right, params)
+        dirichlet_neumann_solve(left, right, params)
+        for strip in (left, right):
+            assert modes.setdefault(id(strip), strip.load_modes) is strip.load_modes
+    assert len(formed) == 2
+    assert not left.load_modes.flags.writeable and not right.load_modes.flags.writeable
+    assert left._solvers == {} and right._solvers == {}
 
 
 def test_converged_trace_is_fixed_point():

@@ -5,11 +5,11 @@ import pytest
 from jacobi_oracle import jacobi_symmetric_eigen, power_spectral_radius
 from robin_oracle import strip_stiffness
 from schur_oracle import splu_schur
-from robinlab import (DDParams, DtNOperator, SubdomainSystem, build_grid,
-                      build_iteration_operator, build_subdomain_system,
-                      dtn_schur, equivalence_bounds, iteration_spectral_radius,
-                      omega, params_from_bounds,
-                      reduction_spectrum, robin_robin_solve, symmetrized_T)
+from dense_oracle import (DtNOperator, build_iteration_operator, dtn_schur,
+                          equivalence_bounds, iteration_spectral_radius,
+                          params_from_bounds, symmetrized_T)
+from robinlab import (DDParams, SubdomainSystem, build_grid, build_subdomain_system,
+                      omega, reduction_spectrum, robin_robin_solve)
 from robinlab.grid_fem import Tridiagonal
 from robinlab.operator_analysis import mode_study, offcenter_columns, trace_eigenvalues
 from robinlab.spectral import mode_arrays

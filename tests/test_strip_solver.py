@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from dense_oracle import dtn_schur
 from robinlab import (DDParams, assemble_global_solution, build_grid,
-                      build_subdomain_system, dirichlet_neumann_solve,
-                      dtn_schur)
+                      build_subdomain_system, dirichlet_neumann_solve)
 from robinlab.experiments import manufactured_solution
 from robinlab.grid_fem import StripSolver, Tridiagonal
 from robinlab.operator_analysis import offcenter_columns
