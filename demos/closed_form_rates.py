@@ -8,21 +8,23 @@ Everything here is arithmetic on scalars; no mesh is ever assembled.
 
 import numpy as np
 
-from robinlab import DDParams, corollary_rate, reduction_spectrum
+from robinlab import DDParams, corollary_rate, reduction_spectrum, split_modes
 from robinlab.spectral import bound_margins, mode_arrays, z_bracket
 
 THETA = 3.0 / 7.0
 
 
-def params_for(n, theta=THETA):
-    # gamma1 = 1 and gamma2 = 64/h, the pairing the 1/7 bound is built on
-    return DDParams(gamma1=1.0, gamma2=128.0 * n, theta=theta)
+def rates(n, theta=THETA):
+    # the symmetric split's damped spectrum at gamma1 = 1 and gamma2 = 64/h,
+    # the pairing the 1/7 bound is built on
+    params = DDParams(gamma1=1.0, gamma2=128.0 * n, theta=theta)
+    return reduction_spectrum(split_modes(2 * n - 1, n, n), params)
 
 
 print("per-mode data on the coarsest grids")
 for n in (1, 2, 4):
     lam, tlam, a, b = mode_arrays(n)
-    vals, radius = reduction_spectrum(n, params_for(n))
+    vals, radius = rates(n)
     print(f"  n={n}  h=1/{2*n}")
     for j in range(2 * n - 1):
         print(f"    j={j+1}: a={a[j]:.6f}  b={b[j]:.6f}  z=b/a={b[j]/a[j]:8.3f}"
@@ -32,7 +34,7 @@ for n in (1, 2, 4):
 print()
 print("the radius is h-independent and stays under 1/7")
 for n in (1, 4, 16, 64, 256):
-    _, radius = reduction_spectrum(n, params_for(n))
+    _, radius = rates(n)
     _, (lo, hi) = z_bracket(n)
     print(f"  n={n:4d}: radius {radius:.8f}  (z in [{lo:.4f}, {hi:.1f}])")
 
@@ -41,7 +43,7 @@ print("damping sweep at n=64: the discrete radius vs the limiting envelope")
 print("  the envelope is approached from below, slowly near theta=0")
 for k in range(7):
     theta = k / 7.0
-    _, radius = reduction_spectrum(64, params_for(64, theta))
+    _, radius = rates(64, theta)
     env = corollary_rate(theta)
     print(f"  theta={theta:.4f}: radius {radius:.4f}  envelope {env:.4f}"
           f"  gap {env - radius:.4f}")

@@ -7,22 +7,23 @@ On the symmetric split the two maps coincide; on an off-center split they
 differ and the pair (s, t), the extremes of z2_j / z1_j, measures how far
 apart they sit.  theta = (2t-1)/(2t+1) then bounds the damped radius.  The
 undamped double sweep T is diagonal in the same basis, its eigenvalue in
-mode j the product of the two strips' one-sided Robin factors.
+mode j being -c_j, minus the product of the two strips' one-sided Robin
+factors (SplitModes.cj_values).
 """
 
-from robinlab import build_grid
-from robinlab.operator_analysis import mode_study, offcenter_columns, trace_eigenvalues
-from robinlab.spectral import robin_factor
+from robinlab import build_grid, split_modes
+from robinlab.operator_analysis import mode_study, offcenter_columns
 
 for n in (4, 8, 16):
     grid = build_grid(n)
     print(f"n = {n}, interface nodes m = {grid.n_interface}")
     for label, (ncl, ncr) in (("half ", (n, n)),
                               ("third", offcenter_columns(grid))):
-        z1, z2 = trace_eigenvalues(grid, ncl), trace_eigenvalues(grid, ncr)
+        split = split_modes(grid.n_interface, ncl, ncr)
+        z1, z2 = split.sigma1 / split.mu, split.sigma2 / split.mu
         bounds, params, radius = mode_study(grid, ncl, ncr)
         g1, g2 = params.gamma1, params.gamma2
-        T = (0.0 - robin_factor(z2, 1.0, g2, g1)) * robin_factor(z1, 1.0, g1, g2)
+        T = 0.0 - split.cj_values(g1, g2)
         print(f"  {label} split ({ncl}+{ncr} columns):"
               f"  s={bounds.s:.6f}  t={bounds.t:.10f}")
         print(f"        trace spectrum [{z1.min():.3f}, {z1.max():.3f}]"

@@ -17,8 +17,8 @@ from .grid_fem import (GridSpec, SubdomainSystem, Tridiagonal,
 from .operator_analysis import EquivalenceBounds
 from .spectral import (BoundMargins, bound_margins, corollary_rate,
                        fd_eigenvalue, omega, omega_max, reduction_spectrum,
-                       strip_symbol, theta_star, von_neumann_advisor,
-                       von_neumann_rho)
+                       split_modes, strip_symbol, theta_star,
+                       von_neumann_advisor, von_neumann_rho)
 
 __version__ = "0.1.0"
 

@@ -7,12 +7,12 @@ dirichlet_neumann_solve is the classical damped Dirichlet-Neumann sweep on
 the same split, kept as a baseline.  Its Neumann-side right-hand side
 carries the interface loads of both strips, so its limit solves the
 assembled global system, as the Robin sweep's does.  Both strips'
-interface Schur complements are diagonal in the sine basis of the
-interface, so either sweep is a per-mode affine map of the sine
-coefficients of its state.  The map reads each strip's load through its
-closed-form sine coefficients (SubdomainSystem.load_modes), formed once
-per strip for every weight, so neither sweep solves a strip; a report
-solves for the last sweep's strips only when they are first read.
+interface Schur complements are diagonal in the sine basis, with their
+split's symbols (spectral.split_modes), so either sweep is a per-mode
+affine map of the sine coefficients of its state, which reads each
+strip's load through its closed-form sine coefficients (load_modes,
+formed once per strip for every weight), so neither sweep solves a
+strip; a report solves for the last sweep's strips only when first read.
 robin_robin_physical_solve runs the Robin sweep with its two strip solves
 in every sweep; only table1 runs it, for the reason its docstring gives.
 
@@ -22,15 +22,12 @@ sweep runs through one driver, _iterate, which owns the loop and the stop
 on the sup-norm change of the interface trace: converged ("tol") below
 stop_tol, stopped ("non_finite") once the change is not finite, with
 numpy's overflow warnings silenced (the mode sweeps form their maps
-under the same silencing), or capped ("cap") at max_iter.  It
-advances in blocks of sweeps, one sweep at a time within a block, and
-transforms each block's state differences to trace differences at once;
-the run stops at the first row that stops it, and the states past it are
-dropped.  The per-mode sweeps reach it through _mode_iterate, with blocks
-that double from 8 sweeps.  The physical loop runs one sweep per block,
-since a sweep past the stop would cost two strip solves and change the
-strips it returns.  The report keeps the states and builds the trace
-history and the measured rate from them when they are first read.
+under the same silencing), or capped ("cap") at max_iter.  It advances
+in blocks of sweeps (_iterate says how), which double from 8 sweeps for
+the per-mode sweeps (_mode_iterate).  The physical loop runs one sweep
+per block, since a sweep past the stop would cost two strip solves and
+change the strips it returns.  The report (DDReport) builds the trace
+history and the measured rate from the states when they are first read.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid_fem import GridSpec, SubdomainSystem, Tridiagonal
-from .spectral import robin_factor, sine_basis_matrix, strip_symbol
+from .spectral import SplitModes, robin_factor, sine_basis_matrix, split_modes
 
 
 def is_integral(x) -> bool:
@@ -138,31 +135,27 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
     unconverged once it is not finite.
 
     The sweep runs on the sine coefficients g1^ = V g1, where strip i's
-    Robin Schur complement is sigma_i + gamma_i mu per mode (sigma_i its
-    strip_symbol, mu the interface-mass eigenvalue): g2^ = A_1 g1^ + B_1 and
-    g1^ <- A_2 g2^ + B_2 before damping, with
+    Robin Schur complement is sigma_i + gamma_i mu per mode (split_modes):
+    g2^ = A_1 g1^ + B_1 and g1^ <- A_2 g2^ + B_2 before damping, with
     B_i = (gamma1 + gamma2) strip_i.load_modes / (sigma_i + gamma_i mu), the
     sine coefficients of the trace of its load's Robin solve times
     gamma1 + gamma2, and A_i = robin_factor(sigma_i, mu, gamma_i, gamma_j),
-    j the other strip.
+    j the other strip; A_1 A_2 is the split's c_j.
     """
-    _check_split(left, right)
+    mu, sigma1, sigma2 = split = _check_split(left, right)
     m = left.grid.n_interface
     g1 = np.zeros(m) if g1_init is None else np.asarray(g1_init, dtype=float)
     if g1.shape != (m,):
         raise ValueError("g1_init has wrong length")
     V = sine_basis_matrix(m)
-    mu = left.interface_mass.eigenvalues()
-    A, B = [], []
     # an overflowing gamma1 + gamma2 or a non-finite load makes the map
     # non-finite; _iterate reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for strip, gamma, other in ((left, params.gamma1, params.gamma2),
-                                    (right, params.gamma2, params.gamma1)):
-            sigma = strip_symbol(m, strip.n_cols)
-            A.append(robin_factor(sigma, mu, gamma, other))
-            B.append((params.gamma1 + params.gamma2) * (strip.load_modes / (sigma + gamma * mu)))
-        alpha, beta = A[1] * B[0] + B[1], -A[0] * A[1]
+        gsum = params.gamma1 + params.gamma2
+        B1 = gsum * (left.load_modes / (sigma1 + params.gamma1 * mu))
+        B2 = gsum * (right.load_modes / (sigma2 + params.gamma2 * mu))
+        alpha = robin_factor(sigma2, mu, params.gamma2, params.gamma1) * B1 + B2
+        beta = -split.cj_values(params.gamma1, params.gamma2)
     return _mode_iterate(alpha, beta, V @ g1, params, left.interface_mass,
                          lambda states: _robin_solves(left, right, params)(V @ states[-2])[:2])
 
@@ -219,8 +212,8 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     are used; the stopping rule is that of robin_robin_solve.
 
     The sweep runs on w^ = V w, V the sine basis of the interface.  Strip
-    i's Schur complement is S_i = V diag(sigma_i) V (sigma_i its
-    strip_symbol), and its solves are Neumann solves N_i.  With t_i the
+    i's Schur complement is S_i = V diag(sigma_i) V (sigma_i its symbol in
+    split_modes), and its solves are Neumann solves N_i.  With t_i the
     trace of N_i F_i, whose sine coefficients are
     t^_i = strip_i.load_modes / sigma_i, the left residual flux less F1_G
     is r = S_1 (w - t_1), so per mode w^ <- alpha - beta w^ with
@@ -229,10 +222,9 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     F1 plus r on the interface rows (its trace is w and its interior the
     Dirichlet solve), and the right one N_2 of F2 minus r on them.
     """
-    _check_split(left, right)
+    _, sigma1, sigma2 = _check_split(left, right)
     m = left.grid.n_interface
     V = sine_basis_matrix(m)
-    sigma1, sigma2 = strip_symbol(m, left.n_cols), strip_symbol(m, right.n_cols)
     # a non-finite load makes the map non-finite; _iterate reports it
     with np.errstate(over="ignore", invalid="ignore"):
         t1, t2 = left.load_modes / sigma1, right.load_modes / sigma2
@@ -252,11 +244,12 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     return _mode_iterate(alpha, beta, np.zeros(m), params, left.interface_mass, strips)
 
 
-def _check_split(left: SubdomainSystem, right: SubdomainSystem):
-    """The two strips must come from one grid and tile its square."""
-    if left.grid != right.grid or left.n_cols + right.n_cols != 2 * left.grid.n:
+def _check_split(left: SubdomainSystem, right: SubdomainSystem) -> SplitModes:
+    """The strips' split_modes; they must share a grid and tile its square."""
+    if left.grid != right.grid:
         raise ValueError("the strips must share one grid, with widths summing to 2n; got "
                          f"widths {left.n_cols}, {right.n_cols} on n = {left.grid.n}, {right.grid.n}")
+    return split_modes(left.grid.n_interface, left.n_cols, right.n_cols)
 
 
 def _mode_iterate(alpha, beta, state, params: DDParams, mass: Tridiagonal,

@@ -217,12 +217,12 @@ def run_table2(config: ExperimentConfig) -> TableResult:
         grid = build_grid(n)
         # a zero load needs no quadrature, and the two strips are the same one
         strip = SubdomainSystem(grid, n, np.zeros(n * grid.n_interface))
+        split = spectral.split_modes(grid.n_interface, n, n)
         cells = [f"1/{2 * n}"]
         for theta in thetas:
             params = config.params(n, theta)
-            vals, _ = spectral.reduction_spectrum(n, params)
-            j_star = int(np.argmax(np.abs(vals))) + 1
-            seed = spectral.sine_basis_matrix(grid.n_interface)[j_star - 1]
+            vals, _ = spectral.reduction_spectrum(split, params)
+            seed = spectral.sine_basis_matrix(grid.n_interface)[np.argmax(np.abs(vals))]
             report = robin_robin_solve(strip, strip, params, g1_init=seed)
             all_converged &= report.converged
             rate = report.reduction_rate
@@ -271,9 +271,10 @@ def run_spectrum(config: ExperimentConfig) -> TableResult:
     rows = []
     for n in config.grids():
         _, _, a, b = spectral.mode_arrays(n)
+        split = spectral.split_modes(2 * n - 1, n, n)
         for theta in config.theta_list:
             params = config.params(n, theta)
-            c = spectral.cj_values(a, b, params.gamma1, params.gamma2)
+            c = split.cj_values(params.gamma1, params.gamma2)
             damped = params.theta + (1.0 - params.theta) * c
             for j in range(1, 2 * n):
                 rows.append([n, j, a[j - 1], b[j - 1], c[j - 1], damped[j - 1]])

@@ -18,34 +18,29 @@ the spectral radius of R by (2t - 1)/(2t + 1) with t the upper spectral
 equivalence constant of the two maps.
 
 Both strips' maps are diagonal in one sine basis of the interface, on
-either split: the map of a k-column strip has the eigenvalue
-z_j = sigma_j / mu_j in mode j, its strip_symbol over the interface-mass
-eigenvalue (trace_eigenvalues).  So (s, t) are the extremes of z2_j / z1_j,
-T_j is a product of two scalars, and the radius is a maximum over the
-modes.  mode_study builds the operator table that way, with no strip
-solve and no eigensolve.  The tests keep the dense maps, built from the
-strips' own Neumann solvers, with their LAPACK eigensolves, as its
-reference (tests/dense_oracle.py).
+either split: a k-column strip's map has the eigenvalue z_j = sigma_j / mu_j
+in mode j, its strip_symbol over the interface-mass eigenvalue (both in
+spectral.split_modes).  So (s, t) are the extremes of z2_j / z1_j,
+T_j = -c_j, and the radius is reduction_spectrum's.  mode_study builds the
+operator table that way, with no strip solve and no eigensolve.  The tests
+keep the dense maps, built from the strips' own Neumann solvers, with
+their LAPACK eigensolves, as its reference (tests/dense_oracle.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dd_solvers import DDParams
-from .grid_fem import GridSpec, assemble_interface_mass
-from .spectral import robin_factor, strip_symbol
+from .grid_fem import GridSpec
+from .spectral import reduction_spectrum, split_modes
 
 
 @dataclass
 class EquivalenceBounds:
-    """Extremes s <= t of the generalized spectrum of (S2, S1).
-
-    Genuine trace maps of complementary strips give s <= 1 <= t; the raw
-    extremes are reported unconditionally so artificial inputs are not
-    masked."""
+    """Extremes s <= t of the generalized spectrum of (S2, S1), reported raw
+    so artificial inputs are not masked: complementary strips give t <= 1
+    if strip 1 is the narrower, else s >= 1 (strip_symbol falls with width)."""
 
     s: float
     t: float
@@ -59,26 +54,17 @@ def offcenter_columns(grid: GridSpec):
     return k, 2 * grid.n - k
 
 
-def trace_eigenvalues(grid: GridSpec, n_cols: int) -> np.ndarray:
-    """Eigenvalues z_j = sigma_j / mu_j, in sine-mode order j = 1..m, of the
-    trace map of an n_cols-column strip: its strip_symbol over the
-    interface-mass eigenvalues, unsorted."""
-    return strip_symbol(grid.n_interface, n_cols) / assemble_interface_mass(grid).eigenvalues()
-
-
 def mode_study(grid: GridSpec, left_cols: int, right_cols: int):
     """(EquivalenceBounds, DDParams, radius) of the split into strips of
-    left_cols and right_cols columns, mode by mode: (s, t) are the extremes
-    of z2_j / z1_j, the weights and damping those of _recommended_params,
-    and the radius max_j |theta - (1 - theta) T_j| with T_j the product of
-    the two one-sided factors, the eigenvalues of T."""
-    z1, z2 = trace_eigenvalues(grid, left_cols), trace_eigenvalues(grid, right_cols)
+    left_cols and right_cols columns, which must tile the square, mode by
+    mode: (s, t) are the extremes of z2_j / z1_j, the weights and damping
+    those of _recommended_params, and the radius that of reduction_spectrum."""
+    split = split_modes(grid.n_interface, left_cols, right_cols)
+    z1, z2 = split.sigma1 / split.mu, split.sigma2 / split.mu
     ratio = z2 / z1
     bounds = EquivalenceBounds(s=float(ratio.min()), t=float(ratio.max()))
     params = _recommended_params(min(z1.min(), z2.min()), max(z1.max(), z2.max()), bounds.t)
-    g1, g2, theta = params.gamma1, params.gamma2, params.theta
-    T = (0.0 - robin_factor(z2, 1.0, g2, g1)) * robin_factor(z1, 1.0, g1, g2)
-    return bounds, params, float(np.abs(theta - (1.0 - theta) * T).max())
+    return bounds, params, reduction_spectrum(split, params)[1]
 
 
 def _recommended_params(lo, hi, t) -> DDParams:

@@ -1,30 +1,28 @@
 """Closed-form mode analysis of the two-sided Robin iteration on uniform grids.
 
-Every trace-space operator in the symmetric split diagonalizes in the
-discrete sine basis.  For mode j = 1..m of the m = 2n-1 interface nodes,
-with theta_j = j pi / (m+1),
+Every trace-space operator of a split diagonalizes in the discrete sine
+basis.  For mode j = 1..m of the m interface nodes, with h = 1/(m+1) and
+theta_j = j pi / (m+1), a split (split_modes) holds
 
-    lam_j = 4 sin^2(theta_j / 2)            (interface eigenvalue)
-    sigma_j = sinh(kappa_j) coth(n kappa_j),   kappa_j = 2 asinh(sin(theta_j / 2))
-    tlam_j = 1 / (sigma_j + 1 + lam_j/2)
-    a_j = (h - (h/6) lam_j) * tlam_j        (mass-weighted trace response)
-    b_j = sigma_j * tlam_j                  (stiffness-weighted response)
+    mu_j = 4h/6 + (2h/6) cos(theta_j)         (interface-mass eigenvalue)
+    sigma_j = sinh(kappa_j) coth(k kappa_j),   kappa_j = 2 asinh(sin(theta_j / 2)),
 
-govern one sweep: with Robin weights g1, g2 the damped error factor is
+sigma_j for each strip of k columns (strip_symbol, its Neumann Schur symbol,
+the discrete k coth(k L)).  With Robin weights g1, g2 a sweep's damped factor is
 
-    theta + (1 - theta) * c_j,   c_j = r_j(g1, g2) r_j(g2, g1),
-    r_j(g, g') = (g' a_j - b_j) / (b_j + g a_j)     (one strip's robin_factor).
+    theta + (1 - theta) * c_j,   c_j = r_j(sigma1_j, g1, g2) r_j(sigma2_j, g2, g1),
+    r_j(sigma, g, g') = (g' mu_j - sigma) / (sigma + g mu_j)     (robin_factor).
 
-sigma_j is the Neumann Schur symbol of an n-column strip (strip_symbol), the
-discrete counterpart of the half-strip symbol k coth(k L), and tlam_j the
-diagonal of the clamped strip's trace inverse; strip_load_modes gives a
-strip load's interface response per mode from the same kappa_j.  tlam_j stays inside
-(1/8, 1) for every n, so b_j / a_j lives in [3 + 7h/16, 21/(2h)] and c_j in
-(-1, -1/2), and the radius at theta = 3/7 is at most 1/7.  That 1/7 is the
-symmetric split's envelope; a fixed off-center split has its own (0.33 at
-x = 5/6).  The module also carries the continuous (half-plane Fourier)
-counterpart where the trace symbol is k coth k, and tuning helpers built on
-both.
+strip_load_modes gives a strip load's interface response per mode from the
+same kappa_j.  On the symmetric split (m = 2n-1, both strips n columns)
+mode_arrays scales (mu_j, sigma_j) by tlam_j = 1 / (sigma_j + 1 + lam_j/2),
+lam_j = 4 sin^2(theta_j / 2), the diagonal of the clamped strip's trace
+inverse, into the printed (a_j, b_j).  tlam_j stays inside (1/8, 1) for
+every n, so b_j / a_j lives in [3 + 7h/16, 21/(2h)] and c_j in (-1, -1/2),
+and the radius at theta = 3/7 is at most 1/7.  That 1/7 is the symmetric
+split's envelope; a fixed off-center split has its own (0.33 at x = 5/6).
+The module also carries the continuous (half-plane Fourier) counterpart
+where the trace symbol is k coth k, and tuning helpers built on both.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -106,38 +104,59 @@ def strip_load_modes(load, m, k):
     return (w * (np.reshape(load, (k, m)) @ sine_basis_matrix(m))).sum(axis=0)
 
 
-def mode_arrays(n):
-    """(lam, tlam, a, b) arrays for all modes of the symmetric split."""
-    h = 1.0 / (2 * n)
-    lam = fd_eigenvalue(np.arange(1, 2 * n), 2 * n - 1)
-    sigma = strip_symbol(2 * n - 1, n)
-    tlam = 1.0 / (sigma + 1.0 + 0.5 * lam)
-    a = (h - (h / 6.0) * lam) * tlam
-    b = sigma * tlam
-    return lam, tlam, a, b
-
-
 def robin_factor(sigma, mu, gamma, gamma_other):
     """Per-mode factor of one Robin solve (weight gamma, strip symbol sigma,
     interface-mass eigenvalue mu) and the update with the other weight."""
     return (gamma_other * mu - sigma) / (sigma + gamma * mu)
 
 
-def cj_values(a, b, gamma1, gamma2):
-    """Two-sided damping factors c_j of modes with coefficients (a_j, b_j),
-    the product of both strips' robin_factor; scalars or arrays."""
-    return robin_factor(b, a, gamma1, gamma2) * robin_factor(b, a, gamma2, gamma1)
+class SplitModes(NamedTuple):
+    """A split in sine modes: the interface-mass eigenvalues mu and the
+    strip_symbol sigma1, sigma2 of its two strips, shared and so read-only
+    (split_modes).  mu = 1, sigma1 = sigma2 = z is the half plane (omega)."""
+
+    mu: np.ndarray
+    sigma1: np.ndarray
+    sigma2: np.ndarray
+
+    def cj_values(self, gamma1, gamma2):
+        """Two-sided factors c_j: both strips' robin_factor, gamma1 on strip 1."""
+        return (robin_factor(self.sigma1, self.mu, gamma1, gamma2)
+                * robin_factor(self.sigma2, self.mu, gamma2, gamma1))
 
 
-def reduction_spectrum(n, params):
-    """Eigenvalues theta + (1-theta) c_j of one damped double sweep, for
-    every mode, along with their maximum magnitude (the convergence rate).
+@lru_cache(maxsize=64)
+def split_modes(m, k1, k2) -> SplitModes:
+    """SplitModes of m interface nodes between strips of k1, k2 >= 1 columns,
+    k1 + k2 = m + 1.  mu is formed in the operation order of
+    grid_fem.Tridiagonal.eigenvalues, so it has the interface mass's bits."""
+    if not (k1 >= 1 and k2 >= 1 and k1 + k2 == m + 1):
+        raise ValueError(f"strips of {k1} and {k2} columns do not tile the square; it needs "
+                         f"widths summing to 2n = {m + 1}, each at least 1")
+    h = 1.0 / (m + 1)
+    mu = 4.0 * h / 6.0 + 2.0 * (h / 6.0) * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
+    sigma1 = strip_symbol(m, k1)
+    sigma2 = sigma1 if k2 == k1 else strip_symbol(m, k2)
+    mu.flags.writeable = sigma1.flags.writeable = sigma2.flags.writeable = False
+    return SplitModes(mu, sigma1, sigma2)
 
-    params needs attributes gamma1, gamma2, theta.
-    """
-    _, _, a, b = mode_arrays(n)
-    c = cj_values(a, b, params.gamma1, params.gamma2)
-    vals = params.theta + (1.0 - params.theta) * c
+
+def mode_arrays(n):
+    """(lam, tlam, a, b) arrays for all modes of the symmetric split."""
+    h = 1.0 / (2 * n)
+    lam = fd_eigenvalue(np.arange(1, 2 * n), 2 * n - 1)
+    sigma = split_modes(2 * n - 1, n, n).sigma1
+    tlam = 1.0 / (sigma + 1.0 + 0.5 * lam)
+    a = (h - (h / 6.0) * lam) * tlam
+    b = sigma * tlam
+    return lam, tlam, a, b
+
+
+def reduction_spectrum(split: SplitModes, params):
+    """Eigenvalues theta + (1-theta) c_j of one damped double sweep on a
+    split, for every mode, and their maximum magnitude (the convergence
+    rate); params needs attributes gamma1, gamma2, theta."""
+    vals = params.theta + (1.0 - params.theta) * split.cj_values(params.gamma1, params.gamma2)
     return vals, float(np.abs(vals).max())
 
 
@@ -146,10 +165,11 @@ def omega(z, gamma1, gamma2):
 
         omega(z) = ((gamma2 - z) / (gamma2 + z)) * ((z - gamma1) / (z + gamma1)),
 
-    which is -c_j at a_j = 1, b_j = z (cj_values); subtracting from 0.0
-    keeps omega(gamma1) at +0.0.
+    which is -c_j of SplitModes(1, z, z); subtracting from 0.0 keeps
+    omega(gamma1) at +0.0.
     """
-    return 0.0 - cj_values(1.0, np.asarray(z, dtype=float), gamma1, gamma2)
+    z = np.asarray(z, dtype=float)
+    return 0.0 - SplitModes(1.0, z, z).cj_values(gamma1, gamma2)
 
 
 def omega_max(gamma1, gamma2):
@@ -178,12 +198,12 @@ def theta_star(a, b):
 
 def von_neumann_rho(k, gamma1, gamma2, theta):
     """Damped per-sweep factor theta + (1 - theta) c of transverse frequency
-    k on the half plane, with c the two-sided factor of cj_values at
-    a = 1, b = k coth k."""
+    k on the half plane, with c the two-sided factor of the symmetric
+    split of symbol z = k coth k (omega)."""
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("Robin weights must be positive")
-    k = np.asarray(k, dtype=float)
-    return theta + (1.0 - theta) * cj_values(1.0, k / np.tanh(k), gamma1, gamma2)
+    z = np.asarray(k, dtype=float) / np.tanh(k)
+    return theta + (1.0 - theta) * SplitModes(1.0, z, z).cj_values(gamma1, gamma2)
 
 
 COTH_1 = 1.0 / math.tanh(1.0)

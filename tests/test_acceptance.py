@@ -23,6 +23,7 @@ from robinlab import (
     corollary_rate,
     reduction_spectrum,
     robin_robin_solve,
+    split_modes,
 )
 from robinlab.experiments import ExperimentConfig, run_table1, run_table2, run_table3
 from dense_oracle import (
@@ -192,7 +193,8 @@ def test_criterion_4_oracle_equivalence():
     worst_power = 0.0
     for n in range(1, 9):
         E = _one_sweep_matrix(n)
-        vals, radius = reduction_spectrum(n, DDParams(1.0, 128.0 * n, THETA_STAR))
+        vals, radius = reduction_spectrum(split_modes(2 * n - 1, n, n),
+                                           DDParams(1.0, 128.0 * n, THETA_STAR))
         got = np.sort(np.linalg.eigvals(E).real)
         worst_spec = max(worst_spec, float(np.abs(got - np.sort(vals)).max()))
         powered = power_spectral_radius(lambda x: E @ x, E.shape[0])

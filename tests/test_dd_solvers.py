@@ -9,7 +9,7 @@ from robinlab import (DDParams, Tridiagonal,
                       build_subdomain_system, corollary_rate,
                       dirichlet_neumann_solve, error_norms,
                       measured_reduction_rate, reduction_spectrum,
-                      robin_robin_solve, strip_symbol)
+                      robin_robin_solve, split_modes)
 from robinlab import dd_solvers, grid_fem
 from robinlab.dd_solvers import robin_robin_physical_solve
 from robinlab.experiments import manufactured_solution
@@ -281,6 +281,14 @@ def load_mode_strips(n):
                   for side, k in (("left", n), ("right", offcenter_columns(grid)[0]))]
 
 
+def strip_modes(strip):
+    """(sigma, mu) of a strip, read from the split it makes with its
+    complement, the strip on the gamma1 side."""
+    m = strip.grid.n_interface
+    split = split_modes(m, strip.n_cols, m + 1 - strip.n_cols)
+    return split.sigma1, split.mu
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 36])
 def test_load_modes_match_40_digit_trace(n):
     # the closed form over sigma + gamma mu against a 40-digit elimination
@@ -290,7 +298,7 @@ def test_load_modes_match_40_digit_trace(n):
     m = grid.n_interface
     gammas = (0.0, 1.0, 128.0 * n)
     for strip in strips:
-        sigma, mu = strip_symbol(m, strip.n_cols), strip.interface_mass.eigenvalues()
+        sigma, mu = strip_modes(strip)
         want = mp_load_trace_modes(strip.load, m, strip.n_cols, grid.h, gammas)
         for gamma in gammas:
             got = strip.load_modes / (sigma + gamma * mu)
@@ -307,7 +315,7 @@ def test_load_modes_match_strip_solve(n):
     m = grid.n_interface
     V = sine_basis_matrix(m)
     for strip in strips:
-        sigma, mu = strip_symbol(m, strip.n_cols), strip.interface_mass.eigenvalues()
+        sigma, mu = strip_modes(strip)
         for gamma in (0.0, 1.0, 128.0 * n):
             want = V @ strip.solver(gamma).solve(strip.load)[-m:]
             got = strip.load_modes / (sigma + gamma * mu)
@@ -354,7 +362,7 @@ def test_error_propagation_matches_mode_formula():
         m = grid.n_interface
         params = canonical_params(n)
         one_sweep = canonical_params(n, stop_tol=1e-30, max_iter=1)
-        vals, _ = reduction_spectrum(n, params)
+        vals, _ = reduction_spectrum(split_modes(2 * n - 1, n, n), params)
         phi = sine_basis_matrix(m)
         sweep_matrix = phi @ np.diag(vals) @ phi
         for _ in range(20):
@@ -644,7 +652,7 @@ def test_sweep_limits_are_the_whole_square_solution(n):
     params = canonical_params(n)
     report = robin_robin_solve(left, right, params)
     x = assemble_global_solution(grid, report.solution_u, report.solution_w)
-    rho = reduction_spectrum(n, params)[1]
+    rho = reduction_spectrum(split_modes(2 * n - 1, n, n), params)[1]
     assert np.abs(x - x_star).max() <= limit_gap_bound(report, rho, 1.0 / params.gamma1, x_star)
     for k_left, k_right in ((n, n), offcenter_columns(grid)):
         left = build_subdomain_system(grid, F_LOAD, "left", n_cols=k_left)
@@ -654,7 +662,8 @@ def test_sweep_limits_are_the_whole_square_solution(n):
         # the Dirichlet-Neumann sweep: a trace error e leaves e on the left
         # strip and -(sigma_1 / sigma_2) e, mode by mode, on the right
         params = DDParams(1.0, 1.0, 0.45)
-        beta = strip_symbol(m, k_left) / strip_symbol(m, k_right)
+        split = split_modes(m, k_left, k_right)
+        beta = split.sigma1 / split.sigma2
         rho = np.abs(params.theta - (1.0 - params.theta) * beta).max()
         report = dirichlet_neumann_solve(left, right, params)
         x = strips_to_square(m, report.solution_u, report.solution_w)

@@ -18,6 +18,7 @@ from robinlab import (
     build_grid,
     corollary_rate,
     reduction_spectrum,
+    split_modes,
 )
 from robinlab.cli import build_parser, cli_main
 from robinlab.grid_fem import Tridiagonal
@@ -216,7 +217,7 @@ def test_rate_table_matches_mode_radii():
     measured, envelope = r.rows
     assert measured[0] == "1/4" and envelope[0] == "rate bound"
     for k, theta in enumerate(SEVENTHS):
-        _, radius = reduction_spectrum(2, DDParams(1.0, 256.0, theta))
+        _, radius = reduction_spectrum(split_modes(3, 2, 2), DDParams(1.0, 256.0, theta))
         # dominant-mode seeding makes the observed tail rate hit the radius
         assert measured[k + 1] == pytest.approx(radius, abs=1e-6)
         assert envelope[k + 1] == pytest.approx(corollary_rate(theta), rel=1e-12)
@@ -234,7 +235,7 @@ def test_rate_table_equals_closed_form_radius():
     assert r.all_converged
     for n, row in zip(config.n_list, r.rows):
         for theta, rate in zip(SEVENTHS, row[1:], strict=True):
-            _, radius = reduction_spectrum(n, config.params(n, theta))
+            _, radius = reduction_spectrum(split_modes(2 * n - 1, n, n), config.params(n, theta))
             assert rate == pytest.approx(radius, rel=1e-13, abs=0.0)
 
 
@@ -246,7 +247,8 @@ def test_rate_table_on_deep_meshes():
     r = run_table2(config)
     assert r.all_converged
     for n, (_, rate) in zip(DEEP_N_LIST, r.rows[:-1], strict=True):
-        _, radius = reduction_spectrum(n, config.params(n, THETA_STAR))
+        _, radius = reduction_spectrum(split_modes(2 * n - 1, n, n),
+                                       config.params(n, THETA_STAR))
         assert rate <= 1.0 / 7.0
         assert rate == pytest.approx(radius, rel=1e-13, abs=0.0)
 
@@ -355,6 +357,29 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
         assert (calls["rate"], calls["history"]) == (1, 1)
 
 
+def test_each_split_formed_once_per_mesh(monkeypatch):
+    # the split descriptions are cached: table2's seeds, radii and sweeps at
+    # all seven thetas read one split per mesh, the symmetric one, whose
+    # two strips share one strip_symbol call; operator reads two per mesh,
+    # the off-center one with one call per strip.  Their arrays are shared,
+    # so read-only
+    symbols = []
+    strip_symbol = robinlab.spectral.strip_symbol
+    monkeypatch.setattr(robinlab.spectral, "strip_symbol",
+                        lambda *args: symbols.append(args) or strip_symbol(*args))
+    for runner, table, splits, calls in ((run_table2, "table2", 2, 2),
+                                         (run_operator, "operator", 4, 6)):
+        robinlab.spectral.split_modes.cache_clear()
+        symbols.clear()
+        runner(ExperimentConfig(table, n_list=(2, 6)))
+        assert robinlab.spectral.split_modes.cache_info().misses == splits
+        assert len(symbols) == calls
+    split = robinlab.spectral.split_modes(11, 4, 8)
+    for values in (split.mu, split.sigma1, split.sigma2):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+
 def _spectrum_radii(result, thetas):
     """max|damped| of each theta's block of spectrum rows, keyed by theta;
     the rows hold one mesh, its blocks in theta_list order."""
@@ -387,7 +412,7 @@ def test_mode_table_theta_sweep_against_envelope():
     radii = _spectrum_radii(r, thetas)
     # spot check against the independent radius routine
     for t in thetas:
-        _, rad = reduction_spectrum(64, DDParams(1.0, 64.0 * 128.0, t))
+        _, rad = reduction_spectrum(split_modes(127, 64, 64), DDParams(1.0, 64.0 * 128.0, t))
         assert radii[t] == pytest.approx(rad, rel=1e-12)
     assert radii[0.0] == pytest.approx(0.956766, abs=1e-5)
     assert radii[3.0 / 7.0] == pytest.approx(0.118152, abs=1e-5)
@@ -607,8 +632,8 @@ def test_cli_table2_large_gamma2_reads_closed_form_rates(capsys):
     rates = [float(c) for c in capsys.readouterr().out.splitlines()[1].split(",")[1:]]
     config = ExperimentConfig("table2", n_list=(2,), gamma2_coefficient=1e306)
     for rate, theta in zip(rates, SEVENTHS, strict=True):
-        assert rate == pytest.approx(reduction_spectrum(2, config.params(2, theta))[1],
-                                     rel=1e-9)
+        radius = reduction_spectrum(split_modes(3, 2, 2), config.params(2, theta))[1]
+        assert rate == pytest.approx(radius, rel=1e-9)
 
 
 def test_cli_diverged_runs_write_only_the_message():
@@ -664,7 +689,7 @@ def test_cli_rate_table_csv_parses(capsys):
     assert cells[0] == "1/4"
     values = [float(c) for c in cells[1:]]
     for value, theta in zip(values, SEVENTHS):
-        _, radius = reduction_spectrum(2, DDParams(1.0, 256.0, theta))
+        _, radius = reduction_spectrum(split_modes(3, 2, 2), DDParams(1.0, 256.0, theta))
         assert value == pytest.approx(radius, abs=1e-5)
 
 

@@ -9,9 +9,9 @@ from dense_oracle import (DtNOperator, build_iteration_operator, dtn_schur,
                           equivalence_bounds, iteration_spectral_radius,
                           params_from_bounds, symmetrized_T)
 from robinlab import (DDParams, SubdomainSystem, build_grid, build_subdomain_system,
-                      omega, reduction_spectrum, robin_robin_solve)
+                      omega, reduction_spectrum, robin_robin_solve, split_modes)
 from robinlab.grid_fem import Tridiagonal
-from robinlab.operator_analysis import mode_study, offcenter_columns, trace_eigenvalues
+from robinlab.operator_analysis import mode_study, offcenter_columns
 from robinlab.spectral import mode_arrays
 
 
@@ -149,13 +149,15 @@ def test_schur_matches_splu_oracle():
 def test_schur_eigenvalues_match_strip_symbol_large_mesh(n):
     # the operator view against the closed form at large n: in
     # mass-orthonormal coordinates the map of a k-column strip has the
-    # eigenvalues sigma_j / mu_j (trace_eigenvalues), with mu_j the
-    # interface-mass eigenvalues
+    # eigenvalues sigma_j / mu_j of the split it makes (split_modes), with
+    # mu_j the interface-mass eigenvalues
     grid = build_grid(n)
+    m = grid.n_interface
     k_left, k_right = offcenter_columns(grid)
     for side, k in (("left", n), ("left", k_left), ("right", k_right)):
         system = build_subdomain_system(grid, zero_field, side, n_cols=k)
-        want = np.sort(trace_eigenvalues(grid, k))
+        split = split_modes(m, k, m + 1 - k)
+        want = np.sort(split.sigma1 / split.mu)
         got = dtn_schur(system).eigvals
         assert np.abs(got / want - 1.0).max() <= 1e-13, (side, k)
 
@@ -180,6 +182,24 @@ def test_mode_study_matches_dense_path():
                     (params.gamma1, want.gamma1), (params.gamma2, want.gamma2),
                     (params.theta, want.theta), (radius, want_radius)):
                 assert got_value == pytest.approx(want_value, rel=1e-12, abs=0.0), (n, split)
+
+
+@pytest.mark.parametrize("k1, k2", [(3, 3), (2, 9), (4, 5), (0, 8), (8, 0), (9, -1)])
+def test_split_widths_must_tile_the_square(k1, k2):
+    # n = 4: m = 7 interface nodes between strips of k1, k2 >= 1 columns,
+    # k1 + k2 = 8; mode_study and reduction_spectrum read the checked split
+    with pytest.raises(ValueError, match="do not tile"):
+        split_modes(7, k1, k2)
+    with pytest.raises(ValueError, match="do not tile"):
+        mode_study(build_grid(4), k1, k2)
+
+
+def test_edge_split_widths_accepted():
+    # one-column strips stay accepted (ROADMAP item 13 decides them)
+    for k1, k2 in ((1, 7), (7, 1)):
+        assert len(split_modes(7, k1, k2).sigma1) == 7
+        bounds, params, radius = mode_study(build_grid(4), k1, k2)
+        assert 0.0 < bounds.s <= bounds.t and np.isfinite(radius)
 
 
 def test_offcenter_columns():
@@ -240,7 +260,7 @@ def test_iteration_operator_eigenvalues_match_mode_formula():
         params = canonical_params(n)
         R = build_iteration_operator(S1, S2, params)
         got = np.sort(np.linalg.eigvals(R).real)
-        vals, _ = reduction_spectrum(n, params)
+        vals, _ = reduction_spectrum(split_modes(2 * n - 1, n, n), params)
         assert np.abs(got - np.sort(vals)).max() < 1e-8
 
 

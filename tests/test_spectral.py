@@ -10,8 +10,8 @@ from robinlab import (DDParams, assemble_interface_mass, bound_margins, build_gr
                       omega_max, reduction_spectrum, robin_robin_solve, strip_symbol,
                       theta_star, von_neumann_advisor, von_neumann_rho)
 from robinlab.experiments import ExperimentConfig
-from robinlab.spectral import (COTH_1, cj_values, mode_arrays, robin_factor,
-                               sine_basis_matrix, z_bracket)
+from robinlab.spectral import (COTH_1, SplitModes, mode_arrays, robin_factor,
+                               sine_basis_matrix, split_modes, z_bracket)
 from robin_oracle import add_interface_tridiagonal, strip_stiffness
 from symbol_oracle import (longdouble_symbol, tilde_lambda, tilde_lambda_all,
                            von_neumann_rho_product)
@@ -217,14 +217,26 @@ def test_mode_coefficient_ranges():
 
 
 def test_cj_hand_value():
-    _, _, a, b = mode_arrays(1)
-    assert float(cj_values(a[0], b[0], 1.0, 128.0)) == pytest.approx(-305.0 / 469.0, abs=1e-15)
+    # n = 1: mu = 1/3 and sigma = 2 in the one mode
+    c = split_modes(1, 1, 1).cj_values(1.0, 128.0)
+    assert float(c[0]) == pytest.approx(-305.0 / 469.0, abs=1e-15)
 
 
 def test_cj_zero_when_first_factor_vanishes():
-    _, _, a, b = mode_arrays(2)
-    gamma1 = b[0] / a[0]
-    assert float(cj_values(a[0], b[0], gamma1, 7.0)) == pytest.approx(0.0, abs=1e-15)
+    split = split_modes(3, 2, 2)
+    gamma1 = split.sigma1[0] / split.mu[0]
+    assert float(split.cj_values(gamma1, 7.0)[0]) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_split_mu_is_the_interface_mass_spectrum_bit_for_bit():
+    # mu is formed in Tridiagonal.eigenvalues' operation order; the
+    # algebraically equal (4 + 2 cos theta_j) / (6(m+1)) differs in the last
+    # bit at 300 of these 302 meshes, which would move the sweeps' bits
+    for n in (*range(1, 301), 576, 1152):
+        grid = build_grid(n)
+        for k in (n, 1):
+            assert np.array_equal(split_modes(grid.n_interface, k, 2 * n - k).mu,
+                                  assemble_interface_mass(grid).eigenvalues()), (n, k)
 
 
 def test_robin_factor_exact_on_small_integers():
@@ -241,17 +253,15 @@ def test_robin_factor_exact_on_small_integers():
 @pytest.mark.parametrize("rule, coefficient", [("scale_inv_h", 64.0), ("constant", 30.0)])
 @pytest.mark.parametrize("n", [2, 6, 36, 144])
 def test_cj_from_strip_symbol_and_interface_mass(n, rule, coefficient):
-    # the sweep's (sigma, mu) and mode_arrays' (a_j, b_j) give one c_j: each
+    # the split's (sigma, mu) and mode_arrays' (a_j, b_j) give one c_j: each
     # robin_factor has the same value in either, a_j, b_j being mu, sigma
     # scaled by one tlam_j
     params = ExperimentConfig(table="spectrum", n_list=(n,), gamma2_rule=rule,
                               gamma2_coefficient=coefficient).params(n, 3.0 / 7.0)
     g1, g2 = params.gamma1, params.gamma2
-    sigma = strip_symbol(2 * n - 1, n)
-    mu = assemble_interface_mass(build_grid(n)).eigenvalues()
     _, _, a, b = mode_arrays(n)
-    np.testing.assert_allclose(robin_factor(sigma, mu, g1, g2) * robin_factor(sigma, mu, g2, g1),
-                               cj_values(a, b, g1, g2), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(split_modes(2 * n - 1, n, n).cj_values(g1, g2),
+                               SplitModes(a, b, b).cj_values(g1, g2), rtol=1e-14, atol=0.0)
 
 
 def test_cj_interval_canonical_weights():
@@ -266,14 +276,9 @@ def test_cj_interval_canonical_weights():
 def canonical_split_radii(n, k_left):
     """|theta + (1 - theta) c_j| per mode at theta = 3/7 on the split with
     k_left columns on the left, gamma1 = 1 there and gamma2 = 128n on the
-    right, with c_j the product of both strips' robin_factor."""
-    m = 2 * n - 1
-    mu = assemble_interface_mass(build_grid(n)).eigenvalues()
-    g1, g2 = 1.0, 128.0 * n
-    c = (robin_factor(strip_symbol(m, k_left), mu, g1, g2)
-         * robin_factor(strip_symbol(m, 2 * n - k_left), mu, g2, g1))
-    theta = 3.0 / 7.0
-    return np.abs(theta + (1.0 - theta) * c)
+    right: reduction_spectrum of the off-center split."""
+    split = split_modes(2 * n - 1, k_left, 2 * n - k_left)
+    return np.abs(reduction_spectrum(split, canonical_params(n))[0])
 
 
 FIXED_SPLIT_MESHES = (6, 12, 24, 48, 96, 192, 384, 768, 1152, 2304)
@@ -313,7 +318,7 @@ def test_off_center_sweep_measures_closed_form_radius():
 
 
 def test_reduction_spectrum_single_mode():
-    vals, radius = reduction_spectrum(1, canonical_params(1))
+    vals, radius = reduction_spectrum(split_modes(1, 1, 1), canonical_params(1))
     assert vals.shape == (1,)
     assert vals[0] == pytest.approx(187.0 / 3283.0, abs=1e-15)
     assert radius == pytest.approx(0.05696, abs=5e-6)
@@ -323,7 +328,7 @@ def test_reduction_spectrum_single_mode():
 def test_reduction_spectrum_theta_zero_is_cj():
     n = 3
     params = DDParams(gamma1=1.0, gamma2=64.0 * 2 * n, theta=0.0)
-    vals, _ = reduction_spectrum(n, params)
+    vals, _ = reduction_spectrum(split_modes(2 * n - 1, n, n), params)
     _, _, a, b = mode_arrays(n)
     g2 = params.gamma2
     c = ((a - b) / (a + b)) * ((g2 * a - b) / (g2 * a + b))
@@ -352,7 +357,7 @@ def test_one_sweep_matrix_diagonalized_by_sine_basis():
             sweep = (params.theta * np.eye(m)
                      + (1.0 - params.theta)
                      * robin_to_robin(params.gamma2) @ robin_to_robin(params.gamma1))
-            vals, _ = reduction_spectrum(n, params)
+            vals, _ = reduction_spectrum(split_modes(2 * n - 1, n, n), params)
             phi = sine_basis_matrix(m)
             assert np.abs(sweep - phi @ np.diag(vals) @ phi).max() < 1e-9
 
