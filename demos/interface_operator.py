@@ -12,7 +12,8 @@ factors (SplitModes.cj_values).
 """
 
 from robinlab import build_grid, split_modes
-from robinlab.operator_analysis import mode_study, offcenter_columns
+from robinlab.grid_fem import offcenter_columns
+from robinlab.spectral import mode_study
 
 for n in (4, 8, 16):
     grid = build_grid(n)

@@ -7,18 +7,16 @@ carries the closed-form mode analysis and the trace-operator analysis
 that explain the observed grid-independent contraction rates.
 """
 
-from .dd_solvers import (DDParams, DDReport, assemble_global_solution,
+from .dd_solvers import (DDReport, assemble_global_solution,
                          dirichlet_neumann_solve, error_norms,
                          measured_reduction_rate, robin_robin_solve)
 from .experiments import ExperimentConfig, TableResult, manufactured_solution, run
-from .grid_fem import (GridSpec, SubdomainSystem, Tridiagonal,
-                       assemble_interface_mass, assemble_load, build_grid,
-                       build_subdomain_system)
-from .operator_analysis import EquivalenceBounds
-from .spectral import (BoundMargins, bound_margins, corollary_rate,
-                       fd_eigenvalue, omega, omega_max, reduction_spectrum,
-                       split_modes, strip_symbol, theta_star,
-                       von_neumann_advisor, von_neumann_rho)
+from .grid_fem import (GridSpec, SubdomainSystem, assemble_interface_mass,
+                       assemble_load, build_grid, build_subdomain_system)
+from .spectral import (BoundMargins, DDParams, EquivalenceBounds, Tridiagonal,
+                       bound_margins, corollary_rate, fd_eigenvalue, omega,
+                       omega_max, reduction_spectrum, split_modes, strip_symbol,
+                       theta_star, von_neumann_advisor, von_neumann_rho)
 
 __version__ = "0.1.0"
 

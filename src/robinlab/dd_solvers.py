@@ -28,53 +28,22 @@ the per-mode sweeps (_mode_iterate).  The physical loop runs one sweep
 per block, since a sweep past the stop would cost two strip solves and
 change the strips it returns.  The report (DDReport) builds the trace
 history and the measured rate from the states when they are first read.
+The sweep parameters (DDParams) and the mass Tridiagonal come from
+spectral, which every layer reads.
 """
 
 from __future__ import annotations
 
 import itertools
-import numbers
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid_fem import GridSpec, SubdomainSystem, Tridiagonal
-from .spectral import SplitModes, robin_factor, sine_basis_matrix, split_modes
-
-
-def is_integral(x) -> bool:
-    """Whether x is an integer, or an integral real, that a float can hold.
-    An integer is compared with the largest float, not converted to one,
-    which would raise OverflowError past it."""
-    if isinstance(x, numbers.Integral):
-        return abs(x) <= sys.float_info.max
-    return isinstance(x, numbers.Real) and float(x).is_integer()
-
-
-@dataclass
-class DDParams:
-    """Robin weights, damping, and stopping control for the sweeps."""
-
-    gamma1: float
-    gamma2: float
-    theta: float
-    stop_tol: float = 1e-11
-    max_iter: int = 2000
-
-    def __post_init__(self):
-        # chained comparisons with inf also reject nan
-        if not (0.0 < self.gamma1 < np.inf and 0.0 < self.gamma2 < np.inf):
-            raise ValueError("Robin weights gamma1, gamma2 must be positive and finite")
-        if not 0.0 <= self.theta < 1.0:
-            raise ValueError("damping theta must lie in [0, 1)")
-        if not 0.0 < self.stop_tol < np.inf:
-            raise ValueError("stop_tol must be positive and finite")
-        if not (is_integral(self.max_iter) and self.max_iter >= 1):
-            raise ValueError("max_iter must be an integer from 1 to the largest float")
-        self.max_iter = int(self.max_iter)
+from .grid_fem import GridSpec, SubdomainSystem
+from .spectral import (DDParams, SplitModes, Tridiagonal, robin_factor, sine_basis_matrix,
+                       split_modes)
 
 
 @dataclass

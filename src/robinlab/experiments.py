@@ -18,13 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import operator_analysis, spectral
-from .dd_solvers import (DDParams, assemble_global_solution,
-                         dirichlet_neumann_solve, error_norms, is_integral,
+from . import spectral
+from .dd_solvers import (assemble_global_solution, dirichlet_neumann_solve, error_norms,
                          robin_robin_physical_solve, robin_robin_solve)
-from .grid_fem import SubdomainSystem, build_grid, build_subdomain_system
-
-TABLES = ("table1", "table2", "table3", "spectrum", "von_neumann", "operator")
+from .grid_fem import SubdomainSystem, build_grid, build_subdomain_system, offcenter_columns
+from .spectral import DDParams, is_integral
 
 DEFAULT_N_LIST = (2, 6, 10, 14, 18, 22, 26)
 DEEP_N_LIST = (36, 144, 576)
@@ -71,8 +69,8 @@ class ExperimentConfig:
     deep: bool = False
 
     def __post_init__(self):
-        if self.table not in TABLES:
-            raise ValueError(f"table must be one of {TABLES}, got {self.table!r}")
+        if self.table not in RUNNERS:
+            raise ValueError(f"table must be one of {tuple(RUNNERS)}, got {self.table!r}")
         if not all(is_integral(n) for n in self.n_list):
             raise ValueError("n_list entries must be integers no larger than the largest float")
         self.n_list = tuple(int(n) for n in self.n_list)
@@ -306,7 +304,7 @@ def run_operator(config: ExperimentConfig) -> TableResult:
     """Trace-map study on the symmetric split and an off-center one:
     equivalence constants, recommended weights, and the sweep radius
     against its (2t-1)/(2t+1) cap.  Every row is built mode by mode from
-    the strip symbols (operator_analysis.mode_study), with no strip solve
+    the strip symbols (spectral.mode_study), with no strip solve
     and no eigensolve, so the --deep meshes take milliseconds.  Dense
     Schur maps and LAPACK eigensolves give the same numbers; the tests
     keep them as the reference."""
@@ -314,8 +312,8 @@ def run_operator(config: ExperimentConfig) -> TableResult:
     ok = True
     for n in config.grids():
         grid = build_grid(n)
-        for label, split in (("half", (n, n)), ("third", operator_analysis.offcenter_columns(grid))):
-            bounds, params, radius = operator_analysis.mode_study(grid, *split)
+        for label, split in (("half", (n, n)), ("third", offcenter_columns(grid))):
+            bounds, params, radius = spectral.mode_study(grid, *split)
             bound = params.theta
             good = radius <= bound + 1e-9
             ok &= good

@@ -12,6 +12,11 @@ each strip.  The right strip is numbered mirror-image (columns counted
 from x = 1 leftward), which makes the two subdomain matrices identical
 entry by entry.
 
+A grid (GridSpec) is its n alone, checked by build_grid.  The
+constant-coefficient blocks (spectral.Tridiagonal) and the interface mass
+(Tridiagonal.interface_mass) come from spectral, the package's leaf, so
+the split descriptions there read the same mass.
+
 Strip loads are summed on the node lattice by shifted slice adds, from
 O(n_cols + n) load values per quadrature point.  A SubdomainSystem holds
 no assembled matrix: its strip solvers apply and factor the stencil, each
@@ -37,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import sine_basis_matrix, strip_load_modes
+from .spectral import Tridiagonal, is_integral, sine_basis_matrix, strip_load_modes
 
 LEFT = "left"
 RIGHT = "right"
@@ -50,12 +55,13 @@ class GridSpec:
 
     n is the number of columns in each (symmetric) strip, h = 1/(2n) the
     mesh width and n_interface = 2n - 1 the number of interior interface
-    nodes.
+    nodes.  build_grid checks n.
     """
 
     n: int
-    h: float
-    n_interface: int
+
+    h = property(lambda self: 1.0 / (2 * self.n))
+    n_interface = property(lambda self: 2 * self.n - 1)
 
     def coord(self, i):
         """Coordinate of grid line i, computed as i / (2n) so that
@@ -64,10 +70,17 @@ class GridSpec:
 
 
 def build_grid(n: int) -> GridSpec:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
-    n = int(n)
-    return GridSpec(n=n, h=1.0 / (2 * n), n_interface=2 * n - 1)
+    if not (isinstance(n, (int, np.integer)) and is_integral(n) and n >= 1):
+        raise ValueError("n must be a positive integer no larger than the largest float")
+    return GridSpec(n=int(n))
+
+
+def offcenter_columns(grid: GridSpec):
+    """Column counts (left, right) for a split at the grid line nearest to
+    x = 1/3."""
+    k = round(2 * grid.n / 3)
+    k = min(max(k, 1), 2 * grid.n - 1)
+    return k, 2 * grid.n - k
 
 
 def _check_side(side):
@@ -75,40 +88,9 @@ def _check_side(side):
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Constant-coefficient symmetric tridiagonal matrix."""
-
-    size: int
-    diag: float
-    off: float
-
-    def matvec(self, v):
-        """The product with v, or with each row of a 2-D v."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.size:
-            raise ValueError("vector length does not match matrix size")
-        out = self.diag * v
-        out[..., :-1] += self.off * v[..., 1:]
-        out[..., 1:] += self.off * v[..., :-1]
-        return out
-
-    def eigenvalues(self):
-        """Eigenvalues in index order j = 1..size: diag + 2 off cos(j pi / (size+1))."""
-        j = np.arange(1, self.size + 1)
-        return self.diag + 2.0 * self.off * np.cos(j * np.pi / (self.size + 1))
-
-    def to_dense(self):
-        out = np.diag(np.full(self.size, self.diag))
-        idx = np.arange(self.size - 1)
-        out[idx, idx + 1] = self.off
-        out[idx + 1, idx] = self.off
-        return out
-
-
 def assemble_interface_mass(grid: GridSpec) -> Tridiagonal:
     """Interface mass matrix (h/6) tridiag(1, 4, 1) on the 2n-1 trace nodes."""
-    return Tridiagonal(grid.n_interface, 4.0 * grid.h / 6.0, grid.h / 6.0)
+    return Tridiagonal.interface_mass(grid.n_interface)
 
 
 def strip_matrix(n_cols: int, last_block: Tridiagonal):
@@ -185,7 +167,7 @@ def assemble_load(grid: GridSpec, f, side=LEFT, n_cols=None):
     """
     _check_side(side)
     n_cols = grid.n if n_cols is None else n_cols
-    if not (float(n_cols).is_integer() and 1 <= n_cols < 2 * grid.n):
+    if not (is_integral(n_cols) and 1 <= n_cols < 2 * grid.n):
         raise ValueError(f"n_cols must be an integer in 1..{2 * grid.n - 1}, got {n_cols!r}")
     n_cols = int(n_cols)
     bary, weights = TRI_DEGREE6

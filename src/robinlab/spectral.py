@@ -4,7 +4,7 @@ Every trace-space operator of a split diagonalizes in the discrete sine
 basis.  For mode j = 1..m of the m interface nodes, with h = 1/(m+1) and
 theta_j = j pi / (m+1), a split (split_modes) holds
 
-    mu_j = 4h/6 + (2h/6) cos(theta_j)         (interface-mass eigenvalue)
+    mu_j = 4h/6 + (2h/6) cos(theta_j)         (Tridiagonal.interface_mass)
     sigma_j = sinh(kappa_j) coth(k kappa_j),   kappa_j = 2 asinh(sin(theta_j / 2)),
 
 sigma_j for each strip of k columns (strip_symbol, its Neumann Schur symbol,
@@ -21,18 +21,103 @@ inverse, into the printed (a_j, b_j).  tlam_j stays inside (1/8, 1) for
 every n, so b_j / a_j lives in [3 + 7h/16, 21/(2h)] and c_j in (-1, -1/2),
 and the radius at theta = 3/7 is at most 1/7.  That 1/7 is the symmetric
 split's envelope; a fixed off-center split has its own (0.33 at x = 5/6).
+mode_study reads a split as trace maps: each strip's Dirichlet-to-Neumann
+map, in coordinates where the interface mass is the identity, has the
+eigenvalue z_j = sigma_j / mu_j in mode j, so the spectral equivalence
+constants (s, t) of the two maps are the extremes of z2_j / z1_j, the
+sweep's trace operator T has the eigenvalues -c_j, and weights that
+bracket both spectra bound the radius by (2t - 1)/(2t + 1).  The dense
+maps, with their LAPACK eigensolves, are its reference in the tests
+(tests/dense_oracle.py).
 The module also carries the continuous (half-plane Fourier) counterpart
 where the trace symbol is k coth k, and tuning helpers built on both.
+
+It is the package's leaf and imports no other robinlab module, so the
+pieces every layer shares live here: the sweep parameters (DDParams),
+the integer check (is_integral) and the constant-coefficient tridiagonal
+blocks (Tridiagonal), the interface mass among them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+
+def is_integral(x) -> bool:
+    """Whether x is an integer, or an integral real, that a float can hold.
+    An integer is compared with the largest float, not converted to one,
+    which would raise OverflowError past it."""
+    if isinstance(x, numbers.Integral):
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, numbers.Real) and float(x).is_integer()
+
+
+@dataclass
+class DDParams:
+    """Robin weights, damping, and stopping control for the sweeps."""
+
+    gamma1: float
+    gamma2: float
+    theta: float
+    stop_tol: float = 1e-11
+    max_iter: int = 2000
+
+    def __post_init__(self):
+        # chained comparisons with inf also reject nan
+        if not (0.0 < self.gamma1 < np.inf and 0.0 < self.gamma2 < np.inf):
+            raise ValueError("Robin weights gamma1, gamma2 must be positive and finite")
+        if not 0.0 <= self.theta < 1.0:
+            raise ValueError("damping theta must lie in [0, 1)")
+        if not 0.0 < self.stop_tol < np.inf:
+            raise ValueError("stop_tol must be positive and finite")
+        if not (is_integral(self.max_iter) and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer from 1 to the largest float")
+        self.max_iter = int(self.max_iter)
+
+
+@dataclass(frozen=True)
+class Tridiagonal:
+    """Constant-coefficient symmetric tridiagonal matrix."""
+
+    size: int
+    diag: float
+    off: float
+
+    @classmethod
+    def interface_mass(cls, size):
+        """Interface mass matrix (h/6) tridiag(1, 4, 1) on size trace nodes,
+        h = 1/(size+1)."""
+        h = 1.0 / (size + 1)
+        return cls(size, 4.0 * h / 6.0, h / 6.0)
+
+    def matvec(self, v):
+        """The product with v, or with each row of a 2-D v."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.size:
+            raise ValueError("vector length does not match matrix size")
+        out = self.diag * v
+        out[..., :-1] += self.off * v[..., 1:]
+        out[..., 1:] += self.off * v[..., :-1]
+        return out
+
+    def eigenvalues(self):
+        """Eigenvalues in index order j = 1..size: diag + 2 off cos(j pi / (size+1))."""
+        j = np.arange(1, self.size + 1)
+        return self.diag + 2.0 * self.off * np.cos(j * np.pi / (self.size + 1))
+
+    def to_dense(self):
+        out = np.diag(np.full(self.size, self.diag))
+        idx = np.arange(self.size - 1)
+        out[idx, idx + 1] = self.off
+        out[idx + 1, idx] = self.off
+        return out
 
 
 def fd_eigenvalue(i, m):
@@ -128,13 +213,11 @@ class SplitModes(NamedTuple):
 @lru_cache(maxsize=64)
 def split_modes(m, k1, k2) -> SplitModes:
     """SplitModes of m interface nodes between strips of k1, k2 >= 1 columns,
-    k1 + k2 = m + 1.  mu is formed in the operation order of
-    grid_fem.Tridiagonal.eigenvalues, so it has the interface mass's bits."""
+    k1 + k2 = m + 1; mu is the spectrum of the interface mass."""
     if not (k1 >= 1 and k2 >= 1 and k1 + k2 == m + 1):
         raise ValueError(f"strips of {k1} and {k2} columns do not tile the square; it needs "
                          f"widths summing to 2n = {m + 1}, each at least 1")
-    h = 1.0 / (m + 1)
-    mu = 4.0 * h / 6.0 + 2.0 * (h / 6.0) * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
+    mu = Tridiagonal.interface_mass(m).eigenvalues()
     sigma1 = strip_symbol(m, k1)
     sigma2 = sigma1 if k2 == k1 else strip_symbol(m, k2)
     mu.flags.writeable = sigma1.flags.writeable = sigma2.flags.writeable = False
@@ -147,7 +230,7 @@ def mode_arrays(n):
     lam = fd_eigenvalue(np.arange(1, 2 * n), 2 * n - 1)
     sigma = split_modes(2 * n - 1, n, n).sigma1
     tlam = 1.0 / (sigma + 1.0 + 0.5 * lam)
-    a = (h - (h / 6.0) * lam) * tlam
+    a = (h - Tridiagonal.interface_mass(2 * n - 1).off * lam) * tlam
     b = sigma * tlam
     return lam, tlam, a, b
 
@@ -158,6 +241,38 @@ def reduction_spectrum(split: SplitModes, params):
     rate); params needs attributes gamma1, gamma2, theta."""
     vals = params.theta + (1.0 - params.theta) * split.cj_values(params.gamma1, params.gamma2)
     return vals, float(np.abs(vals).max())
+
+
+@dataclass
+class EquivalenceBounds:
+    """Extremes s <= t of the generalized spectrum of (S2, S1), reported raw
+    so artificial inputs are not masked: complementary strips give t <= 1
+    if strip 1 is the narrower, else s >= 1 (strip_symbol falls with width)."""
+
+    s: float
+    t: float
+
+
+def mode_study(grid, left_cols: int, right_cols: int):
+    """(EquivalenceBounds, DDParams, radius) of the split of grid (a
+    grid_fem.GridSpec; only its n_interface is read) into strips of
+    left_cols and right_cols columns, which must tile the square, mode by
+    mode: (s, t) are the extremes of z2_j / z1_j, the weights and damping
+    those of _recommended_params, and the radius that of reduction_spectrum."""
+    split = split_modes(grid.n_interface, left_cols, right_cols)
+    z1, z2 = split.sigma1 / split.mu, split.sigma2 / split.mu
+    ratio = z2 / z1
+    bounds = EquivalenceBounds(s=float(ratio.min()), t=float(ratio.max()))
+    params = _recommended_params(min(z1.min(), z2.min()), max(z1.max(), z2.max()), bounds.t)
+    return bounds, params, reduction_spectrum(split, params)[1]
+
+
+def _recommended_params(lo, hi, t) -> DDParams:
+    """Weights and damping from the trace maps' spectral extremes: g1 at
+    the smallest eigenvalue lo, g2 at three times the largest hi, and
+    theta = (2t-1)/(2t+1) with t the upper equivalence constant."""
+    return DDParams(gamma1=float(lo), gamma2=3.0 * float(hi),
+                    theta=(2.0 * t - 1.0) / (2.0 * t + 1.0))
 
 
 def omega(z, gamma1, gamma2):

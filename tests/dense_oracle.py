@@ -1,5 +1,5 @@
 """The dense trace-operator path, kept for the tests as the reference of
-operator_analysis.mode_study.
+spectral.mode_study.
 
 Each strip's Dirichlet-to-Neumann map is built as a dense matrix from the
 strip's own Neumann solver, without the sine basis: the inverse of its
@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from robinlab.dd_solvers import DDParams
 from robinlab.grid_fem import SubdomainSystem
-from robinlab.operator_analysis import EquivalenceBounds, _recommended_params
-from robinlab.spectral import robin_factor
+from robinlab.spectral import DDParams, EquivalenceBounds, _recommended_params, robin_factor
 
 
 @dataclass

@@ -22,8 +22,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse.linalg
 
-from robinlab.dd_solvers import DDParams, DDReport
+from robinlab.dd_solvers import DDReport
 from robinlab.grid_fem import SubdomainSystem
+from robinlab.spectral import DDParams
 from robin_oracle import strip_stiffness
 
 

@@ -12,7 +12,8 @@ Robin solvers and the closed-form sweep against it.
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from robinlab.grid_fem import Tridiagonal, strip_matrix
+from robinlab.grid_fem import strip_matrix
+from robinlab.spectral import Tridiagonal
 
 
 def strip_stiffness(grid, n_cols=None, clamped=False):

@@ -35,7 +35,7 @@ from dense_oracle import (
     symmetrized_T,
 )
 from jacobi_oracle import power_spectral_radius
-from robinlab.operator_analysis import offcenter_columns
+from robinlab.grid_fem import offcenter_columns
 from robinlab.spectral import (
     COTH_1,
     bound_margins,

@@ -13,8 +13,7 @@ from robinlab import (DDParams, Tridiagonal,
 from robinlab import dd_solvers, grid_fem
 from robinlab.dd_solvers import robin_robin_physical_solve
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import StripSolver
-from robinlab.operator_analysis import offcenter_columns
+from robinlab.grid_fem import StripSolver, offcenter_columns
 from robinlab.spectral import sine_basis_matrix
 from dn_oracle import dirichlet_neumann_oracle, per_row_reduction_rate
 from symbol_oracle import mp_load_trace_modes

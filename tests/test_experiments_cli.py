@@ -21,7 +21,6 @@ from robinlab import (
     split_modes,
 )
 from robinlab.cli import build_parser, cli_main
-from robinlab.grid_fem import Tridiagonal
 from robinlab.experiments import (
     DEEP_N_LIST,
     DEFAULT_N_LIST,
@@ -40,6 +39,7 @@ from robinlab.experiments import (
     run_table3,
     run_von_neumann,
 )
+from robinlab.spectral import Tridiagonal
 from robin_oracle import strip_stiffness
 
 THETA_STAR = 3.0 / 7.0
@@ -561,6 +561,18 @@ def test_cli_import_leaves_module_unloaded(module):
     assert not _cli_import_loads(module)
 
 
+def test_cli_import_loads_the_package_chain_and_no_scipy():
+    # the package is one chain of five modules under robinlab itself
+    # (tests/test_layering.py), and none of them imports scipy at the top
+    script = ("import sys, robinlab.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('robinlab', 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    want = ["robinlab"] + [f"robinlab.{name}" for name in
+                           ("cli", "dd_solvers", "experiments", "grid_fem", "spectral")]
+    assert (done.stdout, done.stderr) == (f"{want}\n", "")
+
+
 @pytest.mark.parametrize("args", [
     ["operator", "--n", "8,16,24"], ["spectrum"], ["von-neumann"],
     # the mode sweeps read each strip's load modes in closed form
@@ -974,7 +986,7 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     which includes n = 1, where both splits are (1, 1), and the
     one-column strips, and `table2` a left and a right strip per mesh.
     The three `operator` files now come from the per-mode study
-    (operator_analysis.mode_study), which prints the bytes of the dense
+    (spectral.mode_study), which prints the bytes of the dense
     path in dense_oracle.py.
     The file of `table3 --n 1,2,5 --theta 0.25,0.3,0.45` pins the reading
     of the Neumann step that the sweep runs: the one that solves the

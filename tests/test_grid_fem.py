@@ -8,8 +8,8 @@ import scipy.io
 from robinlab import (Tridiagonal, assemble_interface_mass, assemble_load, build_grid,
                       build_subdomain_system, fd_eigenvalue)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import TRI_DEGREE6, strip_matrix, write_matrix_market
-from robinlab.operator_analysis import offcenter_columns
+from robinlab.grid_fem import (TRI_DEGREE6, offcenter_columns, strip_matrix,
+                               write_matrix_market)
 from robinlab.spectral import sine_basis_matrix
 from p1_oracle import (_quadrature_load, assemble_p1_forms, global_poisson_system,
                        global_triangles, strip_triangles)
@@ -94,6 +94,16 @@ def test_strip_width_must_fit_the_square(side):
     for k in (0, 4, 2.5):
         with pytest.raises(ValueError, match="n_cols must be an integer in 1..3"):
             build_subdomain_system(grid, f, side, n_cols=k)
+
+
+def test_integer_past_largest_float_is_rejected():
+    # a width or n past the largest float is checked without converting it
+    # to float, which would raise OverflowError
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        build_grid(10 ** 400)
+    _, f = manufactured_solution()
+    with pytest.raises(ValueError, match="n_cols must be an integer in 1..3"):
+        build_subdomain_system(build_grid(2), f, "left", 10 ** 400)
 
 
 def test_tridiagonal_against_dense():

@@ -10,9 +10,8 @@ from dense_oracle import (DtNOperator, build_iteration_operator, dtn_schur,
                           params_from_bounds, symmetrized_T)
 from robinlab import (DDParams, SubdomainSystem, build_grid, build_subdomain_system,
                       omega, reduction_spectrum, robin_robin_solve, split_modes)
-from robinlab.grid_fem import Tridiagonal
-from robinlab.operator_analysis import mode_study, offcenter_columns
-from robinlab.spectral import mode_arrays
+from robinlab.grid_fem import offcenter_columns
+from robinlab.spectral import Tridiagonal, mode_arrays, mode_study
 
 
 def zero_field(x, y):

@@ -7,9 +7,8 @@ from dense_oracle import dtn_schur
 from robinlab import (DDParams, assemble_global_solution, build_grid,
                       build_subdomain_system, dirichlet_neumann_solve)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import StripSolver, Tridiagonal
-from robinlab.operator_analysis import offcenter_columns
-from robinlab.spectral import sine_basis_matrix, strip_symbol
+from robinlab.grid_fem import StripSolver, offcenter_columns
+from robinlab.spectral import Tridiagonal, sine_basis_matrix, strip_symbol
 from p1_oracle import global_poisson_system
 from robin_oracle import add_interface_tridiagonal, strip_stiffness
 from symbol_oracle import interface_symbol
