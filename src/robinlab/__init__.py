@@ -11,8 +11,7 @@ from .dd_solvers import (DDReport, assemble_global_solution,
                          dirichlet_neumann_solve, error_norms,
                          measured_reduction_rate, robin_robin_solve)
 from .experiments import ExperimentConfig, TableResult, manufactured_solution, run
-from .grid_fem import (GridSpec, SubdomainSystem, assemble_interface_mass,
-                       assemble_load, build_grid, build_subdomain_system)
+from .grid_fem import GridSpec, SubdomainSystem, assemble_load, build_grid, build_subdomain_system
 from .spectral import (BoundMargins, DDParams, EquivalenceBounds, Tridiagonal,
                        bound_margins, corollary_rate, fd_eigenvalue, omega,
                        omega_max, reduction_spectrum, split_modes, strip_symbol,

@@ -92,7 +92,7 @@ def cli_main(argv=None) -> int:
     try:
         if dump_dir:
             os.makedirs(dump_dir, exist_ok=True)
-            for n in config.grids():
+            for n in config.n_list:
                 grid_fem.write_strip_matrices(grid_fem.build_grid(n), dump_dir)
         out = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:

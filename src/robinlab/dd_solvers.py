@@ -28,8 +28,9 @@ the per-mode sweeps (_mode_iterate).  The physical loop runs one sweep
 per block, since a sweep past the stop would cost two strip solves and
 change the strips it returns.  The report (DDReport) builds the trace
 history and the measured rate from the states when they are first read.
-The sweep parameters (DDParams) and the mass Tridiagonal come from
-spectral, which every layer reads.
+The rate's mass norm follows from the traces' width, so no sweep hands
+a mass along.  The sweep parameters (DDParams) come from spectral, which
+every layer reads.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class DDReport:
     (max_iter sweeps ran) or "non_finite".  The rest is built from the
     states on its first read only, so a caller pays for what it reads:
     interface_trace_history is to_trace(states), the interface trace of
-    every state; reduction_rate is its measured geometric-mean contraction
-    factor in the mass norm, or None when fewer than 4 sweeps ran; and
+    every state; reduction_rate is its measured_reduction_rate, or None
+    when fewer than 4 sweeps ran; and
     solution_u and solution_w, the left and right strip solutions of the
     last sweep, are strips(states).
     """
@@ -64,7 +65,6 @@ class DDReport:
     states: np.ndarray = field(repr=False, compare=False)
     stop_reason: str
     to_trace: Callable = field(repr=False, compare=False)
-    mass: Tridiagonal = field(repr=False, compare=False)
     strips: Callable = field(repr=False, compare=False)
 
     iterations = property(lambda self: len(self.states) - 1)
@@ -81,7 +81,7 @@ class DDReport:
     def reduction_rate(self) -> Optional[float]:
         if self.iterations < 4:
             return None
-        return measured_reduction_rate(self.interface_trace_history, self.mass)
+        return measured_reduction_rate(self.interface_trace_history)
 
     @cached_property
     def _solutions(self):
@@ -125,7 +125,7 @@ def robin_robin_solve(left: SubdomainSystem, right: SubdomainSystem,
         B2 = gsum * (right.load_modes / (sigma2 + params.gamma2 * mu))
         alpha = robin_factor(sigma2, mu, params.gamma2, params.gamma1) * B1 + B2
         beta = -split.cj_values(params.gamma1, params.gamma2)
-    return _mode_iterate(alpha, beta, V @ g1, params, left.interface_mass,
+    return _mode_iterate(alpha, beta, V @ g1, params,
                          lambda states: _robin_solves(left, right, params)(V @ states[-2])[:2])
 
 
@@ -148,7 +148,7 @@ def robin_robin_physical_solve(left: SubdomainSystem, right: SubdomainSystem,
         return last[2]
 
     return _iterate(sweep, np.zeros(left.grid.n_interface), lambda g: g, params,
-                    left.interface_mass, lambda states: last[:2], itertools.repeat(1))
+                    lambda states: last[:2], itertools.repeat(1))
 
 
 def _robin_solves(left: SubdomainSystem, right: SubdomainSystem, params: DDParams):
@@ -210,7 +210,7 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
         u[-m:] = V @ states[-1]
         return u, right.solver(0.0).solve(w)
 
-    return _mode_iterate(alpha, beta, np.zeros(m), params, left.interface_mass, strips)
+    return _mode_iterate(alpha, beta, np.zeros(m), params, strips)
 
 
 def _check_split(left: SubdomainSystem, right: SubdomainSystem) -> SplitModes:
@@ -221,19 +221,17 @@ def _check_split(left: SubdomainSystem, right: SubdomainSystem) -> SplitModes:
     return split_modes(left.grid.n_interface, left.n_cols, right.n_cols)
 
 
-def _mode_iterate(alpha, beta, state, params: DDParams, mass: Tridiagonal,
-                  strips) -> DDReport:
+def _mode_iterate(alpha, beta, state, params: DDParams, strips) -> DDReport:
     """_iterate on sine coefficients c with the sweep
     c <- theta c + (1 - theta)(alpha - beta c) and the traces V c, in
     blocks of 8, 16, 32, ... sweeps."""
     V = sine_basis_matrix(len(state))
     return _iterate(lambda c: params.theta * c + (1.0 - params.theta) * (alpha - beta * c),
-                    state, lambda C: C @ V, params, mass, strips,
+                    state, lambda C: C @ V, params, strips,
                     (8 << k for k in itertools.count()))
 
 
-def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,
-             strips, block_sizes) -> DDReport:
+def _iterate(sweep, state, to_trace, params: DDParams, strips, block_sizes) -> DDReport:
     """Run state <- sweep(state) until the sup-norm of to_trace(new - old)
     drops below params.stop_tol (converged), turns non-finite, or
     params.max_iter sweeps have run.
@@ -267,24 +265,29 @@ def _iterate(sweep, state, to_trace, params: DDParams, mass: Tridiagonal,
             if done == params.max_iter:
                 break
     return DDReport(states=np.concatenate(blocks), stop_reason=reason, to_trace=to_trace,
-                    mass=mass, strips=strips)
+                    strips=strips)
 
 
-def measured_reduction_rate(history, mass: Tridiagonal) -> float:
+def measured_reduction_rate(history) -> float:
     """Geometric-mean contraction factor of a trace history's updates.
 
-    Uses the mass norm of the differences of successive rows and averages
-    the ratios over the last half of the history, where the dominant mode
-    has taken over.  A non-finite norm there (a diverged run) reports nan;
-    ratios spoilt by a zero norm (an exactly converged tail) are dropped,
-    and an all-zero tail reports 0.
+    history holds one trace per row.  The differences of successive rows
+    are measured in the interface mass norm, whose mass is
+    Tridiagonal.interface_mass(m) for traces on m nodes, and their
+    ratios averaged over the last half of the history, where the dominant
+    mode has taken over.  A non-finite norm there (a diverged run) reports
+    nan; ratios spoilt by a zero norm (an exactly converged tail) are
+    dropped, and an all-zero tail reports 0.
     """
     H = np.asarray(history, dtype=float)
+    if H.ndim != 2:
+        raise ValueError(f"history must be 2-D, one trace per row; got {H.ndim} dimensions")
     if len(H) < 5:
         raise ValueError("need at least 4 sweeps (5 traces) to measure a rate")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diffs = H[1:] - H[:-1]
-        squares = np.einsum("ij,ij->i", diffs, mass.matvec(diffs))
+        squares = np.einsum("ij,ij->i", diffs,
+                            Tridiagonal.interface_mass(H.shape[1]).matvec(diffs))
         norms = np.sqrt(np.maximum(squares, 0.0))
         ratios = norms[1:] / norms[:-1]
     start = (len(norms) - 1) // 2

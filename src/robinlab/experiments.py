@@ -56,6 +56,8 @@ class ExperimentConfig:
     "scale_inv_h" (gamma2 = gamma2_coefficient / h).  theta_list defaults
     depend on the table; n_list entries are strip widths n with h = 1/(2n).
     For the von_neumann driver the n_list entries are read as band limits K.
+    deep appends DEEP_N_LIST to n_list, and a repeated entry is kept once,
+    so n_list is the list every driver runs.
     """
 
     table: str
@@ -76,6 +78,7 @@ class ExperimentConfig:
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be a nonempty list of positive integers")
+        self.n_list = tuple(dict.fromkeys(self.n_list + (DEEP_N_LIST if self.deep else ())))
         if self.gamma2_rule not in ("constant", "scale_inv_h"):
             raise ValueError(f"unknown gamma2_rule {self.gamma2_rule!r}")
         if self.theta_list is None:
@@ -87,7 +90,7 @@ class ExperimentConfig:
         if self.table == "table1" and len(self.theta_list) > 1:
             raise ValueError(f"table1 runs one theta, got {len(self.theta_list)} in theta_list")
         # DDParams checks the weights, damping and stopping controls
-        for n in self.grids():
+        for n in self.n_list:
             for theta in self.theta_list:
                 self.params(n, theta)
 
@@ -99,10 +102,6 @@ class ExperimentConfig:
     def params(self, n: int, theta: float) -> DDParams:
         return DDParams(gamma1=self.gamma1, gamma2=self.gamma2(n), theta=theta,
                         stop_tol=self.stop_tol, max_iter=self.max_iter)
-
-    def grids(self):
-        ns = self.n_list + (DEEP_N_LIST if self.deep else ())
-        return tuple(dict.fromkeys(ns))
 
 
 @dataclass
@@ -156,13 +155,16 @@ def render(result: TableResult, output_format: str) -> str:
     return format_csv(result)
 
 
-def _solve_pair(config, n, theta):
-    grid = build_grid(n)
+def _manufactured_strips(grid):
+    """The left and right strips of the symmetric split of grid, loaded by
+    the manufactured right-hand side."""
     _, f = manufactured_solution()
-    left = build_subdomain_system(grid, f, "left")
-    right = build_subdomain_system(grid, f, "right")
-    report = robin_robin_physical_solve(left, right, config.params(n, theta))
-    return grid, report
+    return build_subdomain_system(grid, f, "left"), build_subdomain_system(grid, f, "right")
+
+
+def _count_cell(report):
+    """A run's sweep count, starred when the run did not converge."""
+    return str(report.iterations) if report.converged else f"{report.iterations}*"
 
 
 def run_table1(config: ExperimentConfig) -> TableResult:
@@ -173,8 +175,10 @@ def run_table1(config: ExperimentConfig) -> TableResult:
     rows = []
     all_converged = True
     prev = None
-    for n in config.grids():
-        grid, report = _solve_pair(config, n, theta)
+    for n in config.n_list:
+        grid = build_grid(n)
+        # the strips are freed once solved; the report holds their solutions
+        report = robin_robin_physical_solve(*_manufactured_strips(grid), config.params(n, theta))
         u_h = assemble_global_solution(grid, report.solution_u, report.solution_w)
         l2, h1 = error_norms(grid, u_h, u)
         order_l2 = order_h1 = None
@@ -183,9 +187,8 @@ def run_table1(config: ExperimentConfig) -> TableResult:
             order_l2 = math.log(prev[1] / l2) / h_ratio
             order_h1 = math.log(prev[2] / h1) / h_ratio
         prev = (grid.h, l2, h1)
-        count = str(report.iterations) if report.converged else f"{report.iterations}*"
         all_converged &= report.converged
-        rows.append([f"1/{2 * n}", l2, order_l2, h1, order_h1, count])
+        rows.append([f"1/{2 * n}", l2, order_l2, h1, order_h1, _count_cell(report)])
     return TableResult(
         columns=["h", "||u_I-u_h||_L2", "h^n", "|u_I-u_h|_H1", "h^n", "#DD"],
         rows=rows,
@@ -211,7 +214,7 @@ def run_table2(config: ExperimentConfig) -> TableResult:
     thetas = config.theta_list
     rows = []
     all_converged = True
-    for n in config.grids():
+    for n in config.n_list:
         grid = build_grid(n)
         # a zero load needs no quadrature, and the two strips are the same one
         strip = SubdomainSystem(grid, n, np.zeros(n * grid.n_interface))
@@ -241,19 +244,15 @@ def run_table2(config: ExperimentConfig) -> TableResult:
 def run_table3(config: ExperimentConfig) -> TableResult:
     """Sweep counts of the damped Dirichlet-Neumann baseline over a theta
     grid.  Runs that hit max_iter are capped and marked with a star."""
-    _, f = manufactured_solution()
     rows = []
     all_converged = True
-    for n in config.grids():
-        grid = build_grid(n)
-        left = build_subdomain_system(grid, f, "left")
-        right = build_subdomain_system(grid, f, "right")
+    for n in config.n_list:
+        left, right = _manufactured_strips(build_grid(n))
         cells = [f"1/{2 * n}"]
         for theta in config.theta_list:
             report = dirichlet_neumann_solve(left, right, config.params(n, theta))
             all_converged &= report.converged
-            cells.append(str(report.iterations) if report.converged
-                         else f"{report.iterations}*")
+            cells.append(_count_cell(report))
         rows.append(cells)
     return TableResult(
         columns=["h"] + [f"theta={t:.4g}" for t in config.theta_list],
@@ -267,7 +266,7 @@ def run_spectrum(config: ExperimentConfig) -> TableResult:
     """Per-mode coefficients and damped eigenvalues of the double sweep,
     one block of per-mode rows for each (mesh, theta) pair."""
     rows = []
-    for n in config.grids():
+    for n in config.n_list:
         _, _, a, b = spectral.mode_arrays(n)
         split = spectral.split_modes(2 * n - 1, n, n)
         for theta in config.theta_list:
@@ -287,7 +286,7 @@ def run_von_neumann(config: ExperimentConfig) -> TableResult:
     """Half-plane advisor check: for each band limit K (taken from n_list)
     pick (gamma2, theta), then verify the damped factor over the band."""
     rows = []
-    for K in config.grids():
+    for K in config.n_list:
         gamma2, theta, bound = spectral.von_neumann_advisor(K, config.gamma1)
         k = np.arange(1, K + 1)
         worst = float(np.abs(spectral.von_neumann_rho(k, config.gamma1, gamma2, theta)).max())
@@ -310,7 +309,7 @@ def run_operator(config: ExperimentConfig) -> TableResult:
     keep them as the reference."""
     rows = []
     ok = True
-    for n in config.grids():
+    for n in config.n_list:
         grid = build_grid(n)
         for label, split in (("half", (n, n)), ("third", offcenter_columns(grid))):
             bounds, params, radius = spectral.mode_study(grid, *split)

@@ -13,9 +13,11 @@ from x = 1 leftward), which makes the two subdomain matrices identical
 entry by entry.
 
 A grid (GridSpec) is its n alone, checked by build_grid.  The
-constant-coefficient blocks (spectral.Tridiagonal) and the interface mass
-(Tridiagonal.interface_mass) come from spectral, the package's leaf, so
-the split descriptions there read the same mass.
+constant-coefficient blocks (spectral.Tridiagonal) come from spectral, the
+package's leaf, and so does the interface mass: it depends on the number
+of interface nodes alone, so a strip (SubdomainSystem.interface_mass),
+the split descriptions and the rate measurement all read
+Tridiagonal.interface_mass of that number.
 
 Strip loads are summed on the node lattice by shifted slice adds, from
 O(n_cols + n) load values per quadrature point.  A SubdomainSystem holds
@@ -86,11 +88,6 @@ def offcenter_columns(grid: GridSpec):
 def _check_side(side):
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-
-
-def assemble_interface_mass(grid: GridSpec) -> Tridiagonal:
-    """Interface mass matrix (h/6) tridiag(1, 4, 1) on the 2n-1 trace nodes."""
-    return Tridiagonal.interface_mass(grid.n_interface)
 
 
 def strip_matrix(n_cols: int, last_block: Tridiagonal):
@@ -284,7 +281,7 @@ class SubdomainSystem:
 
     @property
     def interface_mass(self) -> Tridiagonal:
-        return assemble_interface_mass(self.grid)
+        return Tridiagonal.interface_mass(self.grid.n_interface)
 
     def interface_block(self, gamma: float = 0.0) -> Tridiagonal:
         """The interface column's block A_GG of the stiffness plus gamma
@@ -327,7 +324,7 @@ def write_strip_matrices(grid: GridSpec, directory):
     for name, A, what in (
             ("a0", strip_matrix(n, Tridiagonal(m, 4.0, -1.0)), "clamped strip five-point matrix"),
             ("stiffness", strip_matrix(n, neumann), "free-interface strip stiffness"),
-            ("interface_mass", strip_matrix(1, assemble_interface_mass(grid)), "interface mass"),
+            ("interface_mass", strip_matrix(1, Tridiagonal.interface_mass(m)), "interface mass"),
             ("interface_stiffness", strip_matrix(1, neumann), "interface coupling")):
         write_matrix_market(os.path.join(directory, f"{name}_n{n}.mtx"), A,
                             comment=f"{what}, n={n}")

@@ -24,7 +24,7 @@ import scipy.sparse.linalg
 
 from robinlab.dd_solvers import DDReport
 from robinlab.grid_fem import SubdomainSystem
-from robinlab.spectral import DDParams
+from robinlab.spectral import DDParams, Tridiagonal
 from robin_oracle import strip_stiffness
 
 
@@ -90,8 +90,7 @@ def dirichlet_neumann_oracle(left: SubdomainSystem, right: SubdomainSystem,
             stop_reason = "tol"
             break
     return OracleReport(states=np.asarray(history), stop_reason=stop_reason,
-                        to_trace=lambda H: H, mass=left.interface_mass,
-                        strips=lambda _: (u, wt))
+                        to_trace=lambda H: H, strips=lambda _: (u, wt))
 
 
 class OracleReport(DDReport):
@@ -101,7 +100,9 @@ class OracleReport(DDReport):
     def reduction_rate(self):
         if self.iterations < 4:
             return None
-        return per_row_reduction_rate(self.interface_trace_history, self.mass)
+        width = self.interface_trace_history.shape[1]
+        return per_row_reduction_rate(self.interface_trace_history,
+                                      Tridiagonal.interface_mass(width))
 
 
 def per_row_reduction_rate(history, mass) -> float:

@@ -185,9 +185,9 @@ def test_block_driver_matches_per_sweep_loop(n, monkeypatch):
     runs = []
     mode_iterate = dd_solvers._mode_iterate
 
-    def keep_args(alpha, beta, state, params, mass, strips):
+    def keep_args(alpha, beta, state, params, strips):
         runs.append((alpha, beta, state, params))
-        return mode_iterate(alpha, beta, state, params, mass, strips)
+        return mode_iterate(alpha, beta, state, params, strips)
 
     monkeypatch.setattr(dd_solvers, "_mode_iterate", keep_args)
 
@@ -414,23 +414,40 @@ def test_measured_rates_on_manufactured_problem():
 
 
 def test_measured_rate_synthetic_histories():
-    mass = Tridiagonal(1, 1.0 / 3.0, 0.0)
+    # one-node traces, whose mass is the 1 x 1 matrix [1/3]
+    assert np.array_equal(Tridiagonal.interface_mass(1).to_dense(), [[1.0 / 3.0]])
     geometric = np.array([[0.5 ** m] for m in range(7)])
-    assert measured_reduction_rate(geometric, mass) == pytest.approx(0.5, abs=1e-12)
+    assert measured_reduction_rate(geometric) == pytest.approx(0.5, abs=1e-12)
     # an exactly converged tail leaves no usable ratios
     flat = np.array([[1.0], [0.5], [0.25], [0.25], [0.25]])
-    assert measured_reduction_rate(flat, mass) == 0.0
+    assert measured_reduction_rate(flat) == 0.0
     # three sweeps (four traces) are too few
     with pytest.raises(ValueError):
-        measured_reduction_rate(geometric[:4], mass)
+        measured_reduction_rate(geometric[:4])
+    # a 1-D or 3-D history has no trace width to take the mass from
+    for history in (geometric.ravel(), geometric[:, :, None]):
+        with pytest.raises(ValueError, match="one trace per row"):
+            measured_reduction_rate(history)
 
 
 def test_measured_rate_non_finite_tail_is_nan():
-    mass = Tridiagonal(1, 1.0 / 3.0, 0.0)
     for bad in (np.nan, np.inf):
         history = np.array([[1.0], [0.5], [0.25], [0.125], [bad]])
         with np.errstate(invalid="ignore"):
-            assert np.isnan(measured_reduction_rate(history, mass))
+            assert np.isnan(measured_reduction_rate(history))
+
+
+@pytest.mark.parametrize("m", [3, 143])
+def test_measured_rate_uses_the_interface_mass_of_the_trace_width(m):
+    # the same rate from the norms of the dense mass of m nodes
+    rng = np.random.default_rng(m)
+    H = np.cumsum(rng.standard_normal((9, m)) * 0.6 ** np.arange(9)[:, None], axis=0)
+    M = Tridiagonal.interface_mass(m).to_dense()
+    D = np.diff(H, axis=0)
+    norms = np.sqrt(np.einsum("ij,jk,ik->i", D, M, D))
+    ratios = norms[1:] / norms[:-1]
+    want = np.exp(np.mean(np.log(ratios[(len(norms) - 1) // 2:])))
+    assert measured_reduction_rate(H) == pytest.approx(want, rel=1e-14)
 
 
 def test_converged_solution_solves_global_system():

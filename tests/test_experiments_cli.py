@@ -14,7 +14,7 @@ import scipy.io
 import robinlab
 from robinlab import (
     DDParams,
-    assemble_interface_mass,
+    Tridiagonal,
     build_grid,
     corollary_rate,
     reduction_spectrum,
@@ -113,8 +113,8 @@ def test_config_params_passthrough():
 
 
 def test_config_grids_dedup_and_deep():
-    assert ExperimentConfig(table="table2", n_list=(2, 36, 2)).grids() == (2, 36)
-    deep = ExperimentConfig(table="table2", n_list=(2, 36), deep=True).grids()
+    assert ExperimentConfig(table="table2", n_list=(2, 36, 2)).n_list == (2, 36)
+    deep = ExperimentConfig(table="table2", n_list=(2, 36), deep=True).n_list
     assert deep == (2,) + DEEP_N_LIST
     assert DEEP_N_LIST == (36, 144, 576)
 
@@ -740,7 +740,7 @@ def test_cli_matrix_dumps_load_back(tmp_path, capsys):
                      "interface_stiffness_n2.mtx", "stiffness_n2.mtx"]
     grid = build_grid(2)
     for name, expected in (
-        ("interface_mass_n2.mtx", assemble_interface_mass(grid).to_dense()),
+        ("interface_mass_n2.mtx", Tridiagonal.interface_mass(grid.n_interface).to_dense()),
         ("a0_n2.mtx", strip_stiffness(grid, clamped=True).toarray()),
         ("stiffness_n2.mtx", strip_stiffness(grid).toarray()),
         ("interface_stiffness_n2.mtx", Tridiagonal(3, 2.0, -0.5).to_dense()),

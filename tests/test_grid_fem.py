@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.io
 
-from robinlab import (Tridiagonal, assemble_interface_mass, assemble_load, build_grid,
-                      build_subdomain_system, fd_eigenvalue)
+from robinlab import (Tridiagonal, assemble_load, build_grid, build_subdomain_system,
+                      fd_eigenvalue)
 from robinlab.experiments import manufactured_solution
 from robinlab.grid_fem import (TRI_DEGREE6, offcenter_columns, strip_matrix,
                                write_matrix_market)
@@ -115,8 +115,9 @@ def test_tridiagonal_against_dense():
 
 
 def test_interface_mass_entries():
-    assert np.array_equal(assemble_interface_mass(build_grid(1)).to_dense(), [[1.0 / 3.0]])
-    M = assemble_interface_mass(build_grid(2))
+    assert np.array_equal(Tridiagonal.interface_mass(build_grid(1).n_interface).to_dense(),
+                          [[1.0 / 3.0]])
+    M = Tridiagonal.interface_mass(build_grid(2).n_interface)
     assert M.diag == pytest.approx(1.0 / 6.0)
     assert M.off == pytest.approx(1.0 / 24.0)
     # interior row sum equals the mesh width
@@ -143,7 +144,7 @@ def test_interface_matrices_diagonalized_by_sine_basis():
     h = grid.h
     lam = np.array([fd_eigenvalue(j, m) for j in range(1, m + 1)])
     phi = sine_basis_matrix(m).T  # modes as columns
-    M = assemble_interface_mass(grid).to_dense()
+    M = Tridiagonal.interface_mass(grid.n_interface).to_dense()
     A = neumann_block(grid).to_dense()
     assert np.abs(phi.T @ M @ phi - np.diag(h - (h / 6.0) * lam)).max() < 1e-12
     assert np.abs(phi.T @ A @ phi - np.diag(1.0 + 0.5 * lam)).max() < 1e-12
@@ -218,7 +219,8 @@ def test_robin_matrix_positive_definite():
     stiffness = strip_stiffness(grid)
     rng = np.random.default_rng(1)
     for gamma in (1e-3, 1.0, 1e3):
-        A = add_interface_tridiagonal(stiffness, assemble_interface_mass(grid), gamma)
+        A = add_interface_tridiagonal(stiffness, Tridiagonal.interface_mass(grid.n_interface),
+                                      gamma)
         dense = A.toarray()
         assert np.abs(dense - dense.T).max() < 1e-13
         for _ in range(20):
@@ -388,7 +390,7 @@ def test_matrix_market_round_trip(tmp_path):
     write_matrix_market(path, A, comment="strip stiffness")
     back = scipy.io.mmread(str(path))
     assert np.abs(back.toarray() - A.toarray()).max() < 1e-12
-    tri = assemble_interface_mass(grid)
+    tri = Tridiagonal.interface_mass(grid.n_interface)
     path2 = tmp_path / "m.mtx"
     write_matrix_market(path2, strip_matrix(1, tri))
     back2 = scipy.io.mmread(str(path2))

@@ -18,9 +18,9 @@ def test_jacobi_two_by_two_swap():
 
 
 def test_jacobi_interface_mass_closed_form():
-    from robinlab import assemble_interface_mass, fd_eigenvalue
+    from robinlab import Tridiagonal, fd_eigenvalue
     grid = build_grid(2)
-    M = assemble_interface_mass(grid).to_dense()
+    M = Tridiagonal.interface_mass(grid.n_interface).to_dense()
     w, _ = jacobi_symmetric_eigen(M)
     h = grid.h
     want = np.sort([h - (h / 6.0) * fd_eigenvalue(j, 3) for j in (1, 2, 3)])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from robinlab import (DDParams, assemble_interface_mass, bound_margins, build_grid,
+from robinlab import (DDParams, Tridiagonal, bound_margins, build_grid,
                       build_subdomain_system, corollary_rate, fd_eigenvalue, omega,
                       omega_max, reduction_spectrum, robin_robin_solve, strip_symbol,
                       theta_star, von_neumann_advisor, von_neumann_rho)
@@ -235,8 +235,9 @@ def test_split_mu_is_the_interface_mass_spectrum_bit_for_bit():
     for n in (*range(1, 301), 576, 1152):
         grid = build_grid(n)
         for k in (n, 1):
+            mass = Tridiagonal.interface_mass(grid.n_interface)
             assert np.array_equal(split_modes(grid.n_interface, k, 2 * n - k).mu,
-                                  assemble_interface_mass(grid).eigenvalues()), (n, k)
+                                  mass.eigenvalues()), (n, k)
 
 
 def test_robin_factor_exact_on_small_integers():
@@ -341,7 +342,7 @@ def test_one_sweep_matrix_diagonalized_by_sine_basis():
     for n in range(1, 9):
         grid = build_grid(n)
         m = grid.n_interface
-        mass = assemble_interface_mass(grid)
+        mass = Tridiagonal.interface_mass(grid.n_interface)
         stiffness = strip_stiffness(grid)
         Mg = mass.to_dense()
         for params in (canonical_params(n), DDParams(2.5, 40.0, 0.2)):
