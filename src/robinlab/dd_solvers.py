@@ -26,11 +26,12 @@ under the same silencing), or capped ("cap") at max_iter.  It advances
 in blocks of sweeps (_iterate says how), which double from 8 sweeps for
 the per-mode sweeps (_mode_iterate).  The physical loop runs one sweep
 per block, since a sweep past the stop would cost two strip solves and
-change the strips it returns.  The report (DDReport) builds the trace
-history and the measured rate from the states when they are first read.
-The rate's mass norm follows from the traces' width, so no sweep hands
-a mass along.  The sweep parameters (DDParams) come from spectral, which
-every layer reads.
+change the strips it returns.  The report (DDReport) keeps the states
+as they ran: sine coefficients for the mode sweeps, traces for the
+physical loop.  measured_reduction_rate measures a mode sweep's steps
+on their sine coefficients, in which the interface mass is diagonal, so
+no history is mapped back to traces.  The sweep parameters (DDParams)
+come from spectral, which every layer reads.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -53,36 +54,23 @@ class DDReport:
 
     states has iterations + 1 rows, the initial state plus one per sweep,
     and stop_reason says why the run stopped: "tol" (converged), "cap"
-    (max_iter sweeps ran) or "non_finite".  The rest is built from the
-    states on its first read only, so a caller pays for what it reads:
-    interface_trace_history is to_trace(states), the interface trace of
-    every state; reduction_rate is its measured_reduction_rate, or None
-    when fewer than 4 sweeps ran; and
-    solution_u and solution_w, the left and right strip solutions of the
-    last sweep, are strips(states).
+    (max_iter sweeps ran) or "non_finite".  robin_robin_solve and
+    dirichlet_neumann_solve keep the sine coefficients of the interface
+    trace, so states @ sine_basis_matrix(m) are the traces on m nodes and
+    measured_reduction_rate(states) is the run's contraction;
+    robin_robin_physical_solve keeps the traces themselves.  solution_u
+    and solution_w, the left and right strip solutions of the last sweep,
+    are strips(states), solved on their first read only.
     """
 
     states: np.ndarray = field(repr=False, compare=False)
     stop_reason: str
-    to_trace: Callable = field(repr=False, compare=False)
     strips: Callable = field(repr=False, compare=False)
 
     iterations = property(lambda self: len(self.states) - 1)
     converged = property(lambda self: self.stop_reason == "tol")
 
-    # a diverged run's traces and strips overflow as its sweeps did; its
-    # report says so
-    @cached_property
-    def interface_trace_history(self) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.to_trace(self.states)
-
-    @cached_property
-    def reduction_rate(self) -> Optional[float]:
-        if self.iterations < 4:
-            return None
-        return measured_reduction_rate(self.interface_trace_history)
-
+    # a diverged run's strips overflow as its sweeps did; its report says so
     @cached_property
     def _solutions(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -186,8 +174,8 @@ def dirichlet_neumann_solve(left: SubdomainSystem, right: SubdomainSystem,
     trace of N_i F_i, whose sine coefficients are
     t^_i = strip_i.load_modes / sigma_i, the left residual flux less F1_G
     is r = S_1 (w - t_1), so per mode w^ <- alpha - beta w^ with
-    beta = sigma_1 / sigma_2 and alpha = t^_2 + beta t^_1.  The history
-    holds V w^.  From the last sweep's start w, the left strip is N_1 of
+    beta = sigma_1 / sigma_2 and alpha = t^_2 + beta t^_1.  The states
+    are the w^.  From the last sweep's start w, the left strip is N_1 of
     F1 plus r on the interface rows (its trace is w and its interior the
     Dirichlet solve), and the right one N_2 of F2 minus r on them.
     """
@@ -240,8 +228,8 @@ def _iterate(sweep, state, to_trace, params: DDParams, strips, block_sizes) -> D
     yields, the last one cut to max_iter; to_trace maps a block's state
     differences, one per row, to trace differences at once, and the run
     ends at the first row that stops it.  The report keeps every state,
-    initial one included, and maps them to traces with to_trace and to
-    the last sweep's strip solutions with strips when they are first read.
+    initial one included, and maps them to the last sweep's strip
+    solutions with strips when they are first read.
     """
     blocks = [state[None]]
     done, reason = 0, "cap"
@@ -264,31 +252,32 @@ def _iterate(sweep, state, to_trace, params: DDParams, strips, block_sizes) -> D
             done += size
             if done == params.max_iter:
                 break
-    return DDReport(states=np.concatenate(blocks), stop_reason=reason, to_trace=to_trace,
-                    strips=strips)
+    return DDReport(states=np.concatenate(blocks), stop_reason=reason, strips=strips)
 
 
-def measured_reduction_rate(history) -> float:
-    """Geometric-mean contraction factor of a trace history's updates.
+def measured_reduction_rate(states) -> float:
+    """Geometric-mean contraction factor of a mode sweep's steps.
 
-    history holds one trace per row.  The differences of successive rows
-    are measured in the interface mass norm, whose mass is
-    Tridiagonal.interface_mass(m) for traces on m nodes, and their
-    ratios averaged over the last half of the history, where the dominant
+    states holds the sine coefficients of one interface trace per row, as
+    the reports of robin_robin_solve and dirichlet_neumann_solve do.  The
+    steps between successive rows are measured in the interface mass
+    norm.  The mass Tridiagonal.interface_mass(m) of traces on m nodes is
+    diagonal in the sine basis, with eigenvalues mu_j, so a step's squared
+    norm is sum_j mu_j d_j^2 over its coefficients d_j.  The ratios of the
+    norms are averaged over the last half of the run, where the dominant
     mode has taken over.  A non-finite norm there (a diverged run) reports
     nan; ratios spoilt by a zero norm (an exactly converged tail) are
     dropped, and an all-zero tail reports 0.
     """
-    H = np.asarray(history, dtype=float)
-    if H.ndim != 2:
-        raise ValueError(f"history must be 2-D, one trace per row; got {H.ndim} dimensions")
-    if len(H) < 5:
-        raise ValueError("need at least 4 sweeps (5 traces) to measure a rate")
+    C = np.asarray(states, dtype=float)
+    if C.ndim != 2:
+        raise ValueError("states must be 2-D, one trace per row (its sine coefficients); "
+                         f"got {C.ndim} dimensions")
+    if len(C) < 5:
+        raise ValueError("need at least 4 sweeps (5 states) to measure a rate")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        diffs = H[1:] - H[:-1]
-        squares = np.einsum("ij,ij->i", diffs,
-                            Tridiagonal.interface_mass(H.shape[1]).matvec(diffs))
-        norms = np.sqrt(np.maximum(squares, 0.0))
+        diffs = C[1:] - C[:-1]
+        norms = np.sqrt((diffs * diffs) @ Tridiagonal.interface_mass(C.shape[1]).eigenvalues())
         ratios = norms[1:] / norms[:-1]
     start = (len(norms) - 1) // 2
     if not np.isfinite(norms[start:]).all():

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import spectral
 from .dd_solvers import (assemble_global_solution, dirichlet_neumann_solve, error_norms,
-                         robin_robin_physical_solve, robin_robin_solve)
+                         measured_reduction_rate, robin_robin_physical_solve, robin_robin_solve)
 from .grid_fem import SubdomainSystem, build_grid, build_subdomain_system, offcenter_columns
 from .spectral import DDParams, is_integral
 
@@ -204,7 +204,9 @@ def run_table2(config: ExperimentConfig) -> TableResult:
 
     Rates are measured on homogeneous runs (f = 0, exact limit 0) started
     from the slowest interface sine mode, picked per (n, theta) from the
-    closed-form one-sweep spectrum.  Driving the iteration with the worst
+    closed-form one-sweep spectrum, by measured_reduction_rate on the sine
+    coefficients the sweep keeps; a run of fewer than 4 sweeps reads
+    n/a.  Driving the iteration with the worst
     mode makes every trace ratio reflect the contraction factor itself;
     forcing-driven runs underread it when the history is short, because
     the slow mode takes a while to dominate whatever mixture the load
@@ -226,7 +228,7 @@ def run_table2(config: ExperimentConfig) -> TableResult:
             seed = spectral.sine_basis_matrix(grid.n_interface)[np.argmax(np.abs(vals))]
             report = robin_robin_solve(strip, strip, params, g1_init=seed)
             all_converged &= report.converged
-            rate = report.reduction_rate
+            rate = measured_reduction_rate(report.states) if report.iterations >= 4 else None
             if report.converged:
                 cells.append("n/a" if rate is None else rate)
             else:

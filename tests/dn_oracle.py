@@ -4,9 +4,12 @@ robinlab's dirichlet_neumann_solve runs the sweep on the sine coefficients
 of the interface trace and solves no strip inside its loop.  This is the
 sweep as the reference description states it, two strip solves per sweep
 on the physical trace, so the tests can check the mode-space sweep's
-counts, histories, solutions and rates against it.  Its rate is measured
-with one interface-mass form per history row, as robinlab did before it
-batched them.
+counts, histories, solutions and rates against it.  Its report is a
+plain DDReport whose states are traces.  per_row_reduction_rate measures
+a trace history with one interface-mass form per row, and
+per_row_mode_reduction_rate a mode sweep's states with one sum over the
+modes per row, where robinlab's measured_reduction_rate takes all rows
+at once; trace_history maps a mode sweep's states to traces.
 
 The oracle keeps both readings of the Neumann step.  The literal one
 (include_left_interface_load=False) carries only the right-strip load on
@@ -17,14 +20,12 @@ factor the interior block of the assembled stiffness by SuperLU, so they
 share no code with the sweep they check.
 """
 
-from functools import cached_property
-
 import numpy as np
 import scipy.sparse.linalg
 
 from robinlab.dd_solvers import DDReport
 from robinlab.grid_fem import SubdomainSystem
-from robinlab.spectral import DDParams, Tridiagonal
+from robinlab.spectral import DDParams, sine_basis_matrix
 from robin_oracle import strip_stiffness
 
 
@@ -89,27 +90,42 @@ def dirichlet_neumann_oracle(left: SubdomainSystem, right: SubdomainSystem,
         if delta < params.stop_tol:
             stop_reason = "tol"
             break
-    return OracleReport(states=np.asarray(history), stop_reason=stop_reason,
-                        to_trace=lambda H: H, strips=lambda _: (u, wt))
+    return DDReport(states=np.asarray(history), stop_reason=stop_reason,
+                    strips=lambda _: (u, wt))
 
 
-class OracleReport(DDReport):
-    """A DDReport on physical traces whose rate is per_row_reduction_rate's."""
-
-    @cached_property
-    def reduction_rate(self):
-        if self.iterations < 4:
-            return None
-        width = self.interface_trace_history.shape[1]
-        return per_row_reduction_rate(self.interface_trace_history,
-                                      Tridiagonal.interface_mass(width))
+def trace_history(report):
+    """The interface traces of a mode sweep's states, one per row; the
+    states of the physical loop and of the oracle above are their traces."""
+    # a diverged run's traces overflow as its sweeps did
+    with np.errstate(over="ignore", invalid="ignore"):
+        return report.states @ sine_basis_matrix(report.states.shape[1])
 
 
 def per_row_reduction_rate(history, mass) -> float:
-    """measured_reduction_rate with one mass form per history row."""
+    """The rate of a trace history, with one mass form per history row."""
     H = np.asarray(history, dtype=float)
     diffs = H[1:] - H[:-1]
-    norms = np.array([np.sqrt(max(0.0, d @ mass.matvec(d))) for d in diffs])
+    return _rate_of_norms([np.sqrt(max(0.0, d @ mass.matvec(d))) for d in diffs])
+
+
+def per_row_mode_reduction_rate(states, mu) -> float:
+    """The rate of a mode sweep's states, with one sum over the modes of
+    mu_j d_j^2 per step d: the interface mass norm in the sine basis."""
+    C = np.asarray(states, dtype=float)
+    norms = []
+    for d in C[1:] - C[:-1]:
+        square = 0.0
+        for mu_j, d_j in zip(mu, d):
+            square += mu_j * d_j * d_j
+        norms.append(np.sqrt(square))
+    return _rate_of_norms(norms)
+
+
+def _rate_of_norms(norms) -> float:
+    """Geometric mean of the step-norm ratios over the last half of a run,
+    as measured_reduction_rate takes it."""
+    norms = np.asarray(norms)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = norms[1:] / norms[:-1]
     tail = ratios[len(ratios) // 2:]

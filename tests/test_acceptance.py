@@ -44,6 +44,7 @@ from robinlab.spectral import (
     von_neumann_rho,
 )
 from symbol_oracle import von_neumann_rho_product
+from dn_oracle import trace_history
 
 THETA_STAR = 3.0 / 7.0
 
@@ -184,7 +185,7 @@ def _one_sweep_matrix(n):
         g = np.zeros(m)
         g[k] = 1.0
         report = robin_robin_solve(left, right, params, g1_init=g)
-        E[:, k] = report.interface_trace_history[1]
+        E[:, k] = trace_history(report)[1]
     return E
 
 

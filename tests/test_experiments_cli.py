@@ -280,15 +280,15 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     # once per mesh and weight, not once per theta, the zero-load tables
     # sum no load by quadrature, the mode sweeps take a strip's load modes
     # ("modes") once per strip and solve no strip, no table solves a strip
-    # whose result it does not read, and no table transforms a trace
-    # history ("history") or measures a rate ("rate") that it does not print
+    # whose result it does not read, and no table measures a rate ("rate")
+    # that it does not print
     counted = {"stiffness": (robinlab.grid_fem, "strip_matrix"),
                "solver": (robinlab.grid_fem, "StripSolver"),
                "solve": (robinlab.grid_fem.StripSolver, "solve"),
                "load": (robinlab.grid_fem, "assemble_load"),
                "modes": (robinlab.grid_fem, "strip_load_modes"),
-               "rate": (robinlab.dd_solvers, "measured_reduction_rate")}
-    calls = dict.fromkeys([*counted, "history"], 0)
+               "rate": (robinlab.experiments, "measured_reduction_rate")}
+    calls = dict.fromkeys(counted, 0)
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
@@ -298,14 +298,6 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
 
     for name, (owner, attr) in counted.items():
         monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
-
-    class CountingReport(robinlab.dd_solvers.DDReport):
-        # a report whose states-to-traces map counts its calls
-        def __init__(self, **kwargs):
-            super().__init__(**kwargs)
-            self.to_trace = counting("history", self.to_trace)
-
-    monkeypatch.setattr(robinlab.dd_solvers, "DDReport", CountingReport)
 
     def run_counted(runner, **kwargs):
         calls.update(dict.fromkeys(calls, 0))
@@ -318,18 +310,18 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     sweeps = sum(int(row[-1]) for row in result.rows)
     assert sweeps == 13 + 14 + 14
     assert got == {"stiffness": 0, "solver": 6, "solve": 2 * sweeps, "load": 6, "modes": 0,
-                   "rate": 0, "history": 0}
+                   "rate": 0}
     # one zero-load strip per mesh serves as both strips of all seven
     # thetas, and its load modes serve both weights; each of the 14 runs
-    # transforms its history once to measure its rate
+    # measures its rate once
     assert run_counted(run_table2, table="table2", n_list=(2, 6))[0] == {
         "stiffness": 0, "solver": 0, "solve": 0, "load": 0, "modes": 2,
-        "rate": 14, "history": 14}
+        "rate": 14}
     # one load and one set of load modes per strip and mesh, shared by
     # all eight thetas; the table prints sweep counts only
     assert run_counted(run_table3, table="table3", n_list=(2, 6), max_iter=50)[0] == {
         "stiffness": 0, "solver": 0, "solve": 0, "load": 4, "modes": 4,
-        "rate": 0, "history": 0}
+        "rate": 0}
     # the operator study reads the strip symbols mode by mode: no strip
     # and no solver, at n = 1 (both splits (1, 1)) too
     nothing = dict.fromkeys(calls, 0)
@@ -337,24 +329,19 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     assert run_counted(run_operator, table="operator", n_list=(1, 2, 3))[0] == nothing
 
     # a mode-sweep report recovers its strips, one solve each, on the first
-    # read of solution_u or solution_w, and keeps them; it transforms its
-    # history and measures its rate on their first read, and keeps them
+    # read of solution_u or solution_w, and keeps them
     _, f = manufactured_solution()
     grid = build_grid(6)
     left = robinlab.build_subdomain_system(grid, f, "left")
     right = robinlab.build_subdomain_system(grid, f, "right")
     for solve in (robinlab.robin_robin_solve, robinlab.dirichlet_neumann_solve):
-        calls.update(solve=0, rate=0, history=0)
+        calls.update(solve=0)
         report = solve(left, right, DDParams(1.0, 64.0 * 12, 3.0 / 7.0, max_iter=50))
         assert calls["solve"] == 0
         u = report.solution_u
         assert calls["solve"] == 2
         assert report.solution_w is report.solution_w and report.solution_u is u
         assert calls["solve"] == 2
-        rate = report.reduction_rate
-        assert report.reduction_rate == rate and report.interface_trace_history is \
-            report.interface_trace_history
-        assert (calls["rate"], calls["history"]) == (1, 1)
 
 
 def test_each_split_formed_once_per_mesh(monkeypatch):
@@ -964,6 +951,7 @@ def test_table1_refining_meshes_byte_identical():
     (["operator", "--n", "1,2,3,4,5,6,7,32,40"], "operator_n1_to_7_32_40.csv", 0),
     (["table2"], "table2_default.csv", 0),
     (["table3", "--n", "1,2,5", "--theta", "0.25,0.3,0.45"], "table3_n1_2_5_theta.csv", 0),
+    (["table2", "--deep"], "table2_deep.csv", 0),
 ])
 def test_mode_symbol_tables_byte_identical(args, name, code):
     """`spectrum`, `table3`, `table2` and `operator` print exactly the
@@ -994,7 +982,9 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     and 0.45) and one more at n = 5 (theta = 0.3) than the literal
     reading kept in dn_oracle.py.  They run as table1 does above (fresh
     interpreter, two BLAS threads); the default-theta `table3` exits 3 by
-    design, as its theta = 0 column does not converge.
+    design, as its theta = 0 column does not converge.  The file of
+    `table2 --deep` holds the rates as measured on the trace history
+    before they were measured on the sweep's sine coefficients.
     """
     done, want = _pinned_run(args, name)
     assert done.returncode == code, done.stderr
@@ -1010,6 +1000,7 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     (["operator", "--n", "1,2,3,4,5,6,7,32,40"], "operator_n1_to_7_32_40.csv", 0),
     (["table3", "--n", "1,2,5", "--theta", "0.25,0.3,0.45"], "table3_n1_2_5_theta.csv", 0),
     (["table3", "--deep"], "table3_deep.csv", 3),
+    (["table2", "--deep"], "table2_deep.csv", 0),
 ])
 def test_pinned_bytes_independent_of_blas_threads(args, name, code):
     """These pins print the stored output under one BLAS thread as
