@@ -22,7 +22,7 @@ for n in (4, 8, 16):
                               ("third", offcenter_columns(grid))):
         split = split_modes(grid.n_interface, ncl, ncr)
         z1, z2 = split.sigma1 / split.mu, split.sigma2 / split.mu
-        bounds, params, radius = mode_study(grid, ncl, ncr)
+        bounds, params, radius = mode_study(split)
         g1, g2 = params.gamma1, params.gamma2
         T = 0.0 - split.cj_values(g1, g2)
         print(f"  {label} split ({ncl}+{ncr} columns):"

@@ -32,12 +32,14 @@ def build_parser():
     common, dump, gamma1, gamma2, theta, stop = (
         argparse.ArgumentParser(add_help=False) for _ in range(6))
     common.add_argument("--n", dest="n_list", type=_parse_list(int), metavar="N1,N2,...",
-                        help="strip widths n (mesh h = 1/(2n)); default 2,6,10,14,18,22,26")
+                        help="strip widths n (mesh h = 1/(2n)); default "
+                        + ",".join(map(str, experiments.DEFAULT_N_LIST)))
     common.add_argument("--format", choices=("csv", "markdown", "md"), default="csv")
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write the table to FILE instead of stdout")
     common.add_argument("--deep", action="store_true",
-                        help="append the large meshes n = 36, 144, 576")
+                        help="append the large meshes n = "
+                        + ", ".join(map(str, experiments.DEEP_N_LIST)))
     dump.add_argument("--dump-matrices", default=None, metavar="DIR",
                       help="also write the assembled matrices in MatrixMarket format")
     gamma1.add_argument("--gamma1", type=float)

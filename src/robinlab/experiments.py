@@ -274,7 +274,7 @@ def run_spectrum(config: ExperimentConfig) -> TableResult:
         for theta in config.theta_list:
             params = config.params(n, theta)
             c = split.cj_values(params.gamma1, params.gamma2)
-            damped = params.theta + (1.0 - params.theta) * c
+            damped, _ = spectral.reduction_spectrum(split, params)
             for j in range(1, 2 * n):
                 rows.append([n, j, a[j - 1], b[j - 1], c[j - 1], damped[j - 1]])
     return TableResult(
@@ -313,8 +313,9 @@ def run_operator(config: ExperimentConfig) -> TableResult:
     ok = True
     for n in config.n_list:
         grid = build_grid(n)
-        for label, split in (("half", (n, n)), ("third", offcenter_columns(grid))):
-            bounds, params, radius = spectral.mode_study(grid, *split)
+        for label, cols in (("half", (n, n)), ("third", offcenter_columns(grid))):
+            bounds, params, radius = spectral.mode_study(
+                spectral.split_modes(grid.n_interface, *cols))
             bound = params.theta
             good = radius <= bound + 1e-9
             ok &= good

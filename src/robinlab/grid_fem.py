@@ -31,9 +31,9 @@ Golub).  The sweeps solve no strip: they read the load's interface
 response in closed form per sine mode (load_modes, from
 spectral.strip_load_modes).  strip_matrix builds the CSR of a strip with
 a given interface block, only for --dump-matrices and for the tests.
-Both import their scipy module when run (StripSolver its LAPACK
-routines, strip_matrix scipy.sparse), so a table that solves no strip
-loads no scipy.
+Each imports its scipy module when run (StripSolver its LAPACK routines,
+strip_matrix scipy.sparse, write_strip_matrices scipy.io), so a table
+that solves no strip loads no scipy.
 """
 
 from __future__ import annotations
@@ -319,6 +319,8 @@ def write_strip_matrices(grid: GridSpec, directory):
     """Write into directory the n-column strip's matrix with the interface
     column clamped (a0) and free, the interface mass, and the coupling a0
     loses when freed, which is the Neumann block, as MatrixMarket files."""
+    from scipy.io import mmwrite
+
     n, m = grid.n, grid.n_interface
     neumann = Tridiagonal(m, 2.0, -0.5)  # SubdomainSystem.interface_block(0.0)
     for name, A, what in (
@@ -326,18 +328,7 @@ def write_strip_matrices(grid: GridSpec, directory):
             ("stiffness", strip_matrix(n, neumann), "free-interface strip stiffness"),
             ("interface_mass", strip_matrix(1, Tridiagonal.interface_mass(m)), "interface mass"),
             ("interface_stiffness", strip_matrix(1, neumann), "interface coupling")):
-        write_matrix_market(os.path.join(directory, f"{name}_n{n}.mtx"), A,
-                            comment=f"{what}, n={n}")
-
-
-def write_matrix_market(path, A, comment=""):
-    """Write a CSR matrix in MatrixMarket coordinate format (1-based
-    indices); strip_matrix(1, tri) gives the CSR of a Tridiagonal."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            fh.write(f"% {comment}\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for r, c, v in zip(rows, A.indices, A.data):
-            fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
+        # general storage at every size (scipy's own choice depends on it);
+        # scipy writes the comment after a "%"
+        mmwrite(os.path.join(directory, f"{name}_n{n}.mtx"), A,
+                comment=f" {what}, n={n}", symmetry="general")

@@ -15,15 +15,16 @@ the discrete k coth(k L)).  With Robin weights g1, g2 a sweep's damped factor is
 
 strip_load_modes gives a strip load's interface response per mode from the
 same kappa_j.  On the symmetric split (m = 2n-1, both strips n columns)
-mode_arrays scales (mu_j, sigma_j) by tlam_j = 1 / (sigma_j + 1 + lam_j/2),
-lam_j = 4 sin^2(theta_j / 2), the diagonal of the clamped strip's trace
-inverse, into the printed (a_j, b_j).  tlam_j stays inside (1/8, 1) for
-every n, so b_j / a_j lives in [3 + 7h/16, 21/(2h)] and c_j in (-1, -1/2),
-and the radius at theta = 3/7 is at most 1/7.  That 1/7 is the symmetric
-split's envelope; a fixed off-center split has its own (0.33 at x = 5/6).
+mode_arrays scales the split's (mu_j, sigma_j) by
+tlam_j = 1 / (sigma_j + 1 + lam_j/2), lam_j = 4 sin^2(theta_j / 2), the
+diagonal of the clamped strip's trace inverse, into the printed (a_j, b_j).
+tlam_j stays inside (1/8, 1) for every n, so z_j = sigma_j / mu_j = b_j / a_j
+lives in [3 + 7h/16, 21/(2h)] (z_bracket) and c_j in (-1, -1/2), and the
+radius at theta = 3/7 is at most 1/7.  That 1/7 is the symmetric split's
+envelope; a fixed off-center split has its own (0.33 at x = 5/6).
 mode_study reads a split as trace maps: each strip's Dirichlet-to-Neumann
 map, in coordinates where the interface mass is the identity, has the
-eigenvalue z_j = sigma_j / mu_j in mode j, so the spectral equivalence
+eigenvalue z_j in mode j, so the spectral equivalence
 constants (s, t) of the two maps are the extremes of z2_j / z1_j, the
 sweep's trace operator T has the eigenvalues -c_j, and weights that
 bracket both spectra bound the radius by (2t - 1)/(2t + 1).  The dense
@@ -228,14 +229,11 @@ def split_modes(m, k1, k2) -> SplitModes:
 
 
 def mode_arrays(n):
-    """(lam, tlam, a, b) arrays for all modes of the symmetric split."""
-    h = 1.0 / (2 * n)
+    """(lam, tlam, a = mu tlam, b = sigma tlam) for all modes of the symmetric split."""
     lam = fd_eigenvalue(np.arange(1, 2 * n), 2 * n - 1)
-    sigma = split_modes(2 * n - 1, n, n).sigma1
-    tlam = 1.0 / (sigma + 1.0 + 0.5 * lam)
-    a = (h - Tridiagonal.interface_mass(2 * n - 1).off * lam) * tlam
-    b = sigma * tlam
-    return lam, tlam, a, b
+    split = split_modes(2 * n - 1, n, n)
+    tlam = 1.0 / (split.sigma1 + 1.0 + 0.5 * lam)
+    return lam, tlam, split.mu * tlam, split.sigma1 * tlam
 
 
 def reduction_spectrum(split: SplitModes, params):
@@ -256,13 +254,10 @@ class EquivalenceBounds:
     t: float
 
 
-def mode_study(grid, left_cols: int, right_cols: int):
-    """(EquivalenceBounds, DDParams, radius) of the split of grid (a
-    grid_fem.GridSpec; only its n_interface is read) into strips of
-    left_cols and right_cols columns, which must tile the square, mode by
-    mode: (s, t) are the extremes of z2_j / z1_j, the weights and damping
-    those of _recommended_params, and the radius that of reduction_spectrum."""
-    split = split_modes(grid.n_interface, left_cols, right_cols)
+def mode_study(split: SplitModes):
+    """(EquivalenceBounds, DDParams, radius) of a split, mode by mode:
+    (s, t) are the extremes of z2_j / z1_j, the weights and damping those
+    of _recommended_params, and the radius that of reduction_spectrum."""
     z1, z2 = split.sigma1 / split.mu, split.sigma2 / split.mu
     ratio = z2 / z1
     bounds = EquivalenceBounds(s=float(ratio.min()), t=float(ratio.max()))
@@ -397,9 +392,8 @@ def bound_margins(n) -> BoundMargins:
 
 
 def z_bracket(n):
-    """Range of the discrete symbol values z_j = b_j / a_j together with
-    the proven enclosure [3 + 7h/16, 21/(2h)]."""
+    """The symmetric split's symbol values z_j = sigma_j / mu_j (which are
+    b_j / a_j) together with the proven enclosure [3 + 7h/16, 21/(2h)]."""
     h = 1.0 / (2 * n)
-    _, _, a, b = mode_arrays(n)
-    z = b / a
-    return z, (3.0 + 7.0 * h / 16.0, 21.0 / (2.0 * h))
+    split = split_modes(2 * n - 1, n, n)
+    return split.sigma1 / split.mu, (3.0 + 7.0 * h / 16.0, 21.0 / (2.0 * h))

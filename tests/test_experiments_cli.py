@@ -1,7 +1,6 @@
 """Table drivers, config plumbing, and the command line front end."""
 
 import argparse
-import hashlib
 import os
 import subprocess
 import sys
@@ -39,6 +38,7 @@ from robinlab.experiments import (
     run_table3,
     run_von_neumann,
 )
+from robinlab.grid_fem import strip_matrix
 from robinlab.spectral import Tridiagonal
 from robin_oracle import strip_stiffness
 
@@ -736,26 +736,33 @@ def test_cli_matrix_dumps_load_back(tmp_path, capsys):
         np.testing.assert_allclose(back, expected, atol=1e-15)
 
 
-# sha256 of the files written by `table1 --n 1,2 --dump-matrices`, as the
-# program wrote them before strip_matrix built every dumped CSR
-DUMP_SHA256 = {
-    "a0_n1.mtx": "a26e4188be8948fba0df2d852ea9bf59742bc432bf59cdfb9d8592bad276d2b7",
-    "a0_n2.mtx": "c48b1242c27a571525cf6b376a391fa4401fa721b963f299d147801b97ce7a02",
-    "interface_mass_n1.mtx": "da5b5b1196bd9fd9204f223fab3116831d4fa1d19a720bbd1db08cc506e9e2e0",
-    "interface_mass_n2.mtx": "037a7a99331ffb623bb88a49b2402df5c03c26f105e164eb292f2948e606058a",
-    "interface_stiffness_n1.mtx": "35b2717328ce9abe2c148122bc34fb218a7d418bf9bc66900625baff0cbc1ce8",
-    "interface_stiffness_n2.mtx": "aa0c3ced54131655b06ef57018f6ce6986c15c48e3e4bea17c0d9ce7464764b1",
-    "stiffness_n1.mtx": "e17d63017662b0abfddd6b16f619eec1543101e1ca2154565a4993e00a42590e",
-    "stiffness_n2.mtx": "071bf64ec6963e347f5799564ba3085df24bdbbbe0ca81c5143e87deef5177a2",
-}
-
-
-def test_cli_matrix_dumps_byte_identical(tmp_path, capsys):
-    rc = cli_main(["table1", "--n", "1,2", "--dump-matrices", str(tmp_path)])
+def test_cli_matrix_dumps_format(tmp_path, capsys):
+    # scipy.io.mmwrite formats the numbers; the program decides the file
+    # names, the general storage, the comment line and the entries, each of
+    # which reads back exactly
+    rc = cli_main(["table1", "--n", "1,2,36", "--dump-matrices", str(tmp_path)])
     capsys.readouterr()
     assert rc == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert got == DUMP_SHA256
+    names = []
+    for n in (1, 2, 36):
+        grid = build_grid(n)
+        m = grid.n_interface
+        for name, what, A in (
+                ("a0", "clamped strip five-point matrix", strip_stiffness(grid, clamped=True)),
+                ("stiffness", "free-interface strip stiffness", strip_stiffness(grid)),
+                ("interface_mass", "interface mass",
+                 strip_matrix(1, Tridiagonal.interface_mass(m))),
+                ("interface_stiffness", "interface coupling",
+                 strip_matrix(1, Tridiagonal(m, 2.0, -0.5)))):
+            path = tmp_path / f"{name}_n{n}.mtx"
+            names.append(path.name)
+            lines = path.read_text().splitlines()
+            assert lines[0] == "%%MatrixMarket matrix coordinate real general"
+            assert lines[1] == f"% {what}, n={n}"
+            assert lines[2].split() == [str(A.shape[0]), str(A.shape[1]), str(A.nnz)]
+            assert len(lines) == 3 + A.nnz
+            assert np.array_equal(scipy.io.mmread(path).toarray(), A.toarray()), path.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("option, path", [
@@ -952,6 +959,7 @@ def test_table1_refining_meshes_byte_identical():
     (["table2"], "table2_default.csv", 0),
     (["table3", "--n", "1,2,5", "--theta", "0.25,0.3,0.45"], "table3_n1_2_5_theta.csv", 0),
     (["table2", "--deep"], "table2_deep.csv", 0),
+    (["spectrum", "--n", "36,144", "--format", "md"], "spectrum_n36_144.md", 0),
 ])
 def test_mode_symbol_tables_byte_identical(args, name, code):
     """`spectrum`, `table3`, `table2` and `operator` print exactly the
@@ -984,7 +992,11 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     interpreter, two BLAS threads); the default-theta `table3` exits 3 by
     design, as its theta = 0 column does not converge.  The file of
     `table2 --deep` holds the rates as measured on the trace history
-    before they were measured on the sweep's sine coefficients.
+    before they were measured on the sweep's sine coefficients.  The
+    markdown `spectrum` file prints a_j, b_j, c_j and the damped column
+    at %.12g, two digits more than the CSV; it holds the output from
+    before mode_arrays read mu_j from the split description and the
+    damped column came from reduction_spectrum.
     """
     done, want = _pinned_run(args, name)
     assert done.returncode == code, done.stderr
@@ -1001,6 +1013,7 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     (["table3", "--n", "1,2,5", "--theta", "0.25,0.3,0.45"], "table3_n1_2_5_theta.csv", 0),
     (["table3", "--deep"], "table3_deep.csv", 3),
     (["table2", "--deep"], "table2_deep.csv", 0),
+    (["spectrum", "--n", "36,144", "--format", "md"], "spectrum_n36_144.md", 0),
 ])
 def test_pinned_bytes_independent_of_blas_threads(args, name, code):
     """These pins print the stored output under one BLAS thread as

@@ -3,13 +3,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.io
 
 from robinlab import (Tridiagonal, assemble_load, build_grid, build_subdomain_system,
                       fd_eigenvalue)
 from robinlab.experiments import manufactured_solution
-from robinlab.grid_fem import (TRI_DEGREE6, offcenter_columns, strip_matrix,
-                               write_matrix_market)
+from robinlab.grid_fem import TRI_DEGREE6, offcenter_columns, strip_matrix
 from robinlab.spectral import sine_basis_matrix
 from p1_oracle import (_quadrature_load, assemble_p1_forms, global_poisson_system,
                        global_triangles, strip_triangles)
@@ -381,17 +379,3 @@ def test_global_triangles_tile_square():
     tri_x, _, ids = global_triangles(grid)
     assert len(tri_x) == 2 * (2 * grid.n) ** 2
     assert ids.max() == grid.n_interface ** 2 - 1
-
-
-def test_matrix_market_round_trip(tmp_path):
-    grid = build_grid(2)
-    A = strip_stiffness(grid)
-    path = tmp_path / "a.mtx"
-    write_matrix_market(path, A, comment="strip stiffness")
-    back = scipy.io.mmread(str(path))
-    assert np.abs(back.toarray() - A.toarray()).max() < 1e-12
-    tri = Tridiagonal.interface_mass(grid.n_interface)
-    path2 = tmp_path / "m.mtx"
-    write_matrix_market(path2, strip_matrix(1, tri))
-    back2 = scipy.io.mmread(str(path2))
-    assert np.abs(back2.toarray() - tri.to_dense()).max() < 1e-15

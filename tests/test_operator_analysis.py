@@ -173,7 +173,7 @@ def test_mode_study_matches_dense_path():
                 for k in {n, *third}}
         for split in ((n, n), third):
             S1, S2 = maps[split[0]], maps[split[1]]
-            bounds, params, radius = mode_study(grid, *split)
+            bounds, params, radius = mode_study(split_modes(grid.n_interface, *split))
             want_bounds = equivalence_bounds(S1, S2)
             want = params_from_bounds(S1, S2, want_bounds)
             want_radius = iteration_spectral_radius(build_iteration_operator(S1, S2, want))
@@ -187,18 +187,16 @@ def test_mode_study_matches_dense_path():
 @pytest.mark.parametrize("k1, k2", [(3, 3), (2, 9), (4, 5), (0, 8), (8, 0), (9, -1)])
 def test_split_widths_must_tile_the_square(k1, k2):
     # n = 4: m = 7 interface nodes between strips of k1, k2 >= 1 columns,
-    # k1 + k2 = 8; mode_study and reduction_spectrum read the checked split
+    # k1 + k2 = 8; mode_study and reduction_spectrum take the checked split
     with pytest.raises(ValueError, match="do not tile"):
         split_modes(7, k1, k2)
-    with pytest.raises(ValueError, match="do not tile"):
-        mode_study(build_grid(4), k1, k2)
 
 
 def test_edge_split_widths_accepted():
     # one-column strips stay accepted (ROADMAP item 13 decides them)
     for k1, k2 in ((1, 7), (7, 1)):
         assert len(split_modes(7, k1, k2).sigma1) == 7
-        bounds, params, radius = mode_study(build_grid(4), k1, k2)
+        bounds, params, radius = mode_study(split_modes(7, k1, k2))
         assert 0.0 < bounds.s <= bounds.t and np.isfinite(radius)
 
 
