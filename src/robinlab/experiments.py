@@ -127,15 +127,7 @@ def _fmt(value, spec):
 def format_csv(result: TableResult) -> str:
     lines = [",".join(result.columns)]
     for row in result.rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append("%.10g" % v)
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(_fmt(v, "%.10g" if isinstance(v, float) else None) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -299,7 +299,7 @@ def omega_max(gamma1, gamma2):
 
 def theta_star(a, b):
     """Damping that balances |theta - (1-theta) a| against |theta - (1-theta) b|
-    for a symbol ranging over [a, b]:
+    for a symbol ranging over [a, b] (von_neumann_advisor reads it):
 
         theta0 = (a + b) / (2 + a + b),   value |b - a| / (2 + a + b).
     """
@@ -310,13 +310,11 @@ def theta_star(a, b):
 
 
 def von_neumann_rho(k, gamma1, gamma2, theta):
-    """Damped per-sweep factor theta + (1 - theta) c of transverse frequency
-    k on the half plane, with c the two-sided factor of the symmetric
-    split of symbol z = k coth k (omega)."""
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ValueError("Robin weights must be positive")
+    """Damped per-sweep factor of transverse frequency k on the half plane:
+    reduction_spectrum's on SplitModes(1, z, z), z = k coth k (omega), with
+    the weights and damping checked by DDParams."""
     z = np.asarray(k, dtype=float) / np.tanh(k)
-    return theta + (1.0 - theta) * SplitModes(1.0, z, z).cj_values(gamma1, gamma2)
+    return reduction_spectrum(SplitModes(1.0, z, z), DDParams(gamma1, gamma2, theta))[0]
 
 
 COTH_1 = 1.0 / math.tanh(1.0)
@@ -333,9 +331,10 @@ def von_neumann_advisor(K, gamma1):
     For gamma1 below coth 1 the symbol is nonnegative on the band and
     theta = omega(z0) / (2 + omega(z0)) balances its range, giving a bound
     below 1/3.  For larger gamma1 the low end of the band turns negative;
-    the balance shifts by zeta = (gamma1 - coth 1) / (gamma1 + coth 1),
-    and when the symbol maximum does not exceed zeta no damping helps,
-    so theta = 0 with bound zeta.
+    the balance shifts by zeta = (gamma1 - coth 1) / (gamma1 + coth 1):
+    theta and the bound are theta_star's over [-zeta, w0].  When the symbol
+    maximum w0 does not exceed zeta no damping helps, so theta = 0 with
+    bound zeta.
     """
     if K < 1:
         raise ValueError("band limit K must be at least 1")
@@ -347,8 +346,7 @@ def von_neumann_advisor(K, gamma1):
     zeta = max(0.0, (gamma1 - COTH_1) / (gamma1 + COTH_1))
     if w0 <= zeta:
         return gamma2, 0.0, zeta
-    theta = (w0 - zeta) / (2.0 + w0 - zeta)
-    bound = (w0 + zeta) / (2.0 + w0 - zeta)
+    theta, bound = theta_star(w0, -zeta)
     return gamma2, theta, bound
 
 

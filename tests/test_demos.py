@@ -12,8 +12,10 @@ import robinlab
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 DATA = Path(__file__).resolve().parent / "data"
 # their files hold the output from before the split description
-# (spectral.split_modes) fed them, the same under one and two BLAS threads
-PINNED = ("interface_operator", "closed_form_rates")
+# (spectral.split_modes) fed them, and half_plane_advisor's from before
+# von_neumann_rho read reduction_spectrum and the advisor theta_star; each
+# is the same under one and two BLAS threads
+PINNED = ("interface_operator", "closed_form_rates", "half_plane_advisor")
 
 
 def test_demo_directory_found():

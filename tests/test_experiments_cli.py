@@ -960,10 +960,13 @@ def test_table1_refining_meshes_byte_identical():
     (["table3", "--n", "1,2,5", "--theta", "0.25,0.3,0.45"], "table3_n1_2_5_theta.csv", 0),
     (["table2", "--deep"], "table2_deep.csv", 0),
     (["spectrum", "--n", "36,144", "--format", "md"], "spectrum_n36_144.md", 0),
+    (["von-neumann"], "von_neumann_default.csv", 0),
+    (["von-neumann", "--n", "3,100", "--gamma1", "2", "--format", "md"],
+     "von_neumann_n3_100_gamma1_2.md", 0),
 ])
 def test_mode_symbol_tables_byte_identical(args, name, code):
-    """`spectrum`, `table3`, `table2` and `operator` print exactly the
-    stored output.
+    """`spectrum`, `table3`, `table2`, `operator` and `von-neumann` print
+    exactly the stored output.
 
     The first two read the per-mode strip symbol: `spectrum` through the
     trace response of mode_arrays, `table3` through the Dirichlet-Neumann
@@ -996,7 +999,11 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     markdown `spectrum` file prints a_j, b_j, c_j and the damped column
     at %.12g, two digits more than the CSV; it holds the output from
     before mode_arrays read mu_j from the split description and the
-    damped column came from reduction_spectrum.
+    damped column came from reduction_spectrum.  The two `von-neumann`
+    files hold the half-plane advisor's table (default CSV, and markdown
+    at K = 3, the advisor's flat branch, and K = 100, its balanced one)
+    from before von_neumann_rho read reduction_spectrum, the advisor
+    theta_star and format_csv _fmt.
     """
     done, want = _pinned_run(args, name)
     assert done.returncode == code, done.stderr
@@ -1014,6 +1021,9 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     (["table3", "--deep"], "table3_deep.csv", 3),
     (["table2", "--deep"], "table2_deep.csv", 0),
     (["spectrum", "--n", "36,144", "--format", "md"], "spectrum_n36_144.md", 0),
+    (["von-neumann"], "von_neumann_default.csv", 0),
+    (["von-neumann", "--n", "3,100", "--gamma1", "2", "--format", "md"],
+     "von_neumann_n3_100_gamma1_2.md", 0),
 ])
 def test_pinned_bytes_independent_of_blas_threads(args, name, code):
     """These pins print the stored output under one BLAS thread as

@@ -451,6 +451,17 @@ def test_von_neumann_large_k_asymptote():
         assert rho < 1.0
 
 
+@pytest.mark.parametrize("gamma1, gamma2, theta", [
+    (np.nan, 1.0, 0.3), (1.0, np.inf, 0.3), (1.0, 2.0, 1.0), (1.0, 2.0, -0.5),
+    (0.0, 2.0, 0.3), (1.0, -2.0, 0.3),
+], ids=["nan_weight", "inf_weight", "theta_1", "theta_negative", "zero_weight",
+        "negative_weight"])
+def test_von_neumann_rho_rejects_invalid_inputs(gamma1, gamma2, theta):
+    # DDParams checks the half-plane factor's inputs as it does every sweep's
+    with pytest.raises(ValueError):
+        von_neumann_rho(2.0, gamma1, gamma2, theta)
+
+
 def test_advisor_small_gamma1():
     for gamma1 in (1e-6, 1e-2, 0.5):
         for K in (2.0, 10.0):
