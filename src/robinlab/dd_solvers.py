@@ -26,12 +26,14 @@ under the same silencing), or capped ("cap") at max_iter.  It advances
 in blocks of sweeps (_iterate says how), which double from 8 sweeps for
 the per-mode sweeps (_mode_iterate).  The physical loop runs one sweep
 per block, since a sweep past the stop would cost two strip solves and
-change the strips it returns.  The report (DDReport) keeps the states
-as they ran: sine coefficients for the mode sweeps, traces for the
-physical loop.  measured_reduction_rate measures a mode sweep's steps
-on their sine coefficients, in which the interface mass is diagonal, so
-no history is mapped back to traces.  The sweep parameters (DDParams)
-come from spectral, which every layer reads.
+change the strips it returns.  A mode sweep whose state recurs in a
+block is in an exact cycle, which _iterate tiles up to max_iter.  The
+report (DDReport) keeps the states as they ran: sine coefficients for
+the mode sweeps, traces for the physical loop.  measured_reduction_rate
+measures a mode sweep's steps on their sine coefficients, in which the
+interface mass is diagonal, so no history is mapped back to traces.
+The sweep parameters (DDParams) come from spectral, which every layer
+reads.
 """
 
 from __future__ import annotations
@@ -230,6 +232,11 @@ def _iterate(sweep, state, to_trace, params: DDParams, strips, block_sizes) -> D
     ends at the first row that stops it.  The report keeps every state,
     initial one included, and maps them to the last sweep's strip
     solutions with strips when they are first read.
+
+    Blocks of two or more sweeps need sweep to be a function of the state
+    alone: if one ends nothing and its last state has the bits of a row p
+    before it, its last p states, whose deltas stopped nothing, recur up
+    to max_iter and are tiled (in a one-sweep block, a zero delta stops).
     """
     blocks = [state[None]]
     done, reason = 0, "cap"
@@ -252,6 +259,13 @@ def _iterate(sweep, state, to_trace, params: DDParams, strips, block_sizes) -> D
             done += size
             if done == params.max_iter:
                 break
+            if size >= 2:
+                bits = block.view(np.uint64)
+                same = np.flatnonzero((bits[:-1] == bits[-1]).all(axis=1))
+                if len(same):
+                    p = size - same[-1]
+                    blocks.append(np.resize(block[-p:], (params.max_iter - done, len(state))))
+                    break
     return DDReport(states=np.concatenate(blocks), stop_reason=reason, strips=strips)
 
 

@@ -303,8 +303,9 @@ class SubdomainSystem:
     def load_modes(self) -> np.ndarray:
         """spectral.strip_load_modes of the load: divided by sigma + gamma mu
         per mode, the sine coefficients of the interface trace of
-        solver(gamma).solve(load), for every weight gamma."""
-        modes = strip_load_modes(self.load, self.grid.n_interface, self.n_cols)
+        solver(gamma).solve(load), for every weight gamma; zero for a zero load."""
+        m = self.grid.n_interface
+        modes = strip_load_modes(self.load, m, self.n_cols) if self.load.any() else np.zeros(m)
         modes.flags.writeable = False  # every caller shares it
         return modes
 

@@ -1,4 +1,5 @@
 """Robin-Robin and Dirichlet-Neumann sweep behavior on the two-strip split."""
+import itertools
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from robinlab import (DDParams, Tridiagonal,
                       robin_robin_solve, split_modes)
 from robinlab import dd_solvers, grid_fem
 from robinlab.dd_solvers import robin_robin_physical_solve
-from robinlab.experiments import manufactured_solution
+from robinlab.experiments import ExperimentConfig, manufactured_solution, run_table2, run_table3
 from robinlab.grid_fem import StripSolver, offcenter_columns
 from robinlab.spectral import sine_basis_matrix
 from dn_oracle import (dirichlet_neumann_oracle, per_row_mode_reduction_rate,
@@ -166,24 +167,22 @@ def per_sweep_loop(sweep, state, to_trace, params):
 
 def assert_same_run(got, H, want):
     """A report, with its trace history H, against per_sweep_loop's run:
-    the same stop, the same states bit for bit, and each history row
-    within 1e-14 of its largest entry (a block's transform may round
-    differently from one row's)."""
+    the same stop, the same states bit for bit (so -0.0 is not +0.0), and
+    each history row within 1e-14 of its largest entry (a block's
+    transform may round differently from one row's)."""
     states, history, reason = want
     assert (got.iterations, got.converged, got.stop_reason) == \
         (len(states) - 1, reason == "tol", reason)
-    np.testing.assert_array_equal(got.states, states)
+    np.testing.assert_array_equal(got.states.view(np.uint64), states.view(np.uint64))
     finite = np.isfinite(history).all(axis=1)
     np.testing.assert_array_equal(np.isfinite(H).all(axis=1), finite)
     H, R = H[finite], history[finite]
     assert np.all(np.abs(H - R).max(axis=1) <= 1e-14 * np.abs(R).max(axis=1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 18, 36])
-def test_block_driver_matches_per_sweep_loop(n, monkeypatch):
-    # both mode sweeps against the per-sweep loop, at max_iter on and next
-    # to the block edges (blocks of 8, 16, 32, ... sweeps end at 8, 24, ...)
-    # and at the theta = 0 cap of the Dirichlet-Neumann sweep
+def mode_run_checker(monkeypatch):
+    """check(report), which holds the report of the mode sweep that ran
+    last to per_sweep_loop's run of the same map, and returns it."""
     runs = []
     mode_iterate = dd_solvers._mode_iterate
 
@@ -201,6 +200,30 @@ def test_block_driver_matches_per_sweep_loop(n, monkeypatch):
             state, lambda c: V @ c, params))
         return report
 
+    return check
+
+
+def sweep_counter(monkeypatch):
+    """A one-entry list that counts the calls of every sweep _iterate runs."""
+    count = [0]
+    iterate = dd_solvers._iterate
+
+    def counting(sweep, *args):
+        def counted(state):
+            count[0] += 1
+            return sweep(state)
+        return iterate(counted, *args)
+
+    monkeypatch.setattr(dd_solvers, "_iterate", counting)
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 18, 36])
+def test_block_driver_matches_per_sweep_loop(n, monkeypatch):
+    # both mode sweeps against the per-sweep loop, at max_iter on and next
+    # to the block edges (blocks of 8, 16, 32, ... sweeps end at 8, 24, ...)
+    # and at the theta = 0 cap of the Dirichlet-Neumann sweep
+    check = mode_run_checker(monkeypatch)
     _, left, right = strip_pair(n)
     capped = 0
     for theta in (0.0, 0.3, 3.0 / 7.0, 0.75):
@@ -222,6 +245,59 @@ def test_block_driver_matches_per_sweep_loop(n, monkeypatch):
     right = build_subdomain_system(grid, F_LOAD, "right", n_cols=3)
     report = check(dirichlet_neumann_solve(left, right, DDParams(1.0, 1.0, 0.0)))
     assert report.stop_reason == "non_finite" and 1016 < report.iterations < 2000
+
+
+@pytest.mark.parametrize("theta", [0.35, 0.4])
+def test_stalled_sweep_cycle_matches_per_sweep_loop(theta, monkeypatch):
+    # below the roundoff floor (stop_tol = 1e-17 at n = 36) the
+    # Dirichlet-Neumann sweep stalls in an exact cycle: period 6 from
+    # sweep 32 at theta = 0.35, period 2 from sweep 25 at theta = 0.4.  Both
+    # are found at the end of the 32-sweep block (56 sweeps); the run is
+    # tiled to the cap, also where the cap cuts a period (2000 - 56 is a
+    # multiple of 6, 1999 - 56 and 59 - 56 are not)
+    check = mode_run_checker(monkeypatch)
+    count = sweep_counter(monkeypatch)
+    _, left, right = strip_pair(36)
+    for max_iter in (2000, 1999, 59):
+        count[0] = 0
+        report = check(dirichlet_neumann_solve(
+            left, right, DDParams(1.0, 1.0, theta, stop_tol=1e-17, max_iter=max_iter)))
+        assert (report.stop_reason, report.iterations) == ("cap", max_iter)
+        assert count[0] == 56
+
+
+@pytest.mark.parametrize("max_iter", [1, 29, 30, 31, 32, 40, 41, 2000, 1999])
+def test_iterate_tiles_a_cycle_up_to_the_cap(max_iter):
+    # a pure map with a transient of 28 sweeps into the cycle 28, 29, 30:
+    # its deltas (1 or 2) never stop it, and in blocks of 8 the cycle is
+    # found within two blocks of its start, then tiled bit for bit
+    calls = [0]
+
+    def sweep(c):
+        calls[0] += 1
+        return np.where(c < 30.0, c + 1.0, c - 2.0)
+
+    params = DDParams(1.0, 1.0, 0.0, max_iter=max_iter)
+    report = dd_solvers._iterate(sweep, np.zeros(1), lambda C: C, params, None,
+                                 itertools.repeat(8))
+    assert calls[0] <= min(max_iter, 28 + 2 * 8)
+    calls[0] = 0
+    assert_same_run(report, report.states,
+                    per_sweep_loop(sweep, np.zeros(1), lambda c: c, params))
+    assert calls[0] == max_iter
+
+
+def test_cycle_check_cuts_sweep_work(monkeypatch):
+    # table3's theta = 0 column cycles with period 2 from the start, so
+    # each of its capped runs costs one 8-sweep block, not 2000 sweeps
+    # (6 648 on these meshes before the cycle check); table2's runs all
+    # converge and sweep as before
+    count = sweep_counter(monkeypatch)
+    run_table3(ExperimentConfig(table="table3", n_list=(18, 36, 54)))
+    assert count[0] == 672
+    count[0] = 0
+    run_table2(ExperimentConfig(table="table2", n_list=(36, 72)))
+    assert count[0] == 2320
 
 
 def test_physical_loop_matches_per_sweep_loop():
@@ -343,6 +419,16 @@ def test_load_modes_formed_once_per_strip(monkeypatch):
     assert len(formed) == 2
     assert not left.load_modes.flags.writeable and not right.load_modes.flags.writeable
     assert left._solvers == {} and right._solvers == {}
+    # a zero load's modes are zero, with the bits of the transform's, and
+    # skip the transform
+    for n in (1, 2, 6, 36):
+        _, zero, _ = strip_pair(n, f=zero_field)
+        modes = zero.load_modes
+        assert not modes.flags.writeable
+        np.testing.assert_array_equal(
+            modes.view(np.uint64),
+            load_modes(zero.load, zero.grid.n_interface, n).view(np.uint64))
+    assert len(formed) == 2
 
 
 def test_converged_trace_is_fixed_point():

@@ -312,10 +312,10 @@ def test_tables_assemble_and_factor_only_what_they_read(monkeypatch):
     assert got == {"stiffness": 0, "solver": 6, "solve": 2 * sweeps, "load": 6, "modes": 0,
                    "rate": 0}
     # one zero-load strip per mesh serves as both strips of all seven
-    # thetas, and its load modes serve both weights; each of the 14 runs
-    # measures its rate once
+    # thetas, and its load modes are zero with no transform; each of the
+    # 14 runs measures its rate once
     assert run_counted(run_table2, table="table2", n_list=(2, 6))[0] == {
-        "stiffness": 0, "solver": 0, "solve": 0, "load": 0, "modes": 2,
+        "stiffness": 0, "solver": 0, "solve": 0, "load": 0, "modes": 0,
         "rate": 14}
     # one load and one set of load modes per strip and mesh, shared by
     # all eight thetas; the table prints sweep counts only
@@ -963,6 +963,7 @@ def test_table1_refining_meshes_byte_identical():
     (["von-neumann"], "von_neumann_default.csv", 0),
     (["von-neumann", "--n", "3,100", "--gamma1", "2", "--format", "md"],
      "von_neumann_n3_100_gamma1_2.md", 0),
+    (["table3", "--n", "36", "--tol", "1e-17"], "table3_n36_tol1e-17.csv", 3),
 ])
 def test_mode_symbol_tables_byte_identical(args, name, code):
     """`spectrum`, `table3`, `table2`, `operator` and `von-neumann` print
@@ -1003,7 +1004,10 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     files hold the half-plane advisor's table (default CSV, and markdown
     at K = 3, the advisor's flat branch, and K = 100, its balanced one)
     from before von_neumann_rho read reduction_spectrum, the advisor
-    theta_star and format_csv _fmt.
+    theta_star and format_csv _fmt.  The file of `table3 --n 36 --tol
+    1e-17` holds the output from before _iterate tiled a cycling run to
+    its cap: below the roundoff floor the theta = 0.35 and 0.4 runs stall
+    in exact cycles and print 2000*, as the theta = 0 run does.
     """
     done, want = _pinned_run(args, name)
     assert done.returncode == code, done.stderr
@@ -1024,6 +1028,7 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     (["von-neumann"], "von_neumann_default.csv", 0),
     (["von-neumann", "--n", "3,100", "--gamma1", "2", "--format", "md"],
      "von_neumann_n3_100_gamma1_2.md", 0),
+    (["table3", "--n", "36", "--tol", "1e-17"], "table3_n36_tol1e-17.csv", 3),
 ])
 def test_pinned_bytes_independent_of_blas_threads(args, name, code):
     """These pins print the stored output under one BLAS thread as
