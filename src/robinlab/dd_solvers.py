@@ -18,22 +18,19 @@ in every sweep; only table1 runs it, for the reason its docstring gives.
 
 Every strip solve, the Dirichlet-Neumann sweep's included, is a Robin or
 Neumann solve by SubdomainSystem.solver (grid_fem.StripSolver).  Every
-sweep runs through one driver, _iterate, which owns the loop and the stop
-on the sup-norm change of the interface trace: converged ("tol") below
-stop_tol, stopped ("non_finite") once the change is not finite, with
-numpy's overflow warnings silenced (the mode sweeps form their maps
-under the same silencing), or capped ("cap") at max_iter.  It advances
-in blocks of sweeps (_iterate says how), which double from 8 sweeps for
-the per-mode sweeps (_mode_iterate).  The physical loop runs one sweep
-per block, since a sweep past the stop would cost two strip solves and
-change the strips it returns.  A mode sweep whose state recurs in a
-block is in an exact cycle, which _iterate tiles up to max_iter.  The
-report (DDReport) keeps the states as they ran: sine coefficients for
-the mode sweeps, traces for the physical loop.  measured_reduction_rate
-measures a mode sweep's steps on their sine coefficients, in which the
-interface mass is diagonal, so no history is mapped back to traces.
-The sweep parameters (DDParams) come from spectral, which every layer
-reads.
+sweep stops on the sup-norm change of the interface trace: converged
+("tol") below stop_tol, stopped ("non_finite") once the change is not
+finite, with numpy's overflow warnings silenced (the mode sweeps form
+their maps under the same silencing), or capped ("cap") at max_iter.
+The mode sweeps run through one driver, _iterate, in blocks of 8, 16,
+32, ... sweeps, and a mode sweep whose state recurs in a block is in an
+exact cycle, which _iterate tiles up to max_iter.  The physical loop
+runs one sweep at a time.  The report (DDReport) keeps the states as
+they ran: sine coefficients for the mode sweeps, traces for the
+physical loop.  measured_reduction_rate measures a mode sweep's steps
+on their sine coefficients, in which the interface mass is diagonal, so
+no history is mapped back to traces.  The sweep parameters (DDParams)
+come from spectral, which every layer reads.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from .spectral import (DDParams, SplitModes, Tridiagonal, robin_factor, sine_bas
                        split_modes)
 
 
-@dataclass
+@dataclass(eq=False)
 class DDReport:
     """Outcome of one sweep iteration.
 
@@ -65,9 +62,9 @@ class DDReport:
     are strips(states), solved on their first read only.
     """
 
-    states: np.ndarray = field(repr=False, compare=False)
+    states: np.ndarray = field(repr=False)
     stop_reason: str
-    strips: Callable = field(repr=False, compare=False)
+    strips: Callable = field(repr=False)
 
     iterations = property(lambda self: len(self.states) - 1)
     converged = property(lambda self: self.stop_reason == "tol")
@@ -127,18 +124,23 @@ def robin_robin_physical_solve(left: SubdomainSystem, right: SubdomainSystem,
     row of table1 --n 36,72,108,144 at 1e-8, and this loop's roundoff sets
     that row's count and error cells.  Once ROADMAP item 1a re-derives the
     row, the loop moves to the tests, where it is the mode sweep's reference.
+
+    It stops as _iterate does, but sweeps one at a time, not in blocks: a
+    sweep past the stop would cost two strip solves.
     """
     _check_split(left, right)
     solves = _robin_solves(left, right, params)
-    last = None
-
-    def sweep(g1):
-        nonlocal last
-        last = solves(g1)
-        return last[2]
-
-    return _iterate(sweep, np.zeros(left.grid.n_interface), lambda g: g, params,
-                    lambda states: last[:2], itertools.repeat(1))
+    states, reason = [np.zeros(left.grid.n_interface)], "cap"
+    # a diverging trace overflows; the non-finite stop below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.max_iter):
+            u, w, g1 = solves(states[-1])
+            delta = np.abs(g1 - states[-1]).max()
+            states.append(g1)
+            if not np.isfinite(delta) or delta < params.stop_tol:
+                reason = "tol" if np.isfinite(delta) else "non_finite"
+                break
+    return DDReport(np.array(states), reason, strips=lambda states: (u, w))
 
 
 def _robin_solves(left: SubdomainSystem, right: SubdomainSystem, params: DDParams):
@@ -212,43 +214,39 @@ def _check_split(left: SubdomainSystem, right: SubdomainSystem) -> SplitModes:
 
 
 def _mode_iterate(alpha, beta, state, params: DDParams, strips) -> DDReport:
-    """_iterate on sine coefficients c with the sweep
-    c <- theta c + (1 - theta)(alpha - beta c) and the traces V c, in
-    blocks of 8, 16, 32, ... sweeps."""
-    V = sine_basis_matrix(len(state))
+    """_iterate with the sweep c <- theta c + (1 - theta)(alpha - beta c)."""
     return _iterate(lambda c: params.theta * c + (1.0 - params.theta) * (alpha - beta * c),
-                    state, lambda C: C @ V, params, strips,
-                    (8 << k for k in itertools.count()))
+                    state, params, strips)
 
 
-def _iterate(sweep, state, to_trace, params: DDParams, strips, block_sizes) -> DDReport:
-    """Run state <- sweep(state) until the sup-norm of to_trace(new - old)
-    drops below params.stop_tol (converged), turns non-finite, or
-    params.max_iter sweeps have run.
+def _iterate(sweep, state, params: DDParams, strips) -> DDReport:
+    """Run the sine coefficients state <- sweep(state) until the sup-norm
+    of the trace change V (new - old) drops below params.stop_tol
+    (converged), turns non-finite, or params.max_iter sweeps have run.
 
-    The sweeps run one at a time in blocks of the sizes block_sizes
-    yields, the last one cut to max_iter; to_trace maps a block's state
-    differences, one per row, to trace differences at once, and the run
-    ends at the first row that stops it.  The report keeps every state,
-    initial one included, and maps them to the last sweep's strip
+    The sweeps run one at a time in blocks of 8, 16, 32, ... sweeps, the
+    last one cut to max_iter; each block's state differences, one per row,
+    go to trace differences in one product with the sine basis V, and the
+    run ends at the first row that stops it.  The report keeps every
+    state, initial one included, and maps them to the last sweep's strip
     solutions with strips when they are first read.
 
-    Blocks of two or more sweeps need sweep to be a function of the state
-    alone: if one ends nothing and its last state has the bits of a row p
-    before it, its last p states, whose deltas stopped nothing, recur up
-    to max_iter and are tiled (in a one-sweep block, a zero delta stops).
+    sweep must be a function of the state alone: if a block ends nothing
+    and its last state has the bits of a row p before it, its last p states,
+    whose deltas stopped nothing, recur up to max_iter and are tiled.
     """
+    V = sine_basis_matrix(len(state))
     blocks = [state[None]]
     done, reason = 0, "cap"
     # a diverging state overflows; the non-finite stop below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for size in block_sizes:
+        for size in (8 << k for k in itertools.count()):
             size = min(size, params.max_iter - done)
             block = np.empty((size + 1, len(state)))
             block[0] = blocks[-1][-1]
             for k in range(size):
                 block[k + 1] = sweep(block[k])
-            deltas = np.abs(to_trace(block[1:] - block[:-1])).max(axis=1)
+            deltas = np.abs((block[1:] - block[:-1]) @ V).max(axis=1)
             stops = ~np.isfinite(deltas) | (deltas < params.stop_tol)
             if stops.any():
                 k = int(stops.argmax())
@@ -259,13 +257,12 @@ def _iterate(sweep, state, to_trace, params: DDParams, strips, block_sizes) -> D
             done += size
             if done == params.max_iter:
                 break
-            if size >= 2:
-                bits = block.view(np.uint64)
-                same = np.flatnonzero((bits[:-1] == bits[-1]).all(axis=1))
-                if len(same):
-                    p = size - same[-1]
-                    blocks.append(np.resize(block[-p:], (params.max_iter - done, len(state))))
-                    break
+            bits = block.view(np.uint64)
+            same = np.flatnonzero((bits[:-1] == bits[-1]).all(axis=1))
+            if len(same):
+                p = size - same[-1]
+                blocks.append(np.resize(block[-p:], (params.max_iter - done, len(state))))
+                break
     return DDReport(states=np.concatenate(blocks), stop_reason=reason, strips=strips)
 
 

@@ -266,7 +266,7 @@ class StripSolver:
         return x.ravel()
 
 
-@dataclass
+@dataclass(eq=False)
 class SubdomainSystem:
     """One strip: its grid, width and load fix it, and its blocks and
     interface mass follow from the grid.  The load is fixed once the strip
@@ -277,7 +277,7 @@ class SubdomainSystem:
     grid: GridSpec
     n_cols: int
     load: np.ndarray
-    _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _solvers: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def interface_mass(self) -> Tridiagonal:

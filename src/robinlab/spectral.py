@@ -360,7 +360,7 @@ def corollary_rate(theta):
     return (3.0 * theta - 1.0) / 2.0
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundMargins:
     """Sign margins 3 a_j - b_j for every mode, with the monotonicity and
     negativity flags the rate bound rests on."""

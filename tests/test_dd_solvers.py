@@ -1,12 +1,11 @@
 """Robin-Robin and Dirichlet-Neumann sweep behavior on the two-strip split."""
-import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from robinlab import (DDParams, Tridiagonal,
-                      assemble_global_solution, build_grid,
+                      assemble_global_solution, bound_margins, build_grid,
                       build_subdomain_system, corollary_rate,
                       dirichlet_neumann_solve, error_norms,
                       measured_reduction_rate, reduction_spectrum,
@@ -269,8 +268,9 @@ def test_stalled_sweep_cycle_matches_per_sweep_loop(theta, monkeypatch):
 @pytest.mark.parametrize("max_iter", [1, 29, 30, 31, 32, 40, 41, 2000, 1999])
 def test_iterate_tiles_a_cycle_up_to_the_cap(max_iter):
     # a pure map with a transient of 28 sweeps into the cycle 28, 29, 30:
-    # its deltas (1 or 2) never stop it, and in blocks of 8 the cycle is
-    # found within two blocks of its start, then tiled bit for bit
+    # its deltas (1 or 2) never stop it, and the cycle is found at the end
+    # of the block of sweeps 24 to 56, then tiled bit for bit (one mode,
+    # whose sine basis is [[1.0]], so the trace is the state)
     calls = [0]
 
     def sweep(c):
@@ -278,9 +278,8 @@ def test_iterate_tiles_a_cycle_up_to_the_cap(max_iter):
         return np.where(c < 30.0, c + 1.0, c - 2.0)
 
     params = DDParams(1.0, 1.0, 0.0, max_iter=max_iter)
-    report = dd_solvers._iterate(sweep, np.zeros(1), lambda C: C, params, None,
-                                 itertools.repeat(8))
-    assert calls[0] <= min(max_iter, 28 + 2 * 8)
+    report = dd_solvers._iterate(sweep, np.zeros(1), params, None)
+    assert calls[0] == min(max_iter, 56)
     calls[0] = 0
     assert_same_run(report, report.states,
                     per_sweep_loop(sweep, np.zeros(1), lambda c: c, params))
@@ -301,8 +300,8 @@ def test_cycle_check_cuts_sweep_work(monkeypatch):
 
 
 def test_physical_loop_matches_per_sweep_loop():
-    # the physical loop runs one sweep per block; at gamma2 = 1e306/h it
-    # overflows after two sweeps
+    # the physical loop runs one sweep at a time, with the stop rule of
+    # the per-sweep loop; at gamma2 = 1e306/h it overflows after two sweeps
     _, left, right = strip_pair(2)
     for params in (canonical_params(2), canonical_params(2, max_iter=5),
                    DDParams(1.0, 1e306 * 4, 3.0 / 7.0)):
@@ -311,6 +310,18 @@ def test_physical_loop_matches_per_sweep_loop():
         assert_same_run(report, report.states, per_sweep_loop(
             lambda g: solves(g)[2], np.zeros(3), lambda g: g, params))
     assert (report.stop_reason, report.iterations) == ("non_finite", 2)
+
+
+def test_records_with_array_fields_compare_by_identity():
+    # the converged reports of the two sweeps (their stop reasons alone
+    # are equal), two strips of one grid and width, and two margin records
+    # of one n: each record equals itself only, compares without raising,
+    # and hashes
+    grid, left, right = strip_pair(2)
+    strips = [build_subdomain_system(grid, F_LOAD) for _ in range(2)]
+    for a, b in (both_sweeps(left, right), strips, (bound_margins(3), bound_margins(3))):
+        assert a == a and not a == b and a != b
+        assert len({a, b, a}) == 2
 
 
 def test_bad_initial_trace_rejected():

@@ -964,6 +964,8 @@ def test_table1_refining_meshes_byte_identical():
     (["von-neumann", "--n", "3,100", "--gamma1", "2", "--format", "md"],
      "von_neumann_n3_100_gamma1_2.md", 0),
     (["table3", "--n", "36", "--tol", "1e-17"], "table3_n36_tol1e-17.csv", 3),
+    (["table1"], "table1_default.csv", 0),
+    (["table1", "--n", "2,6", "--max-iter", "5"], "table1_n2_6_maxiter5.csv", 3),
 ])
 def test_mode_symbol_tables_byte_identical(args, name, code):
     """`spectrum`, `table3`, `table2`, `operator` and `von-neumann` print
@@ -1007,7 +1009,11 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     theta_star and format_csv _fmt.  The file of `table3 --n 36 --tol
     1e-17` holds the output from before _iterate tiled a cycling run to
     its cap: below the roundoff floor the theta = 0.35 and 0.4 runs stall
-    in exact cycles and print 2000*, as the theta = 0 run does.
+    in exact cycles and print 2000*, as the theta = 0 run does.  The files
+    of default `table1` and of `table1 --n 2,6 --max-iter 5`, whose capped
+    rows print 5* and exit 3, pin the physical Robin loop's CLI paths; they
+    hold the output from before that loop ran on its own rather than
+    through _iterate.
     """
     done, want = _pinned_run(args, name)
     assert done.returncode == code, done.stderr
@@ -1029,6 +1035,8 @@ def test_mode_symbol_tables_byte_identical(args, name, code):
     (["von-neumann", "--n", "3,100", "--gamma1", "2", "--format", "md"],
      "von_neumann_n3_100_gamma1_2.md", 0),
     (["table3", "--n", "36", "--tol", "1e-17"], "table3_n36_tol1e-17.csv", 3),
+    (["table1"], "table1_default.csv", 0),
+    (["table1", "--n", "2,6", "--max-iter", "5"], "table1_n2_6_maxiter5.csv", 3),
 ])
 def test_pinned_bytes_independent_of_blas_threads(args, name, code):
     """These pins print the stored output under one BLAS thread as
@@ -1036,7 +1044,9 @@ def test_pinned_bytes_independent_of_blas_threads(args, name, code):
     (ROADMAP item 4 asks this of every table).  `table3 --deep` is pinned
     here only: its file holds the counts of the per-sweep loop the sweeps
     ran before they ran in blocks (two BLAS threads), the same on every
-    mesh from h = 1/4 to 1/1152, with the theta = 0 column capped."""
+    mesh from h = 1/4 to 1/1152, with the theta = 0 column capped.  The
+    default and capped `table1` files are the physical Robin loop's, the
+    same under one and two threads."""
     done, want = _pinned_run(args, name, threads="1")
     assert done.returncode == code, done.stderr
     assert done.stdout == want
