@@ -9,7 +9,7 @@ Everything here is arithmetic on scalars; no mesh is ever assembled.
 import numpy as np
 
 from robinlab import DDParams, corollary_rate, reduction_spectrum, split_modes
-from robinlab.spectral import bound_margins, mode_arrays, z_bracket
+from robinlab.spectral import mode_arrays
 
 THETA = 3.0 / 7.0
 
@@ -35,7 +35,8 @@ print()
 print("the radius is h-independent and stays under 1/7")
 for n in (1, 4, 16, 64, 256):
     _, radius = rates(n)
-    _, (lo, hi) = z_bracket(n)
+    h = 1.0 / (2 * n)
+    lo, hi = 3.0 + 7.0 * h / 16.0, 21.0 / (2.0 * h)
     print(f"  n={n:4d}: radius {radius:.8f}  (z in [{lo:.4f}, {hi:.1f}])")
 
 print()
@@ -51,9 +52,11 @@ for k in range(7):
 print()
 print("sign margins 3a_j - b_j that the bound rests on")
 for n in (1, 11, 128, 1024):
-    m = bound_margins(n)
+    _, _, a, b = mode_arrays(n)
+    margins = 3.0 * a - b
+    first = float(margins[0])
     h = 1.0 / (2 * n)
-    print(f"  n={n:4d}: first margin {m.margins[0]:+.6e}"
-          f"  decreasing={m.strictly_decreasing}"
-          f"  < -7h^2/16: {m.below_sharp_quadratic}"
-          f"  < -0.049h: {m.below_linear}")
+    print(f"  n={n:4d}: first margin {first:+.6e}"
+          f"  decreasing={bool(np.all(np.diff(margins) < 0.0))}"
+          f"  < -7h^2/16: {first < -7.0 * h * h / 16.0}"
+          f"  < -0.049h: {first < -0.049 * h if n >= 11 else None}")

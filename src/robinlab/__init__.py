@@ -12,8 +12,7 @@ from .dd_solvers import (DDReport, assemble_global_solution,
                          measured_reduction_rate, robin_robin_solve)
 from .experiments import ExperimentConfig, TableResult, manufactured_solution, run
 from .grid_fem import GridSpec, SubdomainSystem, assemble_load, build_grid, build_subdomain_system
-from .spectral import (BoundMargins, DDParams, EquivalenceBounds, Tridiagonal,
-                       bound_margins, corollary_rate, fd_eigenvalue, omega,
+from .spectral import (DDParams, Tridiagonal, corollary_rate, fd_eigenvalue, omega,
                        omega_max, reduction_spectrum, split_modes, strip_symbol,
                        theta_star, von_neumann_advisor, von_neumann_rho)
 

@@ -17,11 +17,14 @@ strip_load_modes gives a strip load's interface response per mode from the
 same kappa_j.  On the symmetric split (m = 2n-1, both strips n columns)
 mode_arrays scales the split's (mu_j, sigma_j) by
 tlam_j = 1 / (sigma_j + 1 + lam_j/2), lam_j = 4 sin^2(theta_j / 2), the
-diagonal of the clamped strip's trace inverse, into the printed (a_j, b_j).
-tlam_j stays inside (1/8, 1) for every n, so z_j = sigma_j / mu_j = b_j / a_j
-lives in [3 + 7h/16, 21/(2h)] (z_bracket) and c_j in (-1, -1/2), and the
-radius at theta = 3/7 is at most 1/7.  That 1/7 is the symmetric split's
-envelope; a fixed off-center split has its own (0.33 at x = 5/6).
+diagonal of the clamped strip's trace inverse, into the printed (a_j, b_j);
+tlam_j lies in (1/8, 1).  Their ratio z_j = sigma_j / mu_j = b_j / a_j is 6
+at n = 1 and lies in [3.3006, 18.783 n] for every n >= 2, inside
+[3 + 7h/16, 21/(2h)]; at gamma1 = 1, gamma2 = 64/h that puts c_j in
+(-1, -1/2) and the radius at theta = 3/7 below 1/7 for every n (proved by
+test_symmetric_split_radius_below_one_seventh_for_every_n).  That 1/7 is
+the symmetric split's envelope; a fixed off-center split has its own
+(0.33 at x = 5/6).
 mode_study reads a split as trace maps: each strip's Dirichlet-to-Neumann
 map, in coordinates where the interface mass is the identity, has the
 eigenvalue z_j in mode j, so the spectral equivalence
@@ -46,7 +49,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,13 +115,6 @@ class Tridiagonal:
         """Eigenvalues in index order j = 1..size: diag + 2 off cos(j pi / (size+1))."""
         j = np.arange(1, self.size + 1)
         return self.diag + 2.0 * self.off * np.cos(j * np.pi / (self.size + 1))
-
-    def to_dense(self):
-        out = np.diag(np.full(self.size, self.diag))
-        idx = np.arange(self.size - 1)
-        out[idx, idx + 1] = self.off
-        out[idx + 1, idx] = self.off
-        return out
 
 
 def fd_eigenvalue(i, m):
@@ -358,40 +354,3 @@ def corollary_rate(theta):
     if theta <= 3.0 / 7.0:
         return 1.0 - 2.0 * theta
     return (3.0 * theta - 1.0) / 2.0
-
-
-@dataclass(eq=False)
-class BoundMargins:
-    """Sign margins 3 a_j - b_j for every mode, with the monotonicity and
-    negativity flags the rate bound rests on."""
-
-    n: int
-    margins: np.ndarray
-    strictly_decreasing: bool
-    below_sharp_quadratic: bool
-    below_linear: Optional[bool]
-
-
-def bound_margins(n) -> BoundMargins:
-    """3 a_j - b_j over j = 1..2n-1.  The sequence must decrease strictly,
-    stay below -7 h^2 / 16 at j = 1, and (once n >= 11) below -0.049 h."""
-    h = 1.0 / (2 * n)
-    _, _, a, b = mode_arrays(n)
-    margins = 3.0 * a - b
-    diffs = np.diff(margins)
-    first = float(margins[0])
-    return BoundMargins(
-        n=n,
-        margins=margins,
-        strictly_decreasing=bool(np.all(diffs < 0.0)),
-        below_sharp_quadratic=first < -7.0 * h * h / 16.0,
-        below_linear=(first < -0.049 * h) if n >= 11 else None,
-    )
-
-
-def z_bracket(n):
-    """The symmetric split's symbol values z_j = sigma_j / mu_j (which are
-    b_j / a_j) together with the proven enclosure [3 + 7h/16, 21/(2h)]."""
-    h = 1.0 / (2 * n)
-    split = split_modes(2 * n - 1, n, n)
-    return split.sigma1 / split.mu, (3.0 + 7.0 * h / 16.0, 21.0 / (2.0 * h))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from robinlab.grid_fem import SubdomainSystem
+from robinlab.grid_fem import SubdomainSystem, strip_matrix
 from robinlab.spectral import DDParams, EquivalenceBounds, _recommended_params, robin_factor
 
 
@@ -71,7 +71,7 @@ def dtn_schur(system: SubdomainSystem) -> DtNOperator:
     solve, interior = system.solver(0.0).solve, np.zeros((system.n_cols - 1) * m)
     S = scipy.linalg.inv(np.array([solve(np.concatenate([interior, e]))[-m:]
                                    for e in np.eye(m)]).T)
-    L = scipy.linalg.cholesky(system.interface_mass.to_dense(), lower=True)
+    L = scipy.linalg.cholesky(strip_matrix(1, system.interface_mass).toarray(), lower=True)
     S = scipy.linalg.solve_triangular(L, S, lower=True)
     S = scipy.linalg.solve_triangular(L, S.T, lower=True).T
     op = DtNOperator(matrix=0.5 * (S + S.T))

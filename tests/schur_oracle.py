@@ -12,6 +12,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from robin_oracle import strip_stiffness
+from robinlab.grid_fem import strip_matrix
 
 
 def splu_schur(system):
@@ -23,7 +24,7 @@ def splu_schur(system):
     if base > 0:
         lu = scipy.sparse.linalg.splu(A[:base, :base].tocsc())
         S = S - A[base:, :base].toarray() @ lu.solve(A[:base, base:].toarray())
-    L = scipy.linalg.cholesky(system.interface_mass.to_dense(), lower=True)
+    L = scipy.linalg.cholesky(strip_matrix(1, system.interface_mass).toarray(), lower=True)
     S = scipy.linalg.solve_triangular(L, S, lower=True)
     S = scipy.linalg.solve_triangular(L, S.T, lower=True).T
     return 0.5 * (S + S.T)

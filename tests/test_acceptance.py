@@ -38,7 +38,6 @@ from jacobi_oracle import power_spectral_radius
 from robinlab.grid_fem import offcenter_columns
 from robinlab.spectral import (
     COTH_1,
-    bound_margins,
     mode_arrays,
     von_neumann_advisor,
     von_neumann_rho,
@@ -212,17 +211,22 @@ def test_criterion_5_margin_inequalities():
     all_quadratic = True
     all_linear = True
     for n in range(1, 1025):
-        m = bound_margins(n)
-        all_decreasing &= m.strictly_decreasing
-        all_quadratic &= m.below_sharp_quadratic
+        h = 1.0 / (2 * n)
+        _, _, a, b = mode_arrays(n)
+        margins = 3.0 * a - b
+        all_decreasing &= bool(np.all(np.diff(margins) < 0.0))
+        all_quadratic &= bool(margins[0] < -7.0 * h * h / 16.0)
         if n >= 11:
-            all_linear &= bool(m.below_linear)
-    ok = all_decreasing and all_quadratic and all_linear
+            all_linear &= bool(margins[0] < -0.049 * h)
+    # the single mode of n = 1 has a = 1/12 and b = 1/2
+    _, _, a, b = mode_arrays(1)
+    single = float(3.0 * a[0] - b[0])
+    ok = all_decreasing and all_quadratic and all_linear and abs(single + 0.25) <= 1e-15
     HARD_GATE[5] = ok = bool(ok)
     _report(5, ok,
             f"n=1..1024: 3a_j - b_j strictly decreasing: {all_decreasing}; "
             f"3a_1 - b_1 < -7h^2/16: {all_quadratic}; "
-            f"< -0.049h for n >= 11: {all_linear}")
+            f"< -0.049h for n >= 11: {all_linear}; n=1 margin {single:+.17g} (-1/4)")
 
 
 def test_criterion_6_half_plane_advisor():

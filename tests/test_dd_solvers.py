@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robinlab import (DDParams, Tridiagonal,
-                      assemble_global_solution, bound_margins, build_grid,
+                      assemble_global_solution, build_grid,
                       build_subdomain_system, corollary_rate,
                       dirichlet_neumann_solve, error_norms,
                       measured_reduction_rate, reduction_spectrum,
@@ -13,7 +13,7 @@ from robinlab import (DDParams, Tridiagonal,
 from robinlab import dd_solvers, grid_fem
 from robinlab.dd_solvers import robin_robin_physical_solve
 from robinlab.experiments import ExperimentConfig, manufactured_solution, run_table2, run_table3
-from robinlab.grid_fem import StripSolver, offcenter_columns
+from robinlab.grid_fem import StripSolver, offcenter_columns, strip_matrix
 from robinlab.spectral import sine_basis_matrix
 from dn_oracle import (dirichlet_neumann_oracle, per_row_mode_reduction_rate,
                        per_row_reduction_rate, trace_history)
@@ -314,12 +314,11 @@ def test_physical_loop_matches_per_sweep_loop():
 
 def test_records_with_array_fields_compare_by_identity():
     # the converged reports of the two sweeps (their stop reasons alone
-    # are equal), two strips of one grid and width, and two margin records
-    # of one n: each record equals itself only, compares without raising,
-    # and hashes
+    # are equal) and two strips of one grid and width: each record equals
+    # itself only, compares without raising, and hashes
     grid, left, right = strip_pair(2)
     strips = [build_subdomain_system(grid, F_LOAD) for _ in range(2)]
-    for a, b in (both_sweeps(left, right), strips, (bound_margins(3), bound_margins(3))):
+    for a, b in (both_sweeps(left, right), strips):
         assert a == a and not a == b and a != b
         assert len({a, b, a}) == 2
 
@@ -515,7 +514,7 @@ def test_measured_rates_on_manufactured_problem():
 
 def test_measured_rate_synthetic_histories():
     # one-node traces, whose mass is the 1 x 1 matrix [1/3]
-    assert np.array_equal(Tridiagonal.interface_mass(1).to_dense(), [[1.0 / 3.0]])
+    assert np.array_equal(strip_matrix(1, Tridiagonal.interface_mass(1)).toarray(), [[1.0 / 3.0]])
     geometric = np.array([[0.5 ** m] for m in range(7)])
     assert measured_reduction_rate(geometric) == pytest.approx(0.5, abs=1e-12)
     # an exactly converged tail leaves no usable ratios
@@ -540,7 +539,7 @@ def test_measured_rate_non_finite_tail_is_nan():
 def dense_mass_rate(H):
     """The rate of a trace history H from the norms of the dense interface
     mass of its width, for runs whose every step is nonzero."""
-    M = Tridiagonal.interface_mass(H.shape[1]).to_dense()
+    M = strip_matrix(1, Tridiagonal.interface_mass(H.shape[1])).toarray()
     D = np.diff(H, axis=0)
     norms = np.sqrt(np.einsum("ij,jk,ik->i", D, M, D))
     ratios = norms[1:] / norms[:-1]

@@ -106,20 +106,20 @@ def test_integer_past_largest_float_is_rejected():
 
 def test_tridiagonal_against_dense():
     tri = Tridiagonal(5, 2.0, -0.5)
-    dense = tri.to_dense()
+    dense = strip_matrix(1, tri).toarray()
     v = np.array([1.0, -2.0, 0.0, 3.0, 1.0])
     assert np.abs(tri.matvec(v) - dense @ v).max() < 1e-14
     assert np.abs(np.sort(tri.eigenvalues()) - np.linalg.eigvalsh(dense)).max() < 1e-12
 
 
 def test_interface_mass_entries():
-    assert np.array_equal(Tridiagonal.interface_mass(build_grid(1).n_interface).to_dense(),
-                          [[1.0 / 3.0]])
+    M = Tridiagonal.interface_mass(build_grid(1).n_interface)
+    assert np.array_equal(strip_matrix(1, M).toarray(), [[1.0 / 3.0]])
     M = Tridiagonal.interface_mass(build_grid(2).n_interface)
     assert M.diag == pytest.approx(1.0 / 6.0)
     assert M.off == pytest.approx(1.0 / 24.0)
     # interior row sum equals the mesh width
-    assert M.to_dense()[1].sum() == pytest.approx(0.25)
+    assert strip_matrix(1, M).toarray()[1].sum() == pytest.approx(0.25)
 
 
 def neumann_block(grid):
@@ -128,11 +128,11 @@ def neumann_block(grid):
 
 def test_interface_stiffness_entries():
     # the Neumann block is half the five-point block
-    assert np.array_equal(neumann_block(build_grid(1)).to_dense(), [[2.0]])
+    assert np.array_equal(strip_matrix(1, neumann_block(build_grid(1))).toarray(), [[2.0]])
     A = neumann_block(build_grid(2))
     assert A.diag == 2.0
     assert A.off == -0.5
-    dense = A.to_dense()
+    dense = strip_matrix(1, A).toarray()
     assert np.array_equal(dense, dense.T)
 
 
@@ -142,8 +142,8 @@ def test_interface_matrices_diagonalized_by_sine_basis():
     h = grid.h
     lam = np.array([fd_eigenvalue(j, m) for j in range(1, m + 1)])
     phi = sine_basis_matrix(m).T  # modes as columns
-    M = Tridiagonal.interface_mass(grid.n_interface).to_dense()
-    A = neumann_block(grid).to_dense()
+    M = strip_matrix(1, Tridiagonal.interface_mass(grid.n_interface)).toarray()
+    A = strip_matrix(1, neumann_block(grid)).toarray()
     assert np.abs(phi.T @ M @ phi - np.diag(h - (h / 6.0) * lam)).max() < 1e-12
     assert np.abs(phi.T @ A @ phi - np.diag(1.0 + 0.5 * lam)).max() < 1e-12
 
@@ -208,7 +208,9 @@ def test_one_column_strip_matrix_is_the_tridiagonal():
     for tri in (Tridiagonal(1, 2.0, -0.5), Tridiagonal(5, 2.0 / 3.0, 1.0 / 6.0),
                 Tridiagonal(4, 2.0, 0.0)):
         A = strip_matrix(1, tri)
-        assert np.array_equal(A.toarray(), tri.to_dense())
+        dense = (np.diag(np.full(tri.size, tri.diag)) + np.diag(np.full(tri.size - 1, tri.off), 1)
+                 + np.diag(np.full(tri.size - 1, tri.off), -1))
+        assert np.array_equal(A.toarray(), dense)
         assert A.nnz == 3 * tri.size - 2
 
 

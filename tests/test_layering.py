@@ -1,5 +1,6 @@
 """The package's modules form one import chain, read from their source:
-spectral <- grid_fem <- dd_solvers <- experiments <- cli."""
+spectral <- grid_fem <- dd_solvers <- experiments <- cli.  The names the
+package exports are pinned, so any change to them is a visible edit."""
 import ast
 from pathlib import Path
 
@@ -40,3 +41,15 @@ def test_each_module_imports_only_earlier_ones():
         assert _robinlab_imports(name) <= set(CHAIN[:i]), name
     assert _robinlab_imports("__main__") == {"cli"}
     assert _robinlab_imports("__init__") <= set(CHAIN)
+
+
+def test_package_exports_are_pinned():
+    assert sorted(robinlab.__all__) == [
+        "DDParams", "DDReport", "ExperimentConfig", "GridSpec", "SubdomainSystem",
+        "TableResult", "Tridiagonal", "assemble_global_solution", "assemble_load",
+        "build_grid", "build_subdomain_system", "corollary_rate", "dd_solvers",
+        "dirichlet_neumann_solve", "error_norms", "experiments", "fd_eigenvalue",
+        "grid_fem", "manufactured_solution", "measured_reduction_rate", "omega",
+        "omega_max", "reduction_spectrum", "robin_robin_solve", "run", "spectral",
+        "split_modes", "strip_symbol", "theta_star", "von_neumann_advisor",
+        "von_neumann_rho"]

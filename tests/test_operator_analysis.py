@@ -11,7 +11,7 @@ from dense_oracle import (DtNOperator, build_iteration_operator, dtn_schur,
 from robinlab import (DDParams, SubdomainSystem, build_grid, build_subdomain_system,
                       measured_reduction_rate, omega, reduction_spectrum, robin_robin_solve,
                       split_modes)
-from robinlab.grid_fem import offcenter_columns
+from robinlab.grid_fem import offcenter_columns, strip_matrix
 from robinlab.spectral import Tridiagonal, mode_arrays, mode_study
 
 
@@ -41,7 +41,7 @@ def canonical_params(n, theta=3.0 / 7.0):
 def nodal_schur(system):
     """The Schur complement in nodal coordinates: dtn_schur's map with the
     congruence by the interface mass's Cholesky factor L undone."""
-    L = np.linalg.cholesky(system.interface_mass.to_dense())
+    L = np.linalg.cholesky(strip_matrix(1, system.interface_mass).toarray())
     return L @ dtn_schur(system).matrix @ L.T
 
 

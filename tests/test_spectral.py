@@ -5,14 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from robinlab import (DDParams, Tridiagonal, bound_margins, build_grid,
+from robinlab import (DDParams, Tridiagonal, build_grid,
                       build_subdomain_system, corollary_rate, fd_eigenvalue,
                       measured_reduction_rate, omega, omega_max, reduction_spectrum,
                       robin_robin_solve, strip_symbol,
                       theta_star, von_neumann_advisor, von_neumann_rho)
 from robinlab.experiments import ExperimentConfig
+from robinlab.grid_fem import strip_matrix
 from robinlab.spectral import (COTH_1, SplitModes, mode_arrays, robin_factor,
-                               sine_basis_matrix, split_modes, z_bracket)
+                               sine_basis_matrix, split_modes)
 from robin_oracle import add_interface_tridiagonal, strip_stiffness
 from symbol_oracle import (longdouble_symbol, tilde_lambda, tilde_lambda_all,
                            von_neumann_rho_product)
@@ -275,6 +276,77 @@ def test_cj_interval_canonical_weights():
         assert c.min() > -1.0
 
 
+def test_symmetric_split_radius_below_one_seventh_for_every_n(monkeypatch):
+    """Proof that at theta = 3/7 and the default weights every mode of the
+    symmetric split of every n >= 1 is damped below 1/7, and that tlam_j
+    lies in (1/8, 1); each constant is an outward-rounded interval.
+
+    Mode j of the split has h = 1/(2n), theta_j = j pi h, kappa_j =
+    2 asinh(s_j), s_j = sin(theta_j / 2), and x_j = n kappa_j, and by
+    split_modes
+
+        z_j = sigma_j / mu_j = 6 (sinh kappa_j / kappa_j)(x_j coth x_j) / (2 + cos theta_j).
+
+    n = 1: the one mode has sigma = cosh kappa = 2 and mu = 1/3, so z = 6.
+    n >= 2: kappa_j and x_j grow with j, and with t = pi / (4n) <= pi/8
+    the bounds sin t >= t - t^3/6 and asinh y >= y - y^3/6, at y = sin t
+    <= t, give x_j >= x_1 = 2n asinh(sin t) >= X = (pi/2)(1 - pi^2/384)^2.
+      - Lower end: sinh kappa >= kappa, 2 + cos theta <= 3 and x coth x
+        grows with x, so z_j >= Z_lo = 2 X coth X.
+      - Upper end: sinh kappa = 2 s sqrt(1 + s^2) <= 2 sqrt 2, coth x_j
+        <= coth X and 2 + cos theta > 1, so z_j <= Z_hi n with
+        Z_hi = 12 sqrt(2) coth X.
+    The radius: c_j = -omega(z_j), and omega's derivative has the sign of
+    gamma1 gamma2 - z^2, so on [Z_lo, Z_hi n] omega is at least its smaller
+    end value.  With gamma2 = g n, gamma1 < Z_lo and Z_hi < g, both end
+    values grow with n, so n = 2 bounds every n >= 2.  Both factors of
+    omega lie in (-1, 1) for z > 0, so omega < 1.  Hence c_j lies in
+    (-1, -1/2) and |3/7 + (4/7) c_j| < 1/7.
+    tlam_j = 1 / (sigma_j + 1 + lam_j / 2) = 1 / (sigma_j + cosh kappa_j),
+    with sigma_j > 0 and cosh kappa_j > 1; for n >= 2, sigma_j <=
+    2 sqrt(2) coth X and cosh kappa_j = 1 + 2 s_j^2 <= 3, and at n = 1
+    tlam = 1/4.
+    """
+    from mpmath import iv
+
+    monkeypatch.setattr(iv, "prec", 80)
+    defaults = ExperimentConfig(table="spectrum")
+    assert defaults.gamma2_rule == "scale_inv_h"
+    g1 = iv.mpf(defaults.gamma1)
+    g = 2 * iv.mpf(defaults.gamma2_coefficient)  # gamma2 = g n
+
+    def coth(x):
+        return 1 + 2 / (iv.exp(2 * x) - 1)
+
+    def omega(z, gamma2):
+        return ((gamma2 - z) / (gamma2 + z)) * ((z - g1) / (z + g1))
+
+    X = iv.pi / 2 * (1 - iv.pi ** 2 / 384) ** 2
+    z_lo = 2 * X * coth(X)
+    z_hi = 12 * iv.sqrt(2) * coth(X)
+    assert g1.b < z_lo.a and z_hi.b < g.a
+    for end in (omega(iv.mpf(6), g), omega(z_lo, 2 * g), omega(2 * z_hi, 2 * g)):
+        assert end.a > 0.5
+    # inside [3 + 7h/16, 21/(2h)] = [3 + 7/(32n), 21n] for every n >= 2
+    assert z_lo.a > 3 + iv.mpf(7) / 64 and z_hi.b < 21
+    assert (2 * iv.sqrt(2) * coth(X) + 3).b < 8
+
+    # the floats of split_modes follow the formula, read z = 6 and
+    # tlam = 1/4 at n = 1, and lie in [Z_lo, Z_hi n] beyond
+    split = split_modes(1, 1, 1)
+    assert split.sigma1[0] / split.mu[0] == pytest.approx(6.0, abs=1e-14)
+    assert mode_arrays(1)[1][0] == pytest.approx(0.25, abs=1e-15)
+    for n in (*range(2, 1025), 4096, 65536):
+        split = split_modes(2 * n - 1, n, n)
+        z = split.sigma1 / split.mu
+        assert float(z_lo.a) <= z.min() and z.max() <= float(z_hi.b) * n
+        theta = np.arange(1, 2 * n) * np.pi / (2 * n)
+        kappa = 2.0 * np.arcsinh(np.sin(theta / 2.0))
+        x = n * kappa
+        formula = 6.0 * (np.sinh(kappa) / kappa) * (x / np.tanh(x)) / (2.0 + np.cos(theta))
+        assert np.abs(z / formula - 1.0).max() < 1e-14
+
+
 def canonical_split_radii(n, k_left):
     """|theta + (1 - theta) c_j| per mode at theta = 3/7 on the split with
     k_left columns on the left, gamma1 = 1 there and gamma2 = 128n on the
@@ -345,7 +417,7 @@ def test_one_sweep_matrix_diagonalized_by_sine_basis():
         m = grid.n_interface
         mass = Tridiagonal.interface_mass(grid.n_interface)
         stiffness = strip_stiffness(grid)
-        Mg = mass.to_dense()
+        Mg = strip_matrix(1, mass).toarray()
         for params in (canonical_params(n), DDParams(2.5, 40.0, 0.2)):
             gsum = params.gamma1 + params.gamma2
 
@@ -520,34 +592,3 @@ def test_corollary_rate_piecewise():
     assert corollary_rate(3.0 / 7.0) == pytest.approx(1.0 / 7.0, abs=1e-15)
     with pytest.raises(ValueError):
         corollary_rate(1.5)
-
-
-def test_bound_margins_single_mode():
-    report = bound_margins(1)
-    assert report.margins.shape == (1,)
-    assert report.margins[0] == pytest.approx(-0.25, abs=1e-15)
-    assert report.strictly_decreasing
-    assert report.below_sharp_quadratic
-    assert report.below_linear is None
-
-
-def test_bound_margins_linear_regime():
-    report = bound_margins(11)
-    assert report.below_linear
-    assert report.margins[0] < -0.049 / 22.0
-    big = bound_margins(1024)
-    assert big.strictly_decreasing
-    assert big.below_linear
-    assert big.below_sharp_quadratic
-
-
-def test_z_bracket_containment():
-    for n in (1, 4, 32, 128):
-        z, (lo, hi) = z_bracket(n)
-        assert z.min() >= lo - 1e-12
-        assert z.max() <= hi + 1e-12
-    z, (lo, hi) = z_bracket(1)
-    # single mode: z = b/a = 6, inside [3 + 7/32, 21]
-    assert z[0] == pytest.approx(6.0, abs=1e-14)
-    assert lo == pytest.approx(3.0 + 7.0 / 32.0, abs=1e-15)
-    assert hi == pytest.approx(21.0, abs=1e-13)
